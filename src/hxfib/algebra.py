@@ -383,16 +383,18 @@ def table_from_spec(doc: dict) -> AlgebraTable:
         raise ValueError(f"algebra spec is missing key {exc.args[0]!r}")
     if not isinstance(name, str) or not isinstance(dim, int) or dim < 1:
         raise ValueError("algebra spec needs a string name and positive int dim")
+    if not isinstance(raw, list):
+        raise ValueError("table must be a list of rows")
     if len(raw) != dim:
         raise ValueError(f"table has {len(raw)} rows, expected {dim}")
     constants = []
     for row in raw:
-        if len(row) != dim:
-            raise ValueError("ragged table row")
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError("each table row must be a list of dim cells")
         cells = []
         for cell in row:
-            if len(cell) != dim:
-                raise ValueError("ragged table cell")
+            if not isinstance(cell, list) or len(cell) != dim:
+                raise ValueError("each table cell must be a list of dim constants")
             cells.append([_constant_from_json(v) for v in cell])
         constants.append(cells)
     table = AlgebraTable(name, constants)

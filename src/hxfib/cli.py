@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         'parametrized "quaternion:a,b", or a JSON file)',
     )
     alg.add_argument("algebra", help="builtin name or JSON file")
-    alg.add_argument("--check", action="store_true", help="validate (always on)")
     alg.set_defaults(func=cmd_algebra)
     return parser
 

@@ -19,7 +19,6 @@ from typing import Optional
 from .scalars import (
     ONE,
     ZERO,
-    GaussRational,
     NonRealResult,
     Poly,
     QuadExt,
@@ -58,12 +57,8 @@ class Verdict:
 # fault-injection battery patches this to prove the checks notice.
 _INITIAL_TERMS = (0, 1)
 
-_I_POWERS = (
-    GaussRational(1),
-    GaussRational(0, 1),
-    GaussRational(-1),
-    GaussRational(0, -1),
-)
+#: 1, i, -1, -i in Q[x][i], the quadratic extension with modulus -1.
+_I_POWERS = tuple(QuadExt(a, b, -1) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
 
 def _eval_float(p: Poly, x: float) -> float:
@@ -90,8 +85,8 @@ class FibContext:
         self._h_pows = [ONE]
         self._disc_pows = [ONE]
         self._alpha_pows: list[QuadExt] | None = None
-        self._cheb: list[Poly] | None = None
-        self._cheb_step: Poly | None = None
+        self._cheb: list[QuadExt] | None = None
+        self._cheb_step: QuadExt | None = None
 
     # -- the recurrence ------------------------------------------------
 
@@ -168,11 +163,11 @@ class FibContext:
         )
         return total * Fraction(1, 2 ** (n - 1))
 
-    def _chebyshev_u(self, m: int) -> Poly:
+    def _chebyshev_u(self, m: int) -> QuadExt:
         if self._cheb is None:
-            # 2t at t = h/(2i) is -i*h; all arithmetic over Q(i)
-            step = Poly(tuple(GaussRational(0, -Fraction(c)) for c in self.h.coeffs))
-            self._cheb = [Poly((GaussRational(1),)), step]
+            # 2t at t = h/(2i) is -i*h; all arithmetic over Q[x][i]
+            step = QuadExt(0, -self.h, -1)
+            self._cheb = [QuadExt.one(-1), step]
             self._cheb_step = step
         us = self._cheb
         while len(us) <= m:
@@ -185,12 +180,9 @@ class FibContext:
         if n < 1:
             raise IndexConstraintViolated("closed forms start at n = 1")
         scaled = self._chebyshev_u(n - 1) * _I_POWERS[(n - 1) % 4]
-        coeffs = []
-        for c in scaled.coeffs:
-            if c.im:
-                raise NonRealResult(f"imaginary residue {c!r} in Chebyshev form")
-            coeffs.append(c.re)
-        return Poly(coeffs)
+        if scaled.b:
+            raise NonRealResult(f"imaginary residue {scaled.b!r} in Chebyshev form")
+        return scaled.a
 
     def binet(self, n: int) -> Poly:
         """(alpha^n - beta^n) / (alpha - beta), via exact division by s."""
@@ -268,19 +260,20 @@ class FibContext:
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.
 
-        The recurrence runs on numeric values, never on the exact
-        polynomials, and requires h(x0) > 0 so that the dominant root
-        wins and no denominator vanishes."""
+        The ratio R_n = F_{n+1}/F_n itself is iterated on numeric values,
+        R_1 = h(x0) and R_k = h(x0) + 1/R_{k-1}, so it stays bounded where
+        the terms F_n would overflow.  Requires h(x0) > 0 so that the
+        dominant root wins and no denominator vanishes."""
         if n < 1:
             raise IndexConstraintViolated("the ratio needs n >= 1")
         hv = _eval_float(self.h, float(x0))
         if hv <= 0:
             raise DomainError(f"h({x0}) = {hv} <= 0 breaks the ratio guarantee")
-        prev, cur = 0.0, 1.0
-        for _ in range(n):
-            prev, cur = cur, hv * cur + prev
+        ratio = hv
+        for _ in range(n - 1):
+            ratio = hv + 1.0 / ratio
         alpha = (hv + math.sqrt(hv * hv + 4.0)) / 2.0
-        return abs(cur / prev - alpha)
+        return abs(ratio - alpha)
 
     def ratio_tolerance(self, x0: float, n: int) -> float:
         """Decay-envelope tolerance |beta/alpha|^n |alpha-beta| for the

@@ -10,6 +10,7 @@ printed-form diagnostic of the quadratic identity, which is recorded as
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -45,11 +46,11 @@ from .scalars import (
     ONE,
     X,
     DivisorZero,
-    GaussRational,
     ModulusMismatch,
     NonRealResult,
     NotDivisible,
     Poly,
+    QuadExt,
     poly_sum,
     quad_from_alpha,
     quad_from_beta,
@@ -271,6 +272,8 @@ def _ck_ratio_limit(rt: Runtime, p: dict) -> Verdict:
     ctx = rt.fib_ctx(p["h"])
     residual = ctx.ratio_limit_check(p["x0"], p["n"])
     tol = ctx.ratio_tolerance(p["x0"], p["n"])
+    if not math.isfinite(residual):
+        return Verdict(False, f"residual {residual} is not finite")
     if residual >= tol:
         return Verdict(False, f"residual {residual:.3e} >= tolerance {tol:.3e}")
     return Verdict(True)
@@ -630,29 +633,18 @@ def _faulty_sum_identity_check(self, n):
     return Verdict(lhs == rhs, None if lhs == rhs else f"partial sum up to n={n}")
 
 
-_I_CYCLE = (
-    GaussRational(1),
-    GaussRational(0, 1),
-    GaussRational(-1),
-    GaussRational(0, -1),
-)
-
-
 def _faulty_chebyshev_form(self, n):
     if n < 1:
         raise IndexConstraintViolated("closed forms start at n = 1")
-    step = Poly(tuple(GaussRational(0, -Fraction(c)) for c in self.h.coeffs))
-    seed = Poly(tuple(GaussRational(0, -Fraction(c) / 2) for c in self.h.coeffs))
-    us = [Poly((GaussRational(1),)), seed]  # wrong seed: U_1 = t instead of 2t
+    step = QuadExt(0, -self.h, -1)
+    seed = QuadExt(0, self.h * Fraction(-1, 2), -1)
+    us = [QuadExt.one(-1), seed]  # wrong seed: U_1 = t instead of 2t
     while len(us) <= n - 1:
         us.append(us[-1] * step - us[-2])
-    scaled = us[n - 1] * _I_CYCLE[(n - 1) % 4]
-    coeffs = []
-    for c in scaled.coeffs:
-        if c.im:
-            raise NonRealResult("imaginary residue in Chebyshev form")
-        coeffs.append(c.re)
-    return Poly(coeffs)
+    scaled = us[n - 1] * fibseq_mod._I_POWERS[(n - 1) % 4]
+    if scaled.b:
+        raise NonRealResult("imaginary residue in Chebyshev form")
+    return scaled.a
 
 
 def _method_mutation(attr: str, value):
@@ -802,21 +794,34 @@ def _shrink_candidates(name: str, params: dict) -> Iterator[dict]:
             yield cand
 
 
+def _failure_kind(witness: str | None) -> str:
+    """The expected exception class a witness names ("ZeroH: ..."), or
+    "verdict" for a plain failed verdict."""
+    for exc in _EXPECTED_ERRORS:
+        if witness and witness.startswith(exc.__name__ + ": "):
+            return exc.__name__
+    return "verdict"
+
+
 def shrink(record: CheckRecord, tables: dict[str, AlgebraTable] | None = None) -> CheckRecord:
     """Greedily reduce indices, then the degree and coefficients of h,
-    while the check keeps failing; returns the smallest failing record
-    found (or the record unchanged if it does not fail)."""
+    while the check keeps failing the same way (the same exception, or a
+    plain failed verdict); returns the smallest such record found (or the
+    record unchanged if it does not fail)."""
     if record.verdict != "fail":
         return record
     runtime = Runtime(dict(tables) if tables else {})
     alg = record.params.get("algebra")
     if alg and alg not in runtime.tables:
         runtime.tables[alg] = builtin(alg)
+    kind = _failure_kind(record.witness)
 
     def fails(params: dict) -> CheckRecord | None:
         runtime.clear()
         rec = _execute(runtime, record.name, params)
-        return rec if rec.verdict == "fail" else None
+        if rec.verdict == "fail" and _failure_kind(rec.witness) == kind:
+            return rec
+        return None
 
     best = fails(dict(record.params))
     if best is None:

@@ -204,6 +204,15 @@ def test_algebra_malformed_json_exits_two(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("table", [5, [5], [[5]], {"0": [[1]]}])
+def test_algebra_malformed_table_exits_two(tmp_path, capsys, table):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"name": "t", "dim": 1, "table": table}))
+    code, _, err = run_cli(capsys, "algebra", str(path))
+    assert code == 2
+    assert "bad algebra spec" in err
+
+
 def test_algebra_not_unital_exits_one(tmp_path, capsys):
     doc = {
         "name": "broken",

@@ -66,6 +66,19 @@ def test_closed_forms_at_one():
         assert getattr(ctx, form)(1) == ONE
 
 
+def test_chebyshev_form_rejects_an_imaginary_residue(monkeypatch):
+    from hxfib import fibseq
+    from hxfib.scalars import NonRealResult
+
+    one = fibseq._I_POWERS[0]
+    monkeypatch.setattr(fibseq, "_I_POWERS", (one,) * 4)  # i^1 replaced by 1
+    ctx = FibContext(X)
+    assert ctx.chebyshev_form(1) == ONE
+    for n in (2, 4):  # U_{n-1}(h/(2i)) is purely imaginary for even n
+        with pytest.raises(NonRealResult):
+            ctx.chebyshev_form(n)
+
+
 def test_binomial_form_example():
     assert FibContext(X).explicit_binomial(4) == Poly([0, 2, 0, 1])
 
@@ -209,6 +222,21 @@ def test_ratio_envelope_shrinks_with_n():
     assert late <= early
     assert ctx.ratio_tolerance(2.0, 5) > ctx.ratio_tolerance(2.0, 40)
     assert early < ctx.ratio_tolerance(2.0, 5)
+
+
+def test_ratio_limit_stays_finite_where_the_terms_overflow():
+    # F_1600 at h = 1 is about 1e334, beyond double range
+    for h, x0 in ((1, 2.0), (X, 2.0), (Poly([0, 0, 3]), 50.0)):
+        ctx = FibContext(h)
+        residual = ctx.ratio_limit_check(x0, 1600)
+        assert math.isfinite(residual)
+        assert residual < ctx.ratio_tolerance(x0, 1600)
+
+
+def test_ratio_limit_n_one_is_h_over_one():
+    ctx = FibContext(Poly([1, 1]))
+    alpha = (3.0 + math.sqrt(13.0)) / 2
+    assert ctx.ratio_limit_check(2.0, 1) == abs(3.0 - alpha)
 
 
 def test_ratio_limit_rejects_nonpositive_h():

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from hxfib import scalars
 from hxfib.scalars import (
+    KRONECKER_MIN_LEN,
     NEG_INF,
     ONE,
     X,
@@ -169,6 +171,65 @@ def test_poly_sum_matches_pairwise():
         for p in ps:
             acc = acc + p
         assert poly_sum(ps) == acc
+
+
+def test_poly_sub_matches_add_negated():
+    rng = random.Random(37)
+    for _ in range(60):
+        p, q = rand_poly(rng), rand_poly(rng)
+        q = rng.choice((q, p * 3 + q, p))  # equal denominators and cancellation
+        diff = p - q
+        assert diff == p + (-q)
+        assert diff + q == p
+        assert (diff.num, diff.den) == ((p + (-q)).num, (p + (-q)).den)
+    assert Poly([1, 2, 3]) - Poly([1, 2, 3]) == ZERO
+    assert Poly([1, 2, 3]) - Poly([0, 0, 3]) == Poly([1, 2])
+    assert Poly([1]) - Poly([0, 0, 5]) == Poly([1, 0, -5])
+
+
+def _signed_vector(rng, length, bits):
+    """Random signed coefficients with interior zero runs and a nonzero,
+    possibly negative, leading term."""
+    out = []
+    while len(out) < length - 1:
+        if rng.random() < 0.15:
+            out.extend([0] * rng.randint(1, 6))
+        else:
+            out.append(rng.randint(-(1 << bits), 1 << bits))
+    del out[length - 1:]
+    lead = rng.randint(1, 1 << bits)
+    return out + [-lead if rng.random() < 0.5 else lead]
+
+
+def test_kronecker_matches_schoolbook():
+    rng = random.Random(59)
+    edge = (KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, KRONECKER_MIN_LEN + 1)
+    for trial in range(300):
+        m = rng.choice(edge + (1, 2, rng.randint(1, 40)))
+        n = rng.choice((m, m + 1, rng.randint(m, 4 * m + 5)))  # balanced to unbalanced
+        bits = rng.choice((1, 7, 64, 300))
+        a, b = _signed_vector(rng, m, bits), _signed_vector(rng, n, rng.choice((bits, 3)))
+        want = scalars._schoolbook_mul(a, b)
+        assert scalars._kronecker_mul(a, b) == want, (trial, m, n, bits)
+        assert scalars._kronecker_mul(a, a) == scalars._schoolbook_mul(a, a)
+        # through Poly, on both sides of the crossover
+        assert (Poly(a) * Poly(b)).num == tuple(want)
+    # all-negative and extreme slot values
+    a = [-(1 << 300)] * KRONECKER_MIN_LEN
+    assert scalars._kronecker_mul(a, a) == scalars._schoolbook_mul(a, a)
+    b = [(1 << 299) - 1, 0, 0, -(1 << 299)] * KRONECKER_MIN_LEN
+    assert scalars._kronecker_mul(a, b) == scalars._schoolbook_mul(a, b)
+
+
+def test_kronecker_only_above_crossover(monkeypatch):
+    calls = []
+    real = scalars._kronecker_mul
+    monkeypatch.setattr(scalars, "_kronecker_mul", lambda a, b: calls.append(len(a)) or real(a, b))
+    below = Poly(range(1, KRONECKER_MIN_LEN))
+    at = Poly(range(1, KRONECKER_MIN_LEN + 1))
+    longer = below * at  # shorter operand just below the crossover
+    assert at * longer == longer * at  # at the crossover, from either side
+    assert calls == [KRONECKER_MIN_LEN, KRONECKER_MIN_LEN]
 
 
 def test_poly_generic_gauss_coefficients():

@@ -6,12 +6,19 @@ from dataclasses import replace
 
 import pytest
 
+from fractions import Fraction
+
+from hxfib import scalars
 from hxfib.algebra import quaternion_table
+from hxfib.fibseq import FibContext
 from hxfib.scalars import ONE, X, Poly
 from hxfib.suite import (
+    CHECKS,
     MUTATIONS,
     CheckRecord,
+    Corpus,
     Report,
+    Runtime,
     corrupt_table_entry,
     default_corpus,
     mutation_corpus,
@@ -109,6 +116,41 @@ def test_corrupted_table_fails_with_witness():
     assert "hamilton_relations" in {c.name for c in report.failures}
 
 
+def _unpack_without_borrow(value, count, w):
+    raw = value.to_bytes(count * w, "little", signed=True)
+    return [int.from_bytes(raw[k:k + w], "little", signed=True)
+            for k in range(0, count * w, w)]
+
+
+def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
+    # F_u * F_v for a degree-4 h has 4u - 3 coefficients, so catalan_real
+    # up to n = 20 multiplies well above the Kronecker crossover
+    h = Poly([-2, Fraction(1, 3), 0, -1, Fraction(5, 2)])
+    corpus = Corpus(seed=0, h_polys=(h,), algebras=(), n_max=20)
+    assert run_all(corpus, include={"catalan_real"}).ok
+    calls = []
+
+    def broken(value, count, w):
+        calls.append(count)
+        return _unpack_without_borrow(value, count, w)
+
+    monkeypatch.setattr(scalars, "_kronecker_unpack", broken)
+    report = run_all(corpus, include={"catalan_real"})
+    assert calls
+    assert report.failures
+    # below n = 4 every product stays on the schoolbook loop
+    assert all(c.params["n"] >= 4 for c in report.failures)
+
+
+def test_ratio_limit_fails_on_a_non_finite_residual(monkeypatch):
+    params = {"h": "1", "x0": 2.0, "n": 40}
+    rt = Runtime({})
+    assert CHECKS["ratio_limit"](rt, params).ok
+    monkeypatch.setattr(FibContext, "ratio_limit_check", lambda self, x0, n: float("nan"))
+    verdict = CHECKS["ratio_limit"](rt, params)
+    assert not verdict.ok and "not finite" in verdict.witness
+
+
 # -- shrinking --------------------------------------------------------------------
 
 def test_shrink_leaves_passing_records_alone():
@@ -139,6 +181,19 @@ def test_shrink_reduces_identity_failure_to_minimum():
         # and the check is defined even at h = 0, so shrinking may land there
         assert small.params["n"] == 1 and small.params["r"] == 1
         assert small.params["h"] in ("0", "1", "x")
+
+
+def test_shrink_keeps_the_failure_kind():
+    # at h = 0 the identity raises ZeroH; that is a different failure from
+    # the dropped h factor and must not be accepted as a smaller witness
+    with MUTATIONS["sum_clearing_dropped"](mutation_corpus()) as corpus:
+        report = run_all(corpus, include={"sum_identity"})
+        first = report.failures[0]
+        assert first.params == {"h": "2", "n": 1}
+        small = shrink(first)
+    assert small.verdict == "fail"
+    assert small.params == first.params
+    assert small.witness == first.witness
 
 
 def test_shrink_uses_supplied_tables():
