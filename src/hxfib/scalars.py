@@ -474,10 +474,10 @@ class Poly:
 #: substitution.  Chosen by recording every rational product of one pass
 #: of the benchmark's scalar_deep and verify workloads at seed 42 and
 #: timing a sample of 2,500 of each with both kernels (CPython 3.11,
-#: 2 cores): the estimated multiply time per pass was lowest for a
-#: threshold of 8-12 and within 0.5% of an oracle choosing per product
-#: (scalar_deep 0.84 s against 1.53 s all-schoolbook, verify 1.99 s
-#: against 2.51 s); 16 costs 3% more and 32 costs 17-28% more.  At 12 the
+#: 2 cores): the estimated multiply time per pass was lowest, within 1%,
+#: for thresholds of 8-12, and within 3% of an oracle choosing per product
+#: (at 12: scalar_deep 0.84 s against 1.53 s all-schoolbook, verify 1.99 s
+#: against 2.51 s); 16 costs 3% more and 32 costs 16-28% more.  At 12 the
 #: fault-injection corpus, whose operands have at most 8 coefficients,
 #: stays on the schoolbook loop, where Kronecker is up to 4x slower.
 KRONECKER_MIN_LEN = 12
