@@ -140,9 +140,13 @@ def cmd_verify(args) -> int:
         }
     corpus = default_corpus(seed=args.seed, **kwargs)
     if args.algebra:
-        corpus = replace(
-            corpus, algebras=tuple(_load_algebra(a) for a in args.algebra)
-        )
+        tables = tuple(_load_algebra(a) for a in args.algebra)
+        names = [t.name for t in tables]
+        for name in names:
+            if names.count(name) > 1:
+                # the run keys its tables and caches by name
+                raise UsageError(f"algebra name {name!r} is given more than once")
+        corpus = replace(corpus, algebras=tables)
     report = run_all(corpus)
     text = report.to_json(indent=2)
     if args.report:

@@ -20,6 +20,7 @@ from .scalars import (
     ONE,
     ZERO,
     NonRealResult,
+    NotDivisible,
     Poly,
     QuadExt,
     as_poly,
@@ -85,6 +86,7 @@ class FibContext:
         self._h_pows = [ONE]
         self._disc_pows = [ONE]
         self._alpha_pows: list[QuadExt] | None = None
+        self._binet_quotients: dict[tuple[int, int], QuadExt | None] = {}
         self._cheb: list[QuadExt] | None = None
         self._cheb_step: QuadExt | None = None
 
@@ -128,6 +130,26 @@ class FibContext:
         # beta is the s -> -s conjugate of alpha, and conjugation is a
         # ring automorphism, so beta^n is the conjugate of alpha^n.
         return self.alpha_pow(n).conjugate()
+
+    def binet_quotient(self, k: int, n: int) -> QuadExt | None:
+        """(alpha^k alpha^n - beta^k beta^n) / s, or None when s does not
+        divide the numerator.
+
+        This is coordinate k of the hyper-Binet numerator of Q_n divided
+        exactly by s; it depends only on h, k and n, so it is memoized here
+        and shared by every algebra over this h.
+        """
+        key = (k, n)
+        cache = self._binet_quotients
+        if key in cache:
+            return cache[key]
+        numerator = self.alpha_pow(k) * self.alpha_pow(n) - self.beta_pow(k) * self.beta_pow(n)
+        try:
+            quotient = numerator.divexact_by_s()
+        except NotDivisible:
+            quotient = None
+        cache[key] = quotient
+        return quotient
 
     # -- closed forms ----------------------------------------------------
 

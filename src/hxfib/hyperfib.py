@@ -8,6 +8,30 @@ only binary products ever appear, so associativity is never needed.
 All denominators are cleared: by h for the partial sum, by h^2 + 4 for
 the quadratic identities, and by s, via exact division, for the closed
 form and the index-difference identity.
+
+The Catalan, Cassini and d'Ocagne identities are bilinear in the Q
+elements, so they hold for any bilinear product whatever its structure
+constants: a corrupted or transposed table still satisfies them.  Table
+faults are caught by the table checks of the battery
+(`hamilton_relations`, `unit_law`, `algebra_validate`), never by these
+identities; what these identities test is the sequence, its roots and the
+arithmetic.
+
+Both sides are assembled from cached parts.  Coordinate k of a product
+Q_a Q_b is the linear combination of the memoized scalar products
+F_{a+i} F_{b+j} with the nonzero structure constants c_ijk, formed in one
+`poly_combination`.  The right-hand brackets live in Q[x][s] and do not
+depend on n apart from the sign (-1)^n, so each context builds them once
+and keeps only what a comparison needs:
+
+- Catalan, and Cassini as Catalan at r = 1: per r, the rational part a
+  of each bracket coordinate with both signs, or a mismatch marker where
+  the coordinate has an s-part (the cleared left side (h^2+4) L_k has
+  none).  Comparing (h^2+4) L_k with +-a is the equality of the two sides
+  embedded in Q[x][s].
+- d'Ocagne: per r - n, the exact quotient of each bracket coordinate by
+  s, or the failure text when s does not divide it or leaves an s-part.
+- The printed Catalan bracket depends on r only through its parity.
 """
 
 from __future__ import annotations
@@ -17,7 +41,7 @@ from typing import Optional
 
 from .algebra import AlgebraTable, AlgElement
 from .fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
-from .scalars import NotDivisible, Poly, QuadExt, poly_sum
+from .scalars import NotDivisible, Poly, QuadExt, poly_combination
 
 
 @dataclass(frozen=True)
@@ -40,12 +64,26 @@ class HyperContext:
     def __init__(self, fib, table: AlgebraTable):
         self.fib = fib if isinstance(fib, FibContext) else FibContext(fib)
         self.table = table
+        dim = table.dim
+        #: per coordinate k, the (i, j, c_ijk) with c_ijk != 0
+        self._coord_terms = tuple(
+            tuple(
+                (i, j, c)
+                for i in range(dim)
+                for j in range(dim)
+                if (c := table.constants[i][j][k])
+            )
+            for k in range(dim)
+        )
         self._star: tuple[AlgElement, AlgElement] | None = None
         self._star_products: tuple[AlgElement, AlgElement] | None = None
-        self._catalan_rhs: dict[int, AlgElement] = {}
-        self._printed_rhs: dict[int, AlgElement] = {}
-        self._docagne_rhs: dict[int, AlgElement] = {}
         self._squares: dict[int, AlgElement] = {}
+        self._prefix_sums: list[AlgElement] = []  # Q_1 + ... + Q_p at p - 1
+        self._catalan_brackets: dict[int, AlgElement] = {}  # by r
+        self._printed_brackets: dict[int, AlgElement] = {}  # by r % 2
+        self._catalan_rhs: dict[int, tuple] = {}  # by r
+        self._printed_matches: dict[int, bool] = {}  # by r
+        self._docagne_rhs: dict[int, tuple] = {}  # by r - n
 
     @property
     def h(self) -> Poly:
@@ -59,9 +97,6 @@ class HyperContext:
         """Q_n, with coordinate k equal to F_{n+k}."""
         fib = self.fib
         return AlgElement(self.table, tuple(fib.fib(n + k) for k in range(self.dim)))
-
-    def q_embedded(self, n: int) -> AlgElement:
-        return self.q(n).embed(self.fib.modulus)
 
     # -- starred roots ----------------------------------------------------
 
@@ -84,6 +119,12 @@ class HyperContext:
 
     # -- cached bilinear products of Q elements ---------------------------
 
+    def _product_terms(self, k: int, a: int, b: int, sign: int = 1) -> list:
+        """(F_{a+i} F_{b+j}, sign * c_ijk) pairs: coordinate k of
+        sign * Q_a Q_b as a linear combination of memoized products."""
+        product = self.fib.fib_product
+        return [(product(a + i, b + j), sign * c) for i, j, c in self._coord_terms[k]]
+
     def _q_mul(self, ni: int, nj: int) -> AlgElement:
         """Q_{ni} * Q_{nj} assembled from memoized scalar products; equal
         to the straightforward element product by bilinearity (the test
@@ -92,18 +133,9 @@ class HyperContext:
             cached = self._squares.get(ni)
             if cached is not None:
                 return cached
-        table = self.table
-        fib = self.fib
-        terms: list[list[Poly]] = [[] for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prod = None
-                for k, c in enumerate(table.constants[i][j]):
-                    if c:
-                        if prod is None:
-                            prod = fib.fib_product(ni + i, nj + j)
-                        terms[k].append(prod * c)
-        element = AlgElement(table, tuple(poly_sum(ts) for ts in terms))
+        element = AlgElement(self.table, tuple(
+            poly_combination(self._product_terms(k, ni, nj)) for k in range(self.dim)
+        ))
         if ni == nj:
             self._squares[ni] = element
         return element
@@ -124,10 +156,11 @@ class HyperContext:
             raise ZeroH("the partial-sum identity divides by h")
         if p < 1:
             raise IndexConstraintViolated("partial sums start at p = 1")
-        acc = self.q(1)
-        for k in range(2, p + 1):
-            acc = acc + self.q(k)
-        lhs = acc * self.h
+        sums = self._prefix_sums
+        while len(sums) < p:
+            q = self.q(len(sums) + 1)
+            sums.append(sums[-1] + q if sums else q)
+        lhs = sums[p - 1] * self.h
         rhs = self.q(p + 1) + self.q(p) - self.q(0) - self.q(1)
         if lhs != rhs:
             return Verdict(False, self._first_diff(lhs, rhs, f"p={p}"))
@@ -135,16 +168,12 @@ class HyperContext:
 
     def binet_check(self, n: int) -> Verdict:
         """(alpha* alpha^n - beta* beta^n) / (alpha - beta) == Q_n, with
-        the division performed exactly by s per coordinate."""
+        the division performed exactly by s per coordinate (the quotients
+        are shared with every algebra through `FibContext.binet_quotient`)."""
         fib = self.fib
-        an = fib.alpha_pow(n)
-        bn = fib.beta_pow(n)
-        astar, bstar = self.stars()
         for k in range(self.dim):
-            numerator = astar.coords[k] * an - bstar.coords[k] * bn
-            try:
-                quotient = numerator.divexact_by_s()
-            except NotDivisible:
+            quotient = fib.binet_quotient(k, n)
+            if quotient is None:
                 return Verdict(False, f"coordinate {k}: numerator not divisible by s")
             if quotient.b:
                 return Verdict(False, f"coordinate {k}: radical residue")
@@ -172,15 +201,14 @@ class HyperContext:
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
         return Verdict(True)
 
+    # -- right-hand brackets, built once per context ----------------------
+
     def _signed(self, element: AlgElement, n: int) -> AlgElement:
         return -element if n % 2 else element
 
-    def _catalan_lhs(self, n: int, r: int) -> AlgElement:
-        cleared = (self._q_mul(n + r, n - r) - self._q_mul(n, n)) * self.fib.modulus
-        return cleared.embed(self.fib.modulus)
-
     def _catalan_bracket(self, r: int) -> AlgElement:
-        got = self._catalan_rhs.get(r)
+        """a*b* (1 - (-1)^r a^2r) + b*a* (1 - (-1)^r b^2r)."""
+        got = self._catalan_brackets.get(r)
         if got is None:
             fib = self.fib
             one = QuadExt.one(fib.modulus)
@@ -189,18 +217,82 @@ class HyperContext:
             got = ab * (one - fib.alpha_pow(2 * r) * sign) + ba * (
                 one - fib.beta_pow(2 * r) * sign
             )
-            self._catalan_rhs[r] = got
+            self._catalan_brackets[r] = got
         return got
 
     def _printed_bracket(self, r: int) -> AlgElement:
-        got = self._printed_rhs.get(r)
+        """a*b* ((-1)^(r+1) + a^2) + b*a* ((-1)^(r+1) + b^2)."""
+        got = self._printed_brackets.get(r % 2)
         if got is None:
             fib = self.fib
             one = QuadExt.one(fib.modulus)
-            unit = -one if r % 2 == 0 else one  # (-1)^(r+1)
+            unit = one if r % 2 else -one  # (-1)^(r+1)
             ab, ba = self.star_products()
             got = ab * (unit + fib.alpha_pow(2)) + ba * (unit + fib.beta_pow(2))
-            self._printed_rhs[r] = got
+            self._printed_brackets[r % 2] = got
+        return got
+
+    def _catalan_cleared(self, r: int) -> tuple:
+        """Per coordinate a + b s of the derived Catalan bracket: (a, -a),
+        the value that (h^2+4) times the left side must take for even and
+        odd n, or None when b != 0, since the cleared left side has no
+        s-part."""
+        got = self._catalan_rhs.get(r)
+        if got is None:
+            got = self._catalan_rhs[r] = tuple(
+                None if c.b else (c.a, -c.a) for c in self._catalan_bracket(r).coords
+            )
+        return got
+
+    def _docagne_quotients(self, diff: int) -> tuple:
+        """Per coordinate of a*b* a^diff - b*a* b^diff: its exact quotient
+        by s as (q, -q) for even and odd n, or the failure text when s does
+        not divide it or the quotient keeps an s-part."""
+        got = self._docagne_rhs.get(diff)
+        if got is None:
+            fib = self.fib
+            ab, ba = self.star_products()
+            bracket = ab * fib.alpha_pow(diff) - ba * fib.beta_pow(diff)
+            got = []
+            for k, coord in enumerate(bracket.coords):
+                try:
+                    quotient = coord.divexact_by_s()
+                except NotDivisible:
+                    got.append(f"coordinate {k}: numerator not divisible by s")
+                    continue
+                if quotient.b:
+                    got.append(f"coordinate {k}: radical residue")
+                else:
+                    got.append((quotient.a, -quotient.a))
+            got = self._docagne_rhs[diff] = tuple(got)
+        return got
+
+    # -- quadratic identities ---------------------------------------------
+
+    def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
+        """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket
+        signed by (-1)^n, coordinate by coordinate."""
+        modulus = self.fib.modulus
+        square = self._q_mul(n, n).coords
+        for k, expected in enumerate(self._catalan_cleared(r)):
+            if expected is None:
+                return Verdict(False, f"coordinate {k} at {where}")
+            lhs = poly_combination(self._product_terms(k, n + r, n - r) + [(square[k], -1)])
+            if modulus * lhs != expected[n % 2]:
+                return Verdict(False, f"coordinate {k} at {where}")
+        return Verdict(True)
+
+    def printed_matches(self, n: int, r: int) -> bool:
+        """Whether the printed Catalan right-hand side (root exponent 2)
+        equals the derived one (exponent 2r) at (n, r).  Both carry the
+        sign (-1)^n, so the answer depends on r alone: whether
+        (-1)^(r+1) times the printed bracket is the derived bracket."""
+        if not 0 <= r <= n:
+            raise IndexConstraintViolated("need 0 <= r <= n")
+        got = self._printed_matches.get(r)
+        if got is None:
+            printed = self._signed(self._printed_bracket(r), r + 1)
+            got = self._printed_matches[r] = printed == self._catalan_bracket(r)
         return got
 
     def catalan_check(self, n: int, r: int) -> CatalanVerdict:
@@ -209,29 +301,18 @@ class HyperContext:
         the printed variant with a^2, b^2 is evaluated as a diagnostic."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        lhs = self._catalan_lhs(n, r)
-        derived = self._signed(self._catalan_bracket(r), n)
-        ok = lhs == derived
-        witness = None if ok else self._first_diff(lhs, derived, f"n={n}, r={r}")
-        if r == 0:
-            return CatalanVerdict(ok, witness, None)
-        printed = self._signed(self._printed_bracket(r), n + r + 1)
-        return CatalanVerdict(ok, witness, printed == derived)
+        verdict = self._catalan_cleared_check(n, r, f"n={n}, r={r}")
+        printed = None if r == 0 else self.printed_matches(n, r)
+        return CatalanVerdict(verdict.ok, verdict.witness, printed)
 
     def cassini_check(self, n: int) -> Verdict:
         """(h^2+4) [Q_{n+1} Q_{n-1} - Q_n^2] ==
-        (-1)^n [a*b* (1 + a^2) + b*a* (1 + b^2)], directly."""
+        (-1)^n [a*b* (1 + a^2) + b*a* (1 + b^2)]: the Catalan identity at
+        r = 1, whose derived bracket is this one (and so is the printed
+        bracket at odd r)."""
         if n < 1:
             raise IndexConstraintViolated("Cassini needs n >= 1")
-        fib = self.fib
-        lhs = self._catalan_lhs(n, 1)
-        one = QuadExt.one(fib.modulus)
-        ab, ba = self.star_products()
-        bracket = ab * (one + fib.alpha_pow(2)) + ba * (one + fib.beta_pow(2))
-        rhs = self._signed(bracket, n)
-        if lhs != rhs:
-            return Verdict(False, self._first_diff(lhs, rhs, f"n={n}"))
-        return Verdict(True)
+        return self._catalan_cleared_check(n, 1, f"n={n}")
 
     def docagne_check(self, n: int, r: int) -> Verdict:
         """Q_r Q_{n+1} - Q_{r+1} Q_n ==
@@ -239,23 +320,13 @@ class HyperContext:
         division carried out exactly by s per coordinate."""
         if n < 0 or r <= n:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
-        fib = self.fib
-        lhs = self._q_mul(r, n + 1) - self._q_mul(r + 1, n)
-        diff = r - n
-        bracket = self._docagne_rhs.get(diff)
-        if bracket is None:
-            ab, ba = self.star_products()
-            bracket = ab * fib.alpha_pow(diff) - ba * fib.beta_pow(diff)
-            self._docagne_rhs[diff] = bracket
-        numerator = self._signed(bracket, n)
-        for k in range(self.dim):
-            try:
-                quotient = numerator.coords[k].divexact_by_s()
-            except NotDivisible:
-                return Verdict(False, f"coordinate {k}: numerator not divisible by s")
-            if quotient.b:
-                return Verdict(False, f"coordinate {k}: radical residue")
-            if quotient.a != lhs.coords[k]:
+        for k, expected in enumerate(self._docagne_quotients(r - n)):
+            if isinstance(expected, str):
+                return Verdict(False, expected)
+            lhs = poly_combination(
+                self._product_terms(k, r, n + 1) + self._product_terms(k, r + 1, n, -1)
+            )
+            if lhs != expected[n % 2]:
                 return Verdict(False, f"coordinate {k} at n={n}, r={r}")
         return Verdict(True)
 

@@ -9,7 +9,9 @@ all operations are pure, so instances can be shared freely.
 
 Polynomial products switch from the schoolbook loop to Kronecker
 substitution (one big-integer multiply) once the shorter operand reaches
-`KRONECKER_MIN_LEN` coefficients.  `GaussRational` no longer backs any
+`KRONECKER_MIN_LEN` coefficients.  Sums and linear combinations of many
+polynomials go through `poly_combination`, one pass over the integer
+vectors.  `GaussRational` no longer backs any
 computation in the package and is kept as public API only.
 
 Coefficients are exact rationals rather than floats on purpose: every
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 #: The base exact scalar: arbitrary-precision reduced fractions.  The
@@ -163,9 +167,10 @@ class Poly:
     Rational-coefficient polynomials are stored as an integer coefficient
     vector over one shared positive denominator, reduced so that the
     representation is canonical; this keeps sums and convolutions in
-    plain integer arithmetic.  Their products use the schoolbook loop
-    below `KRONECKER_MIN_LEN` coefficients in the shorter operand and
-    Kronecker substitution from there on; subtraction of two polynomials
+    plain integer arithmetic.  Their products scale the other vector when
+    one operand is a constant, use the schoolbook loop below
+    `KRONECKER_MIN_LEN` coefficients in the shorter operand and Kronecker
+    substitution from there on; subtraction of two polynomials
     over the same denominator works on the integer vectors directly.
     `den == 0` marks the generic-coefficient mode, which only the
     truncated-series generating-function checks and `GaussRational`
@@ -362,7 +367,10 @@ class Poly:
             a, b = self.num, other.num
             if len(a) > len(b):
                 a, b = b, a
-            if len(a) >= KRONECKER_MIN_LEN:
+            if len(a) == 1:
+                c = a[0]
+                out = [v * c for v in b]
+            elif len(a) >= KRONECKER_MIN_LEN:
                 out = _kronecker_mul(a, b)
             else:
                 out = _schoolbook_mul(a, b)
@@ -559,32 +567,49 @@ def as_poly(value) -> Poly:
 
 
 def poly_sum(polys) -> Poly:
-    """Sum of many polynomials; rational summands are combined over one
-    common denominator in integer arithmetic."""
-    ps = [p for p in polys if p.num]
-    if not ps:
+    """Sum of many polynomials (`poly_combination` with unit multipliers)."""
+    return poly_combination((p, 1) for p in polys)
+
+
+def poly_combination(terms) -> Poly:
+    """The linear combination sum(c * p) over `(Poly, int | Fraction)`
+    pairs, in one pass over the integer vectors.
+
+    Each rational term contributes its vector times one integer
+    multiplier, c rescaled to the common denominator, so no per-term
+    `Poly` is built and the content is reduced once.  A lone term with
+    multiplier 1 is returned as it is; generic-coefficient terms are
+    added one by one.
+    """
+    kept = []
+    den = 1
+    for p, c in terms:
+        if not c or not p.num:
+            continue
+        d = p.den if isinstance(c, int) else p.den * c.denominator
+        if d and den % d:
+            den = _lcm(den, d)
+        kept.append((p, c, d))
+    if not kept:
         return _ZERO
-    if len(ps) == 1:
-        return ps[0]
-    if all(p.den for p in ps):
-        den = 1
-        for p in ps:
-            if p.den != 1:
-                den = _lcm(den, p.den)
-        out = [0] * max(len(p.num) for p in ps)
-        for p in ps:
-            m = den // p.den
-            if m == 1:
-                for i, v in enumerate(p.num):
-                    out[i] += v
-            else:
-                for i, v in enumerate(p.num):
-                    out[i] += v * m
-        return Poly._rational(out, den)
-    acc = ps[0]
-    for p in ps[1:]:
-        acc = acc + p
-    return acc
+    if len(kept) == 1 and kept[0][1] == 1:
+        return kept[0][0]
+    if not all(d for _, _, d in kept):
+        acc = _ZERO
+        for p, c, _ in kept:
+            acc = acc + p * c
+        return acc
+    out = [0] * max(len(p.num) for p, _, _ in kept)
+    for p, c, d in kept:
+        num = p.num
+        m = (c if isinstance(c, int) else c.numerator) * (den // d)
+        if m == 1:
+            out[:len(num)] = map(add, out, num)
+        elif m == -1:
+            out[:len(num)] = map(sub, out, num)
+        else:
+            out[:len(num)] = map(add, out, map(mul, num, repeat(m)))
+    return Poly._rational(out, den)
 
 
 class QuadExt:

@@ -363,10 +363,7 @@ def _ck_hyper_catalan(rt: Runtime, p: dict) -> Verdict:
 
 
 def _ck_hyper_catalan_printed(rt: Runtime, p: dict) -> Verdict:
-    ctx = rt.hyper_ctx(p["h"], p["algebra"])
-    derived = ctx._signed(ctx._catalan_bracket(p["r"]), p["n"])
-    printed = ctx._signed(ctx._printed_bracket(p["r"]), p["n"] + p["r"] + 1)
-    if printed == derived:
+    if rt.hyper_ctx(p["h"], p["algebra"]).printed_matches(p["n"], p["r"]):
         return Verdict(True, "printed right-hand side matches the derived form")
     return Verdict(False, "printed right-hand side (square exponent) differs from the derived form (2r exponent)")
 

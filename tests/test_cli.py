@@ -274,6 +274,26 @@ def test_verify_corrupted_algebra_file_exits_one(tmp_path, capsys):
     assert failing and all("witness" in c for c in failing)
 
 
+def test_verify_rejects_duplicate_algebra_names(tmp_path, capsys):
+    from hxfib.algebra import complex_table, split_complex_table, table_to_spec
+
+    paths = []
+    for table in (complex_table(), split_complex_table()):
+        spec = table_to_spec(table)
+        spec["name"] = "twin"
+        path = tmp_path / f"{table.name}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+    report_path = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "verify", "--nmax", "2", "--algebra", paths[0], "--algebra", paths[1],
+        "--report", str(report_path),
+    )
+    assert code == 2
+    assert "'twin'" in err and "more than once" in err
+    assert not report_path.exists()
+
+
 def test_verify_bad_nmax_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--nmax", "0")
     assert code == 2

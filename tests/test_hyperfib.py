@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from hxfib import suite
 from hxfib.algebra import (
     AlgebraTable,
+    builtin,
     complex_table,
     dual_table,
     octonion_table,
@@ -17,8 +19,8 @@ from hxfib.algebra import (
 )
 from hxfib.fibseq import FibContext, IndexConstraintViolated, ZeroH
 from hxfib.hyperfib import HyperContext
-from hxfib.scalars import ONE, X, ZERO, Poly
-from hxfib.suite import random_h_polys
+from hxfib.scalars import ONE, X, ZERO, NotDivisible, Poly, QuadExt
+from hxfib.suite import corrupt_table_entry, random_h_polys
 
 F = Fraction
 
@@ -30,6 +32,14 @@ ALGEBRAS = [
     quaternion_table(2, -3),
     octonion_table(),
 ]
+
+
+# unital but otherwise arbitrary: e1*e1 = e2, e1*e2 = -e0, e2*e2 = e1
+THREEFOLD = AlgebraTable("threefold", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [-1, 0, 0]],
+    [[0, 0, 1], [-1, 0, 0], [0, 1, 0]],
+])
 
 
 def consts(*vals):
@@ -136,15 +146,8 @@ def test_genfun_small_and_medium():
 
 
 def test_genfun_custom_three_dimensional_table():
-    # unital but otherwise arbitrary: e1*e1 = e2, e1*e2 = -e0, e2*e2 = e1
-    constants = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 1], [-1, 0, 0]],
-        [[0, 0, 1], [-1, 0, 0], [0, 1, 0]],
-    ]
-    table = AlgebraTable("threefold", constants)
-    table.validate()
-    ctx = HyperContext(X, table)
+    THREEFOLD.validate()
+    ctx = HyperContext(X, THREEFOLD)
     assert ctx.genfun_check(15).ok
     assert ctx.binet_check(9).ok
     assert ctx.catalan_check(5, 3).ok
@@ -238,6 +241,127 @@ def test_docagne_boundary_holds_when_lifted_by_hand():
         quotient = numerator.coords[k].divexact_by_s()
         assert not quotient.b
         assert quotient.a == lhs.coords[k]
+
+
+# -- the cached right sides against the straightforward route --------------------
+#
+# The reference below multiplies whole Q elements, embeds the cleared left
+# side in Q[x][s] and rebuilds every bracket from the starred roots on each
+# call, as the identities are written.
+
+
+def _ref_first_diff(lhs, rhs, where):
+    for k, (a, b) in enumerate(zip(lhs.coords, rhs.coords)):
+        if a != b:
+            return f"coordinate {k} at {where}"
+
+
+def _ref_signed(element, n):
+    return -element if n % 2 else element
+
+
+def _ref_star_products(ctx):
+    a, b = ctx.stars()
+    return a * b, b * a
+
+
+def _ref_cleared_difference(ctx, n, r):
+    m = ctx.fib.modulus
+    return ((ctx.q(n + r) * ctx.q(n - r) - ctx.q(n) * ctx.q(n)) * m).embed(m)
+
+
+def _ref_printed_bracket(ctx, r):
+    fib = ctx.fib
+    one = QuadExt.one(fib.modulus)
+    unit = one if r % 2 else -one
+    ab, ba = _ref_star_products(ctx)
+    return ab * (unit + fib.alpha_pow(2)) + ba * (unit + fib.beta_pow(2))
+
+
+def _ref_catalan(ctx, n, r):
+    fib = ctx.fib
+    one = QuadExt.one(fib.modulus)
+    sign = -1 if r % 2 else 1
+    ab, ba = _ref_star_products(ctx)
+    bracket = ab * (one - fib.alpha_pow(2 * r) * sign) + ba * (one - fib.beta_pow(2 * r) * sign)
+    lhs, derived = _ref_cleared_difference(ctx, n, r), _ref_signed(bracket, n)
+    ok = lhs == derived
+    witness = None if ok else _ref_first_diff(lhs, derived, f"n={n}, r={r}")
+    printed = None if r == 0 else _ref_signed(_ref_printed_bracket(ctx, r), n + r + 1) == derived
+    return ok, witness, printed
+
+
+def _ref_cassini(ctx, n):
+    lhs, rhs = _ref_cleared_difference(ctx, n, 1), _ref_signed(_ref_printed_bracket(ctx, 1), n)
+    return (True, None) if lhs == rhs else (False, _ref_first_diff(lhs, rhs, f"n={n}"))
+
+
+def _ref_docagne(ctx, n, r):
+    fib = ctx.fib
+    lhs = ctx.q(r) * ctx.q(n + 1) - ctx.q(r + 1) * ctx.q(n)
+    ab, ba = _ref_star_products(ctx)
+    numerator = _ref_signed(ab * fib.alpha_pow(r - n) - ba * fib.beta_pow(r - n), n)
+    for k in range(ctx.dim):
+        try:
+            quotient = numerator.coords[k].divexact_by_s()
+        except NotDivisible:
+            return False, f"coordinate {k}: numerator not divisible by s"
+        if quotient.b:
+            return False, f"coordinate {k}: radical residue"
+        if quotient.a != lhs.coords[k]:
+            return False, f"coordinate {k} at n={n}, r={r}"
+    return True, None
+
+
+DIFFERENTIAL_TABLES = [
+    complex_table(), split_complex_table(), dual_table(), quaternion_table(),
+    octonion_table(), builtin("quaternion:1/2,3"), THREEFOLD,
+    AlgebraTable("corrupted", corrupt_table_entry(quaternion_table(), 1, 2, 3).constants),
+]
+
+_fib = FibContext.fib
+
+#: faults both routes see: none, the alpha/beta swap of the battery, a beta
+#: that is not the conjugate of alpha (numerators s cannot divide), and a
+#: wrong F_5 (mismatches past coordinate 0)
+FAULTS = {
+    "exact": None,
+    "roots_swapped": ("roots", suite._faulty_roots),
+    "beta_not_conjugate": ("beta_pow", lambda self, n: self.alpha_pow(n) + 1),
+    "f5_off_by_one": ("fib", lambda self, n: _fib(self, n) + (1 if n == 5 else 0)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
+def test_quadratic_identities_match_the_straightforward_route(table, fault, monkeypatch):
+    if FAULTS[fault]:
+        monkeypatch.setattr(FibContext, *FAULTS[fault])
+    witnesses = set()
+    for h in (ONE, X, Poly([F(-1, 2), 0, F(3, 2)])):
+        fast, ref = HyperContext(h, table), HyperContext(h, table)
+        for n in range(0, 6):
+            for r in range(0, n + 1):
+                v = fast.catalan_check(n, r)
+                assert (v.ok, v.witness, v.printed_matches) == _ref_catalan(ref, n, r)
+                if r:
+                    assert fast.printed_matches(n, r) == v.printed_matches
+                witnesses.add(v.witness)
+            if n >= 1:
+                v = fast.cassini_check(n)
+                assert (v.ok, v.witness) == _ref_cassini(ref, n)
+                witnesses.add(v.witness)
+            for r in range(n + 1, 7):
+                v = fast.docagne_check(n, r)
+                assert (v.ok, v.witness) == _ref_docagne(ref, n, r)
+                witnesses.add(v.witness)
+    if fault == "exact":
+        # bilinear identities hold for any table, a corrupted one included
+        assert witnesses == {None}
+    elif fault == "beta_not_conjugate":
+        assert any(w and "not divisible by s" in w for w in witnesses)
+    elif fault == "f5_off_by_one" and table.name in ("dual", "octonion"):
+        assert any(w and not w.startswith("coordinate 0") for w in witnesses)
 
 
 # -- dimension-one specialization ------------------------------------------------------

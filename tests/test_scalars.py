@@ -21,6 +21,7 @@ from hxfib.scalars import (
     Poly,
     QuadExt,
     binomial,
+    poly_combination,
     poly_sum,
     quad_from_alpha,
     quad_from_beta,
@@ -171,6 +172,60 @@ def test_poly_sum_matches_pairwise():
         for p in ps:
             acc = acc + p
         assert poly_sum(ps) == acc
+
+
+def test_poly_combination_matches_naive_sum():
+    rng = random.Random(43)
+
+    def multiplier():
+        return rng.choice((0, 1, -1, rng.randint(-50, 50),
+                           F(rng.randint(-9, 9), rng.randint(1, 12))))
+
+    for trial in range(200):
+        ps = [rand_poly(rng, degree=6) for _ in range(rng.randint(0, 7))]
+        if ps and rng.random() < 0.3:
+            ps.append(-ps[0])  # a pair that cancels
+        terms = [(p, multiplier()) for p in ps]
+        if terms and rng.random() < 0.2:
+            terms = terms + [(p, -c) for p, c in terms]  # total cancellation
+        naive = ZERO
+        for p, c in terms:
+            naive = naive + p * c
+        got = poly_combination(iter(terms))
+        assert got == naive, trial
+        assert (got.num, got.den) == (naive.num, naive.den)  # canonical form
+    assert poly_combination([]) == ZERO
+    p = Poly([F(1, 3), 2])
+    assert poly_combination([(p, 1)]) is p
+    assert poly_combination([(p, 0), (ZERO, 5)]) == ZERO
+    assert poly_combination([(p, 3), (Poly([-1]), 1)]) == Poly([0, 6])
+    assert poly_combination([(p, F(3, 2)), (p, F(-1, 2))]) == p
+
+
+def _one_coefficient_product(c, b):
+    """Coefficientwise Fraction product, the definition of c * b."""
+    return Poly([c * v for v in b.coeffs]) if c else ZERO
+
+
+def test_one_coefficient_operands_match_schoolbook(monkeypatch):
+    rng = random.Random(61)
+    for trial in range(200):
+        bits = rng.choice((1, 8, 64, 300))
+        c = rng.choice((1, -1, rng.randint(-(1 << bits), 1 << bits) or 1))
+        b = _signed_vector(rng, rng.randint(1, 40), rng.choice((bits, 5)))
+        want = scalars._schoolbook_mul([c], b)
+        assert (Poly([c]) * Poly(b)).num == tuple(want), trial
+        assert (Poly(b) * Poly([c])).num == tuple(want), trial
+        # shared denominators reduced against the scaled content
+        cf = F(c, rng.randint(1, 30))
+        bf = Poly([F(v, rng.randint(1, 7)) for v in b])
+        assert Poly([cf]) * bf == _one_coefficient_product(cf, bf), trial
+        assert bf * Poly([cf]) == _one_coefficient_product(cf, bf), trial
+    calls = []
+    monkeypatch.setattr(scalars, "_schoolbook_mul", lambda a, b: calls.append(a) or [])
+    assert Poly([-1]) * Poly([2, 3, 4]) == Poly([-2, -3, -4])
+    assert Poly([5, 7]) * Poly([F(1, 5)]) == Poly([1, F(7, 5)])
+    assert calls == []
 
 
 def test_poly_sub_matches_add_negated():

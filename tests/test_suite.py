@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from hxfib import scalars
+from hxfib import hyperfib, scalars
 from hxfib.algebra import quaternion_table
 from hxfib.fibseq import FibContext
 from hxfib.scalars import ONE, X, Poly
@@ -142,6 +142,19 @@ def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
     assert all(c.params["n"] >= 4 for c in report.failures)
 
 
+def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch):
+    real = scalars.poly_combination
+
+    def dropping(terms):
+        return real(list(terms)[:-1])
+
+    monkeypatch.setattr(scalars, "poly_combination", dropping)
+    monkeypatch.setattr(hyperfib, "poly_combination", dropping)
+    report = run_all(mutation_corpus())
+    failed = {c.name for c in report.failures}
+    assert {"hyper_catalan", "hyper_cassini", "hyper_docagne"} <= failed
+
+
 def test_ratio_limit_fails_on_a_non_finite_residual(monkeypatch):
     params = {"h": "1", "x0": 2.0, "n": 40}
     rt = Runtime({})
@@ -213,6 +226,43 @@ def test_shrink_respects_index_constraints():
         small = shrink(report.failures[-1])
         assert small.verdict == "fail"
         assert small.params["n"] >= 0
+
+
+#: the shrunk first failure (name, params, witness) of each mutation over
+#: `mutation_corpus()`, shrunk inside the fault with the mutated tables
+SHRUNK_WITNESSES = {
+    "binomial_bound_off_by_one": (
+        "closed_form_binomial", {"h": "0", "n": 1},
+        "explicit_binomial disagrees with the recurrence at n=1"),
+    "catalan_sign_exponent": ("catalan_real", {"h": "0", "n": 1, "r": 1}, "n=1, r=1"),
+    "chebyshev_seed": (
+        "closed_form_chebyshev", {"h": "1", "n": 2},
+        "chebyshev_form disagrees with the recurrence at n=2"),
+    "halving_scale_dropped": (
+        "closed_form_halving", {"h": "1", "n": 2},
+        "explicit_halving disagrees with the recurrence at n=2"),
+    "roots_swapped": (
+        "closed_form_binet", {"h": "0", "n": 1}, "binet disagrees with the recurrence at n=1"),
+    "sum_clearing_dropped": ("sum_identity", {"h": "2", "n": 1}, "partial sum up to n=1"),
+    "table_entry_sign": (
+        "hamilton_relations", {"algebra": "quaternion"}, "e1*e2 violates the Hamilton relations"),
+    "table_transposed": (
+        "hamilton_relations", {"algebra": "quaternion"}, "e1*e2 violates the Hamilton relations"),
+    "unit_row_corrupted": (
+        "algebra_validate", {"algebra": "quaternion"}, "NotUnital: quaternion: e0*e1 is not e1"),
+    "wrong_initial_value": (
+        "closed_form_binomial", {"h": "0", "n": 1},
+        "explicit_binomial disagrees with the recurrence at n=1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_shrinks_to_its_locked_witness(name):
+    with MUTATIONS[name](mutation_corpus()) as corpus:
+        first = run_all(corpus).failures[0]
+        small = shrink(first, {t.name: t for t in corpus.algebras})
+    assert small.verdict == "fail"
+    assert (small.name, small.params, small.witness) == SHRUNK_WITNESSES[name]
 
 
 def test_report_summary_counts():
