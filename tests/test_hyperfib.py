@@ -246,8 +246,8 @@ def test_docagne_boundary_holds_when_lifted_by_hand():
 # -- the cached right sides against the straightforward route --------------------
 #
 # The reference below multiplies whole Q elements, embeds the cleared left
-# side in Q[x][s] and rebuilds every bracket from the starred roots on each
-# call, as the identities are written.
+# side in Q[x][s] and rebuilds every bracket and Binet numerator from the
+# starred roots on each call, as the identities are written.
 
 
 def _ref_first_diff(lhs, rhs, where):
@@ -313,6 +313,22 @@ def _ref_docagne(ctx, n, r):
     return True, None
 
 
+def _ref_binet(ctx, n):
+    fib = ctx.fib
+    astar, bstar = ctx.stars()
+    for k in range(ctx.dim):
+        numerator = astar.coords[k] * fib.alpha_pow(n) - bstar.coords[k] * fib.beta_pow(n)
+        try:
+            quotient = numerator.divexact_by_s()
+        except NotDivisible:
+            return False, f"coordinate {k}: numerator not divisible by s"
+        if quotient.b:
+            return False, f"coordinate {k}: radical residue"
+        if quotient.a != fib.fib(n + k):
+            return False, f"coordinate {k} at n={n}"
+    return True, None
+
+
 DIFFERENTIAL_TABLES = [
     complex_table(), split_complex_table(), dual_table(), quaternion_table(),
     octonion_table(), builtin("quaternion:1/2,3"), THREEFOLD,
@@ -334,13 +350,16 @@ FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
-def test_quadratic_identities_match_the_straightforward_route(table, fault, monkeypatch):
+def test_cached_identities_match_the_straightforward_route(table, fault, monkeypatch):
     if FAULTS[fault]:
         monkeypatch.setattr(FibContext, *FAULTS[fault])
     witnesses = set()
     for h in (ONE, X, Poly([F(-1, 2), 0, F(3, 2)])):
         fast, ref = HyperContext(h, table), HyperContext(h, table)
         for n in range(0, 6):
+            v = fast.binet_check(n)
+            assert (v.ok, v.witness) == _ref_binet(ref, n)
+            witnesses.add(v.witness)
             for r in range(0, n + 1):
                 v = fast.catalan_check(n, r)
                 assert (v.ok, v.witness, v.printed_matches) == _ref_catalan(ref, n, r)
