@@ -218,8 +218,6 @@ class AlgElement:
             return self.table == other.table and all(
                 a == b for a, b in zip(self.coords, other.coords)
             )
-        if other == 0:
-            return not self
         return NotImplemented
 
     def __hash__(self):

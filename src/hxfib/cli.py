@@ -2,7 +2,7 @@
 battery, expand generating functions, and inspect algebra tables.
 
 Exit codes: 0 success, 1 a check failed (or a table is not unital),
-2 usage or parse errors.
+2 usage or parse errors, an index above its cap among them.
 """
 
 from __future__ import annotations
@@ -22,16 +22,23 @@ from .algebra import (
     UnknownKind,
     builtin,
     builtin_names,
+    scalar_table,
     table_from_spec,
 )
 from .fibseq import FibContext
 from .hyperfib import HyperContext
-from .polytext import PolyParseError, format_poly, parse_poly
+from .polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
 from .suite import default_corpus, run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+#: Upper bounds on the index options, so that a typo cannot ask for
+#: unbounded work or memory; a larger value exits 2.
+MAX_SEQ_N = 1000
+MAX_GENFUN_N = 1000
+MAX_VERIFY_NMAX = 100
 
 
 class UsageError(Exception):
@@ -81,8 +88,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, meta: dict) -
 
 def cmd_seq(args) -> int:
     ctx = _parse_h(args.h)
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+    if not 0 <= args.n <= MAX_SEQ_N:
+        raise UsageError(f"--n must be between 0 and {MAX_SEQ_N}")
     meta = {"h": format_poly(ctx.h)}
     if args.algebra:
         table = _load_algebra(args.algebra)
@@ -102,8 +109,8 @@ def cmd_seq(args) -> int:
 
 def cmd_genfun(args) -> int:
     ctx = _parse_h(args.h)
-    if args.N < 0:
-        raise UsageError("--N must be nonnegative")
+    if not 0 <= args.N <= MAX_GENFUN_N:
+        raise UsageError(f"--N must be between 0 and {MAX_GENFUN_N}")
     out = []
     if args.algebra:
         table = _load_algebra(args.algebra)
@@ -130,8 +137,8 @@ def cmd_genfun(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.nmax is not None:
-        if args.nmax < 1:
-            raise UsageError("--nmax must be positive")
+        if not 1 <= args.nmax <= MAX_VERIFY_NMAX:
+            raise UsageError(f"--nmax must be between 1 and {MAX_VERIFY_NMAX}")
         kwargs = {
             "n_max": args.nmax,
             "r_max": min(15, args.nmax),
@@ -142,10 +149,13 @@ def cmd_verify(args) -> int:
     if args.algebra:
         tables = tuple(_load_algebra(a) for a in args.algebra)
         names = [t.name for t in tables]
-        for name in names:
-            if names.count(name) > 1:
+        for table in tables:
+            if names.count(table.name) > 1:
                 # the run keys its tables and caches by name
-                raise UsageError(f"algebra name {name!r} is given more than once")
+                raise UsageError(f"algebra name {table.name!r} is given more than once")
+            if table.name == "scalar" and table != scalar_table():
+                raise UsageError("algebra name 'scalar' is reserved for the "
+                                 "one-dimensional table")
         corpus = replace(corpus, algebras=tables)
     report = run_all(corpus)
     text = report.to_json(indent=2)
@@ -200,22 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seq = sub.add_parser("seq", help="tabulate the sequence")
-    seq.add_argument("--h", required=True, help='h polynomial, e.g. "x^2+1/2x-3"')
-    seq.add_argument("--n", type=int, required=True, help="last index to print")
+    h_help = f'h polynomial, e.g. "x^2+1/2x-3" (exponents at most {MAX_EXPONENT})'
+    seq.add_argument("--h", required=True, help=h_help)
+    seq.add_argument("--n", type=int, required=True,
+                     help=f"last index to print (at most {MAX_SEQ_N})")
     seq.add_argument("--algebra", help="builtin name or JSON file")
     seq.add_argument("--format", choices=("csv", "json"), default="csv")
     seq.set_defaults(func=cmd_seq)
 
     gen = sub.add_parser("genfun", help="expand the generating function")
-    gen.add_argument("--h", required=True)
-    gen.add_argument("--N", type=int, required=True, help="truncation order")
+    gen.add_argument("--h", required=True, help=h_help)
+    gen.add_argument("--N", type=int, required=True,
+                     help=f"truncation order (at most {MAX_GENFUN_N})")
     gen.add_argument("--algebra", help="builtin name or JSON file")
     gen.set_defaults(func=cmd_genfun)
 
     ver = sub.add_parser("verify", help="run the identity battery")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--algebra", action="append", help="restrict to these algebras")
-    ver.add_argument("--nmax", type=int, help="cap all index bounds")
+    ver.add_argument("--nmax", type=int,
+                     help=f"cap all index bounds (at most {MAX_VERIFY_NMAX})")
     ver.add_argument("--report", help="write the JSON report to this path")
     ver.set_defaults(func=cmd_verify)
 

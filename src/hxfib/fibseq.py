@@ -62,6 +62,19 @@ _INITIAL_TERMS = (0, 1)
 _I_POWERS = tuple(QuadExt(a, b, -1) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
 
+def denominator_times_series(h: Poly, terms: list):
+    """The coefficients of (1 - h t - t^2) * sum S_j t^j for j < len(terms):
+    S_j - h S_{j-1} - S_{j-2}, with the terms at negative indices left out.
+    The S_j may be polynomials or algebra elements with polynomial
+    coordinates."""
+    for j, got in enumerate(terms):
+        if j >= 1:
+            got = got - h * terms[j - 1]
+        if j >= 2:
+            got = got - terms[j - 2]
+        yield got
+
+
 def _eval_float(p: Poly, x: float) -> float:
     acc = 0.0
     for c in reversed(p.coeffs):
@@ -232,13 +245,13 @@ class FibContext:
 
     def genfun_check(self, trunc: int) -> Verdict:
         """Truncated check of the generating function t / (1 - h t - t^2):
-        multiplying the series by the denominator must leave exactly t."""
-        series = Poly([self.fib(i) for i in range(trunc + 1)])
-        denom = Poly((ONE, -self.h, -ONE))
-        product = denom * series
-        for j in range(trunc + 1):
+        multiplying the series by the denominator must leave exactly t.
+        Coefficient j of that product is the explicit convolution
+        F_j - h F_{j-1} - F_{j-2}, compared for j <= trunc."""
+        terms = [self.fib(i) for i in range(trunc + 1)]
+        for j, got in enumerate(denominator_times_series(self.h, terms)):
             expected = ONE if j == 1 else ZERO
-            if product.coefficient(j) != expected:
+            if got != expected:
                 return Verdict(False, f"t^{j} coefficient of (1-ht-t^2)*series")
         return Verdict(True)
 

@@ -40,7 +40,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraTable, AlgElement
-from .fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
+from .fibseq import (
+    FibContext,
+    IndexConstraintViolated,
+    Verdict,
+    ZeroH,
+    denominator_times_series,
+)
 from .scalars import NotDivisible, Poly, QuadExt, poly_combination
 
 
@@ -183,14 +189,12 @@ class HyperContext:
 
     def genfun_check(self, trunc: int) -> Verdict:
         """(1 - h t - t^2) * sum Q_n t^n == Q_0 + (Q_1 - h Q_0) t up to
-        the truncation order, checked by direct series multiplication."""
-        series = Poly([self.q(i) for i in range(trunc + 1)])
-        denom = Poly((Poly((1,)), -self.h, Poly((-1,))))
-        product = denom * series
-        q0 = self.q(0)
+        the truncation order.  Coefficient j of the left side is the
+        explicit convolution Q_j - h Q_{j-1} - Q_{j-2}."""
+        terms = [self.q(i) for i in range(trunc + 1)]
+        q0 = terms[0]
         q1_adj = self.q(1) - q0 * self.h
-        for j in range(trunc + 1):
-            got = product.coefficient(j)
+        for j, got in enumerate(denominator_times_series(self.h, terms)):
             if j == 0:
                 ok = got == q0
             elif j == 1:

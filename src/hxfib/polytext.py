@@ -6,6 +6,9 @@ Grammar (whitespace ignored):
     term       ::= coeff | [coeff] "x" | [coeff] "x^" int
     coeff      ::= int | int "/" int
 
+Exponents above `MAX_EXPONENT` are rejected, because the coefficients are
+stored densely.
+
 The printer emits descending powers with explicit "^" and "p/q"
 coefficients, omitting unit coefficients and the exponent 1, so that
 print(parse(s)) always parses back to an equal polynomial.
@@ -17,6 +20,10 @@ import re
 from fractions import Fraction
 
 from .scalars import Poly
+
+
+#: Largest exponent `parse_poly` accepts.
+MAX_EXPONENT = 1000
 
 
 class PolyParseError(ValueError):
@@ -59,15 +66,18 @@ def parse_poly(text: str) -> Poly:
         if not first and m.group("sign") == "":
             raise PolyParseError(f"missing + or - before {s[pos:]!r}", s[pos : pos + 8])
         sign = -1 if m.group("sign") == "-" else 1
-        if m.group("coeff") is not None:
-            c = Fraction(m.group("coeff"))
-            if m.group("var1"):
-                exp = int(m.group("exp1")) if m.group("exp1") else 1
-            else:
-                exp = 0
+        exp_text = m.group("exp1") or m.group("exp2")
+        if exp_text is not None:
+            exp_text = exp_text.lstrip("0") or "0"
+            if len(exp_text) > len(str(MAX_EXPONENT)) or int(exp_text) > MAX_EXPONENT:
+                raise PolyParseError(f"exponent above {MAX_EXPONENT}", m.group(0)[:16])
+            exp = int(exp_text)
         else:
-            c = Fraction(1)
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
+            exp = 1 if m.group("var1") or m.group("var2") else 0
+        try:
+            c = Fraction(m.group("coeff") or 1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolyParseError(f"bad coefficient: {exc}", m.group("coeff")[:16]) from None
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * c
         pos = m.end()
         first = False
@@ -85,11 +95,10 @@ def format_poly(p: Poly) -> str:
     """Render a rational-coefficient Poly in the grammar above."""
     if not p:
         return "0"
-    if not p.is_rational():
-        raise TypeError("only rational-coefficient polynomials have a text form")
+    coeffs = p.coeffs
     parts: list[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = Fraction(p.coeffs[k])
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = Fraction(coeffs[k])
         if not c:
             continue
         sign = "-" if c < 0 else "+"

@@ -7,12 +7,14 @@ live in the extension with m = h^2 + 4, and the Chebyshev closed form runs
 in the one with m = -1, which is Q[x][i].  All values are immutable and
 all operations are pure, so instances can be shared freely.
 
-Polynomial products switch from the schoolbook loop to Kronecker
-substitution (one big-integer multiply) once the shorter operand reaches
-`KRONECKER_MIN_LEN` coefficients.  Sums and linear combinations of many
-polynomials go through `poly_combination`, one pass over the integer
-vectors.  `GaussRational` no longer backs any
-computation in the package and is kept as public API only.
+`Poly` has one representation, an integer coefficient vector over a
+positive denominator.  Polynomial products switch from the schoolbook loop
+to Kronecker substitution (one big-integer multiply) once the shorter
+operand reaches `KRONECKER_MIN_LEN` coefficients.  Sums and linear
+combinations of many polynomials go through `poly_combination`, one pass
+over the integer vectors.  `GaussRational` backs no computation in the
+package and has no ties to `Poly`; it is kept only because the benchmark
+tracer (`benchmarks/tracer.py`) looks up its operator methods.
 
 Coefficients are exact rationals rather than floats on purpose: every
 identity check in this package is an exact ring equality, and floats
@@ -63,7 +65,9 @@ def binomial(n: int, k: int) -> int:
 
 
 class GaussRational:
-    """Gaussian rational a + b*i with i^2 = -1, over `Rational` parts."""
+    """Gaussian rational a + b*i with i^2 = -1, over `Rational` parts.
+
+    Standalone: `Poly` does not accept it as a coefficient."""
 
     __slots__ = ("re", "im")
 
@@ -148,69 +152,35 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
-#: The imaginary unit.
-I = GaussRational(0, 1)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * (b // math.gcd(a, b))
-
-
 class Poly:
-    """Dense univariate polynomial, constant term first.
+    """Dense univariate polynomial over the rationals, constant term first.
 
-    The zero polynomial is the empty coefficient tuple and its degree is
-    the distinguished value `NEG_INF`.  Coefficients may be ints,
-    `Rational`, `GaussRational`, or (for truncated series work) other
-    `Poly` or ring values supporting +, *, unary -, bool and ==.
+    The one representation is an integer coefficient vector `num` over one
+    shared positive denominator `den`, reduced so that it is canonical: no
+    trailing zero, and gcd(content, den) = 1.  The zero polynomial is the
+    empty vector over 1 and its degree is the distinguished value
+    `NEG_INF`.  Sums, products and convolutions therefore run in plain
+    integer arithmetic, and the public face is the `coeffs` tuple.
 
-    Rational-coefficient polynomials are stored as an integer coefficient
-    vector over one shared positive denominator, reduced so that the
-    representation is canonical; this keeps sums and convolutions in
-    plain integer arithmetic.  Their products scale the other vector when
-    one operand is a constant, use the schoolbook loop below
-    `KRONECKER_MIN_LEN` coefficients in the shorter operand and Kronecker
-    substitution from there on; subtraction of two polynomials
-    over the same denominator works on the integer vectors directly.
-    `den == 0` marks the generic-coefficient mode, which only the
-    truncated-series generating-function checks and `GaussRational`
-    coefficients use.  Either way the public face is the `coeffs` tuple.
+    Products scale the other vector when one operand is a constant, use the
+    schoolbook loop below `KRONECKER_MIN_LEN` coefficients in the shorter
+    operand and Kronecker substitution from there on; subtraction of two
+    polynomials over the same denominator works on the integer vectors
+    directly.  Coefficients must be ints or `Fraction`s; anything else
+    raises `TypeError`.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        if not cs:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", 1)
-            return
-        rational = True
-        den = 1
         for c in cs:
-            if isinstance(c, Fraction):
-                d = c.denominator
-                if d != 1:
-                    den = _lcm(den, d)
-            elif not isinstance(c, int):
-                rational = False
-                break
-        if not rational:
-            object.__setattr__(self, "num", tuple(cs))
-            object.__setattr__(self, "den", 0)
-            return
-        if den == 1:
-            nums = [c if isinstance(c, int) else c.numerator for c in cs]
-        else:
-            nums = []
-            for c in cs:
-                v = c * den
-                nums.append(v if isinstance(v, int) else v.numerator)
-        nums, den = _reduce_content(nums, den)
-        object.__setattr__(self, "num", tuple(nums))
-        object.__setattr__(self, "den", den)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"Poly coefficients must be rational, got {c!r}")
+        den = math.lcm(*[c.denominator for c in cs])
+        canonical = Poly._rational([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "num", canonical.num)
+        object.__setattr__(self, "den", canonical.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -251,7 +221,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """Coefficients, constant term first, in canonical form."""
-        if self.den in (0, 1):
+        if self.den == 1:
             return self.num
         d = self.den
         return tuple(Fraction(v, d) for v in self.num)
@@ -265,17 +235,14 @@ class Poly:
         """Coefficient of x^k (0 beyond the stored range)."""
         if not 0 <= k < len(self.num):
             return 0
-        if self.den in (0, 1):
+        if self.den == 1:
             return self.num[k]
         return Fraction(self.num[k], self.den)
-
-    def is_rational(self) -> bool:
-        return self.den != 0
 
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, (int, Fraction)):
             return Poly((other,))
         return None
 
@@ -283,33 +250,25 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den and o.den:
-            a, da, b, db = self.num, self.den, o.num, o.den
-            if len(a) < len(b):
-                a, da, b, db = b, db, a, da
-            if da == db:
-                out = list(a)
-                for i, v in enumerate(b):
-                    out[i] += v
-                return Poly._rational(out, da)
-            den = _lcm(da, db)
-            ma, mb = den // da, den // db
-            out = [v * ma for v in a]
-            for i, v in enumerate(b):
-                out[i] += v * mb
-            return Poly._rational(out, den)
-        a, b = self.coeffs, o.coeffs
+        a, da, b, db = self.num, self.den, o.num, o.den
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            a, da, b, db = b, db, a, da
+        if da == db:
+            out = list(a)
+            for i, v in enumerate(b):
+                out[i] += v
+            return Poly._rational(out, da)
+        den = math.lcm(da, db)
+        ma, mb = den // da, den // db
+        out = [v * ma for v in a]
+        for i, v in enumerate(b):
+            out[i] += v * mb
+        return Poly._rational(out, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Poly) and self.den and self.den == other.den:
+        if isinstance(other, Poly) and self.den == other.den:
             a, b = self.num, other.num
             out = [u - v for u, v in zip(a, b)]
             if len(a) >= len(b):
@@ -329,19 +288,17 @@ class Poly:
         return o + (-self)
 
     def __neg__(self):
-        if self.den:
-            return Poly._raw(tuple([-v for v in self.num]), self.den)
-        return Poly._raw(tuple(-c for c in self.num), 0)
+        return Poly._raw(tuple([-v for v in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             return self._mul_poly(other)
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, (int, Fraction)):
             return self._scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, (int, Fraction)):
             return self._scale(other)
         return NotImplemented
 
@@ -352,42 +309,25 @@ class Poly:
             return self
         if s == -1:
             return -self
-        if self.den:
-            if isinstance(s, int):
-                return Poly._rational([v * s for v in self.num], self.den)
-            if isinstance(s, Fraction):
-                p, q = s.numerator, s.denominator
-                return Poly._rational([v * p for v in self.num], self.den * q)
-        return Poly(tuple(c * s for c in self.coeffs))
+        if isinstance(s, int):
+            return Poly._rational([v * s for v in self.num], self.den)
+        p, q = s.numerator, s.denominator
+        return Poly._rational([v * p for v in self.num], self.den * q)
 
     def _mul_poly(self, other: "Poly") -> "Poly":
         if not self.num or not other.num:
             return _ZERO
-        if self.den and other.den:
-            a, b = self.num, other.num
-            if len(a) > len(b):
-                a, b = b, a
-            if len(a) == 1:
-                c = a[0]
-                out = [v * c for v in b]
-            elif len(a) >= KRONECKER_MIN_LEN:
-                out = _kronecker_mul(a, b)
-            else:
-                out = _schoolbook_mul(a, b)
-            return Poly._rational(out, self.den * other.den)
-        a, b = self.coeffs, other.coeffs
-        n = len(a) + len(b) - 1
-        out = [None] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                t = ai * bj
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        zero = a[0] * 0
-        return Poly([zero if c is None else c for c in out])
+        a, b = self.num, other.num
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            c = a[0]
+            out = [v * c for v in b]
+        elif len(a) >= KRONECKER_MIN_LEN:
+            out = _kronecker_mul(a, b)
+        else:
+            out = _schoolbook_mul(a, b)
+        return Poly._rational(out, self.den * other.den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -420,12 +360,7 @@ class Poly:
         return Poly((value,))
 
     def derivative(self) -> "Poly":
-        if self.den:
-            return Poly._rational(
-                [self.num[i] * i for i in range(1, len(self.num))], self.den
-            )
-        cs = self.num
-        return Poly(tuple(cs[i] * i for i in range(1, len(cs))))
+        return Poly._rational([self.num[i] * i for i in range(1, len(self.num))], self.den)
 
     def divexact(self, divisor: "Poly") -> "Poly":
         """Exact quotient self / divisor.
@@ -467,12 +402,13 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den and o.den:
-            return self.num == o.num and self.den == o.den
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient, so it hashes as one
+        if len(self.num) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -578,8 +514,7 @@ def poly_combination(terms) -> Poly:
     Each rational term contributes its vector times one integer
     multiplier, c rescaled to the common denominator, so no per-term
     `Poly` is built and the content is reduced once.  A lone term with
-    multiplier 1 is returned as it is; generic-coefficient terms are
-    added one by one.
+    multiplier 1 is returned as it is.
     """
     kept = []
     den = 1
@@ -587,18 +522,13 @@ def poly_combination(terms) -> Poly:
         if not c or not p.num:
             continue
         d = p.den if isinstance(c, int) else p.den * c.denominator
-        if d and den % d:
-            den = _lcm(den, d)
+        if den % d:
+            den = math.lcm(den, d)
         kept.append((p, c, d))
     if not kept:
         return _ZERO
     if len(kept) == 1 and kept[0][1] == 1:
         return kept[0][0]
-    if not all(d for _, _, d in kept):
-        acc = _ZERO
-        for p, c, _ in kept:
-            acc = acc + p * c
-        return acc
     out = [0] * max(len(p.num) for p, _, _ in kept)
     for p, c, d in kept:
         num = p.num
@@ -732,6 +662,9 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
+        # with b = 0 the element equals the Poly a, so it hashes as one
+        if not self.b:
+            return hash(self.a)
         return hash((self.a, self.b, self.modulus))
 
     def __repr__(self):

@@ -196,7 +196,10 @@ class Runtime:
 
     def __init__(self, tables: dict[str, AlgebraTable]):
         self.tables = dict(tables)
-        self.tables.setdefault("scalar", scalar_table())
+        # dim1_specialization runs on the table of this name
+        scalar = scalar_table()
+        if self.tables.setdefault("scalar", scalar) != scalar:
+            raise ValueError("algebra name 'scalar' is reserved for the one-dimensional table")
         self._fib: dict[str, FibContext] = {}
         self._hyper: dict[tuple[str, str], HyperContext] = {}
 

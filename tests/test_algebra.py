@@ -165,6 +165,14 @@ def test_add_scale():
     assert q.element((0, 1, 1, 2)) * 2 == q.element((0, 2, 2, 4))
 
 
+def test_elements_equal_only_elements_so_hashes_agree():
+    q = quaternion_table()
+    zero = q.zero()
+    assert zero != 0 and not zero
+    assert zero == q.zero(Poly([])) and hash(zero) == hash(q.zero(Poly([])))
+    assert len({zero, q.zero(Poly([])), q.element((0, 0, 0, Fraction(0)))}) == 1
+
+
 def test_polynomial_coordinates():
     c = complex_table()
     x = Poly([0, 1])

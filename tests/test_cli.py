@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from hxfib.cli import main
-from hxfib.polytext import PolyParseError, format_poly, parse_poly
+from hxfib import cli
+from hxfib.cli import MAX_GENFUN_N, MAX_SEQ_N, MAX_VERIFY_NMAX, main
+from hxfib.polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
 from hxfib.scalars import ONE, X, ZERO, Poly
 from hxfib.suite import random_h_polys
 
@@ -55,6 +56,22 @@ def test_parse_errors_name_the_token():
         parse_poly("x^")
     with pytest.raises(PolyParseError):
         parse_poly("3 4")  # missing operator
+
+
+def test_parse_rejects_exponents_above_the_cap():
+    assert parse_poly(f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert parse_poly(f"2x^000{MAX_EXPONENT}").degree == MAX_EXPONENT
+    # one above the cap, so a missing check costs no large allocation
+    for text in (f"x^{MAX_EXPONENT + 1}", f"3x^{MAX_EXPONENT + 1}+1", "x^" + "9" * 5000):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert "x^" in info.value.token
+
+
+def test_parse_rejects_unreadable_coefficients():
+    for text in ("1/0", "x+3/0x^2", "9" * 5000 + "x"):
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
 
 
 def test_format_examples():
@@ -162,6 +179,44 @@ def test_genfun_with_algebra(capsys):
     assert lines[0] == "t^0,0,1"
     assert lines[-1] == "verified"
     assert any(line.startswith("numerator t^1,") for line in lines)
+
+
+# -- input caps -------------------------------------------------------------------
+
+def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a rejected option must not start any work")
+
+    monkeypatch.setattr(cli.FibContext, "fib", no_work)
+    monkeypatch.setattr(cli, "run_all", no_work)
+    for argv, option in (
+        (("seq", "--h", "1", "--n", str(MAX_SEQ_N + 1)), "--n"),
+        (("genfun", "--h", "1", "--N", str(MAX_GENFUN_N + 1)), "--N"),
+        (("verify", "--nmax", str(MAX_VERIFY_NMAX + 1)), "--nmax"),
+        (("seq", "--h", f"x^{MAX_EXPONENT + 1}", "--n", "1"), "exponent"),
+        (("genfun", "--h", f"x^{MAX_EXPONENT + 1}", "--N", "1"), "exponent"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert option in err and not out, argv
+
+
+def test_caps_are_stated_in_help(capsys):
+    for command, caps in (("seq", (MAX_SEQ_N, MAX_EXPONENT)),
+                          ("genfun", (MAX_GENFUN_N, MAX_EXPONENT)),
+                          ("verify", (MAX_VERIFY_NMAX,))):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for cap in caps:
+            assert f"at most {cap}" in text, command
+
+
+def test_index_options_at_their_caps_run(capsys):
+    code, out, _ = run_cli(capsys, "seq", "--h", "1", "--n", str(MAX_SEQ_N))
+    assert code == 0 and out.splitlines()[-1].startswith(f"{MAX_SEQ_N},")
+    code, out, _ = run_cli(capsys, "genfun", "--h", "1", "--N", str(MAX_GENFUN_N))
+    assert code == 0 and out.splitlines()[-1] == "verified"
 
 
 # -- algebra ----------------------------------------------------------------------
@@ -292,6 +347,25 @@ def test_verify_rejects_duplicate_algebra_names(tmp_path, capsys):
     assert code == 2
     assert "'twin'" in err and "more than once" in err
     assert not report_path.exists()
+
+
+def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
+    from hxfib.algebra import complex_table, scalar_table, table_to_spec
+
+    spec = table_to_spec(complex_table())
+    spec["name"] = "scalar"
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setattr(cli, "run_all", lambda corpus: pytest.fail("the run started"))
+    code, _, err = run_cli(capsys, "verify", "--nmax", "2", "--algebra", str(path))
+    assert code == 2
+    assert "'scalar'" in err and "reserved" in err
+    # the dimension-one table itself may be named
+    monkeypatch.undo()
+    path.write_text(json.dumps(table_to_spec(scalar_table())))
+    code, _, _ = run_cli(capsys, "verify", "--nmax", "1", "--algebra", str(path),
+                         "--report", str(tmp_path / "report.json"))
+    assert code == 0
 
 
 def test_verify_bad_nmax_exits_two(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hxfib import fibseq
 from hxfib.fibseq import (
     DomainError,
     FibContext,
@@ -67,7 +68,6 @@ def test_closed_forms_at_one():
 
 
 def test_chebyshev_form_rejects_an_imaginary_residue(monkeypatch):
-    from hxfib import fibseq
     from hxfib.scalars import NonRealResult
 
     one = fibseq._I_POWERS[0]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hxfib import suite
+from hxfib import fibseq, suite
 from hxfib.algebra import (
     AlgebraTable,
     builtin,
@@ -17,7 +17,7 @@ from hxfib.algebra import (
     scalar_table,
     split_complex_table,
 )
-from hxfib.fibseq import FibContext, IndexConstraintViolated, ZeroH
+from hxfib.fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
 from hxfib.hyperfib import HyperContext
 from hxfib.scalars import ONE, X, ZERO, NotDivisible, Poly, QuadExt
 from hxfib.suite import corrupt_table_entry, random_h_polys
@@ -156,6 +156,64 @@ def test_genfun_custom_three_dimensional_table():
 @pytest.mark.parametrize("table", ALGEBRAS, ids=lambda t: t.name)
 def test_genfun_truncation_twenty(table):
     assert HyperContext(Poly([F(1, 2), 1]), table).genfun_check(20).ok
+
+
+def f5_off_by_one(fib, prefill):
+    """Raise F_5 by one in the context's cache, before or after the later
+    terms are derived from it."""
+    fib.fib(15 if prefill else 5)
+    fib._fib[5] = fib._fib[5] + 1
+
+
+GENFUN_HS = (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), ZERO)
+
+
+def genfun_expected(first_bad, trunc, text):
+    """The verdict the series-multiplication route gave when t^first_bad
+    was the first wrong coefficient (recorded before the convolution
+    replaced it)."""
+    if trunc < first_bad:
+        return Verdict(True)
+    return Verdict(False, f"t^{first_bad} {text}")
+
+
+def test_scalar_genfun_convolution_keeps_verdicts_and_witnesses(monkeypatch):
+    text = "coefficient of (1-ht-t^2)*series"
+    for h in GENFUN_HS:
+        with monkeypatch.context() as patched:
+            patched.setattr(fibseq, "_INITIAL_TERMS", (0, 2))
+            wrong_start = FibContext(h)
+        late, early = FibContext(h), FibContext(h)
+        f5_off_by_one(late, prefill=False)
+        f5_off_by_one(early, prefill=True)
+        for trunc in range(12):
+            assert FibContext(h).genfun_check(trunc) == Verdict(True)
+            assert wrong_start.genfun_check(trunc) == genfun_expected(1, trunc, text)
+            assert late.genfun_check(trunc) == genfun_expected(5, trunc, text)
+            assert early.genfun_check(trunc) == genfun_expected(5, trunc, text)
+
+
+@pytest.mark.parametrize("table, first_bad", [
+    (quaternion_table(), 2), (octonion_table(), 2), (THREEFOLD, 3),
+], ids=lambda v: getattr(v, "name", None))
+def test_genfun_convolution_keeps_verdicts_and_witnesses(table, first_bad, monkeypatch):
+    # F_5 sits in coordinate k of Q_{5-k}; the t^0 and t^1 coefficients
+    # equal the numerator by construction, so the first wrong one is
+    # t^max(2, 5-k) for the last coordinate k = dim - 1
+    text = "coefficient of the multiplied series"
+    for h in GENFUN_HS:
+        with monkeypatch.context() as patched:
+            patched.setattr(fibseq, "_INITIAL_TERMS", (0, 2))
+            wrong_start = HyperContext(h, table)
+        late, early = HyperContext(h, table), HyperContext(h, table)
+        f5_off_by_one(late.fib, prefill=False)
+        f5_off_by_one(early.fib, prefill=True)
+        for trunc in range(12):
+            assert HyperContext(h, table).genfun_check(trunc) == Verdict(True)
+            # the numerator is built from the same wrong start, so it holds
+            assert wrong_start.genfun_check(trunc) == Verdict(True)
+            assert late.genfun_check(trunc) == genfun_expected(first_bad, trunc, text)
+            assert early.genfun_check(trunc) == genfun_expected(first_bad, trunc, text)
 
 
 # -- quadratic identities ----------------------------------------------------------------

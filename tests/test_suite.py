@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from hxfib import hyperfib, scalars
-from hxfib.algebra import quaternion_table
+from hxfib.algebra import AlgebraTable, complex_table, quaternion_table, scalar_table
 from hxfib.fibseq import FibContext
 from hxfib.scalars import ONE, X, Poly
 from hxfib.suite import (
@@ -162,6 +162,14 @@ def test_ratio_limit_fails_on_a_non_finite_residual(monkeypatch):
     monkeypatch.setattr(FibContext, "ratio_limit_check", lambda self, x0, n: float("nan"))
     verdict = CHECKS["ratio_limit"](rt, params)
     assert not verdict.ok and "not finite" in verdict.witness
+
+
+def test_runtime_reserves_the_scalar_name():
+    impostor = AlgebraTable("scalar", complex_table().constants)
+    with pytest.raises(ValueError, match="reserved"):
+        Runtime({"scalar": impostor})
+    assert Runtime({"scalar": scalar_table()}).table("scalar") == scalar_table()
+    assert Runtime({}).table("scalar") == scalar_table()
 
 
 # -- shrinking --------------------------------------------------------------------
