@@ -39,6 +39,9 @@ EXIT_USAGE = 2
 MAX_SEQ_N = 1000
 MAX_GENFUN_N = 1000
 MAX_VERIFY_NMAX = 100
+#: Bound on n * max(deg h, 1) for `seq --n` and `genfun --N`: the cache
+#: keeps F_0..F_n, about n^2 deg h / 2 coefficients.
+MAX_N_TIMES_DEGREE = 1000
 
 
 class UsageError(Exception):
@@ -74,6 +77,11 @@ def _parse_h(text: str) -> FibContext:
         raise UsageError(f"cannot parse polynomial: {exc} (offending token {exc.token!r})")
 
 
+def _check_size(ctx: FibContext, n: int, option: str):
+    if n * max(ctx.h.degree, 1) > MAX_N_TIMES_DEGREE:
+        raise UsageError(f"{option} times max(deg h, 1) must be at most {MAX_N_TIMES_DEGREE}")
+
+
 def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, meta: dict) -> str:
     if fmt == "csv":
         buf = io.StringIO()
@@ -90,6 +98,7 @@ def cmd_seq(args) -> int:
     ctx = _parse_h(args.h)
     if not 0 <= args.n <= MAX_SEQ_N:
         raise UsageError(f"--n must be between 0 and {MAX_SEQ_N}")
+    _check_size(ctx, args.n, "--n")
     meta = {"h": format_poly(ctx.h)}
     if args.algebra:
         table = _load_algebra(args.algebra)
@@ -111,6 +120,7 @@ def cmd_genfun(args) -> int:
     ctx = _parse_h(args.h)
     if not 0 <= args.N <= MAX_GENFUN_N:
         raise UsageError(f"--N must be between 0 and {MAX_GENFUN_N}")
+    _check_size(ctx, args.N, "--N")
     out = []
     if args.algebra:
         table = _load_algebra(args.algebra)
@@ -118,10 +128,8 @@ def cmd_genfun(args) -> int:
         for k in range(args.N + 1):
             coords = ",".join(format_poly(c) for c in hctx.q(k).coords)
             out.append(f"t^{k},{coords}")
-        q0 = hctx.q(0)
-        q1_adj = hctx.q(1) - q0 * ctx.h
-        out.append("numerator t^0," + ",".join(format_poly(c) for c in q0.coords))
-        out.append("numerator t^1," + ",".join(format_poly(c) for c in q1_adj.coords))
+        for j, term in enumerate(hctx.genfun_numerator()):
+            out.append(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords))
         ok = hctx.genfun_check(args.N).ok if args.N >= 1 else True
     else:
         for k in range(args.N + 1):
@@ -213,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     h_help = f'h polynomial, e.g. "x^2+1/2x-3" (exponents at most {MAX_EXPONENT})'
     seq.add_argument("--h", required=True, help=h_help)
     seq.add_argument("--n", type=int, required=True,
-                     help=f"last index to print (at most {MAX_SEQ_N})")
+                     help=f"last index to print (at most {MAX_SEQ_N}, and "
+                     f"n * max(deg h, 1) at most {MAX_N_TIMES_DEGREE})")
     seq.add_argument("--algebra", help="builtin name or JSON file")
     seq.add_argument("--format", choices=("csv", "json"), default="csv")
     seq.set_defaults(func=cmd_seq)
@@ -221,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("genfun", help="expand the generating function")
     gen.add_argument("--h", required=True, help=h_help)
     gen.add_argument("--N", type=int, required=True,
-                     help=f"truncation order (at most {MAX_GENFUN_N})")
+                     help=f"truncation order (at most {MAX_GENFUN_N}, and "
+                     f"N * max(deg h, 1) at most {MAX_N_TIMES_DEGREE})")
     gen.add_argument("--algebra", help="builtin name or JSON file")
     gen.set_defaults(func=cmd_genfun)
 

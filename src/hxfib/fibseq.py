@@ -20,7 +20,6 @@ from .scalars import (
     ONE,
     ZERO,
     NonRealResult,
-    NotDivisible,
     Poly,
     QuadExt,
     as_poly,
@@ -99,7 +98,7 @@ class FibContext:
         self._h_pows = [ONE]
         self._disc_pows = [ONE]
         self._alpha_pows: list[QuadExt] | None = None
-        self._binet_quotients: dict[tuple[int, int], QuadExt | None] = {}
+        self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
         self._cheb_step: QuadExt | None = None
 
@@ -144,25 +143,21 @@ class FibContext:
         # ring automorphism, so beta^n is the conjugate of alpha^n.
         return self.alpha_pow(n).conjugate()
 
-    def binet_quotient(self, k: int, n: int) -> QuadExt | None:
-        """(alpha^k alpha^n - beta^k beta^n) / s, or None when s does not
-        divide the numerator.
-
-        This is coordinate k of the hyper-Binet numerator of Q_n divided
-        exactly by s; it depends only on h, k and n, so it is memoized here
-        and shared by every algebra over this h.
-        """
-        key = (k, n)
-        cache = self._binet_quotients
-        if key in cache:
-            return cache[key]
-        numerator = self.alpha_pow(k) * self.alpha_pow(n) - self.beta_pow(k) * self.beta_pow(n)
-        try:
-            quotient = numerator.divexact_by_s()
-        except NotDivisible:
-            quotient = None
-        cache[key] = quotient
-        return quotient
+    def require_root_relations(self) -> None:
+        """Raise `NonRealResult` unless alpha + beta = h and alpha beta = -1
+        hold exactly for `roots()`.  The algebra right sides are sums of
+        the powers of alpha alone, valid only under both relations; the
+        check runs once per context."""
+        if self._root_failure is None:
+            alpha, beta = self.roots()
+            if alpha + beta != self.h:
+                self._root_failure = "alpha + beta = h"
+            elif alpha * beta != -1:
+                self._root_failure = "alpha beta = -1"
+            else:
+                self._root_failure = ""
+        if self._root_failure:
+            raise NonRealResult(f"the roots break {self._root_failure}")
 
     # -- closed forms ----------------------------------------------------
 

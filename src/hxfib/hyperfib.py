@@ -5,33 +5,43 @@ form, generating function, and the quadratic index identities.
 Product order follows the source identities exactly (the algebra may be
 noncommutative, so the two bracket products are genuinely distinct), and
 only binary products ever appear, so associativity is never needed.
-All denominators are cleared: by h for the partial sum, by h^2 + 4 for
-the quadratic identities, and by s, via exact division, for the closed
-form and the index-difference identity.
+Denominators are cleared: by h for the partial sum and by h^2 + 4 for
+Catalan and Cassini.  The quotients by s = alpha - beta of the closed form
+and of d'Ocagne are taken in closed form, without a division.
 
 The Catalan, Cassini and d'Ocagne identities are bilinear in the Q
 elements, so they hold for any bilinear product whatever its structure
 constants: a corrupted or transposed table still satisfies them.  Table
 faults are caught by the table checks of the battery
-(`hamilton_relations`, `unit_law`, `algebra_validate`), never by these
-identities; what these identities test is the sequence, its roots and the
-arithmetic.
+(`hamilton_relations`, `unit_law`, `algebra_validate`); what these
+identities test is the sequence, its roots and the arithmetic.
 
-Both sides are assembled from cached parts.  Coordinate k of a product
-Q_a Q_b is the linear combination of the memoized scalar products
-F_{a+i} F_{b+j} with the nonzero structure constants c_ijk, formed in one
-`poly_combination`.  The right-hand brackets live in Q[x][s] and do not
-depend on n apart from the sign (-1)^n, so each context builds them once
-and keeps only what a comparison needs:
+Coordinate k of a product Q_a Q_b is the linear combination of the
+memoized products F_{a+i} F_{b+j} with the nonzero structure constants
+c_ijk, formed in one `poly_combination`.
 
-- Catalan, and Cassini as Catalan at r = 1: per r, the rational part a
-  of each bracket coordinate with both signs, or a mismatch marker where
-  the coordinate has an s-part (the cleared left side (h^2+4) L_k has
-  none).  Comparing (h^2+4) L_k with +-a is the equality of the two sides
-  embedded in Q[x][s].
-- d'Ocagne: per r - n, the exact quotient of each bracket coordinate by
-  s, or the failure text when s does not divide it or leaves an s-part.
-- The printed Catalan bracket depends on r only through its parity.
+The right sides take no product in Q[x][s].  Coordinate k of the starred
+products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
+c_ijk beta^i alpha^j, and alpha beta = -1 turns alpha^u beta^v into
+(-1)^min(u,v) alpha^(u-v), or (-1)^min(u,v) beta^(v-u) when v > u.  With
+the cached powers alpha^m = a_m + b_m s and beta^m their conjugates,
+
+    X(u, v) = alpha^u beta^v + beta^u alpha^v = (-1)^min(u,v) 2 a_|u-v|,
+    Y(u, v) = (alpha^u beta^v - beta^u alpha^v) / s
+            = (-1)^min(u,v) sgn(u-v) 2 b_|u-v|,
+
+so each right-side coordinate is one `poly_combination` of the a_m or b_m,
+built once per context as (value, -value) for even and odd n:
+
+- Catalan at r, Cassini at r = 1: sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)],
+  rational like (h^2+4) times the left side;
+- the printed bracket times (-1)^(r+1): the same with 2r replaced by 2;
+- d'Ocagne at d = r - n: sum c_ijk Y(i + d, j).
+
+This holds only for roots with alpha + beta = h and alpha beta = -1.
+`FibContext.require_root_relations` checks both once, and the Catalan,
+Cassini, printed and d'Ocagne comparisons raise if either fails.
+Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`.
 """
 
 from __future__ import annotations
@@ -47,7 +57,14 @@ from .fibseq import (
     ZeroH,
     denominator_times_series,
 )
-from .scalars import NotDivisible, Poly, QuadExt, poly_combination
+from .scalars import ONE, ZERO, Poly, poly_combination
+
+
+def _root_product(u: int, v: int) -> tuple[int, int]:
+    """(sign, m) with alpha^u beta^v = sign alpha^m for m >= 0 and
+    sign beta^-m for m < 0: alpha beta = -1 cancels min(u, v) factors of
+    each root."""
+    return (-1 if min(u, v) % 2 else 1), u - v
 
 
 @dataclass(frozen=True)
@@ -81,14 +98,9 @@ class HyperContext:
             )
             for k in range(dim)
         )
-        self._star: tuple[AlgElement, AlgElement] | None = None
-        self._star_products: tuple[AlgElement, AlgElement] | None = None
         self._squares: dict[int, AlgElement] = {}
         self._prefix_sums: list[AlgElement] = []  # Q_1 + ... + Q_p at p - 1
-        self._catalan_brackets: dict[int, AlgElement] = {}  # by r
-        self._printed_brackets: dict[int, AlgElement] = {}  # by r % 2
-        self._catalan_rhs: dict[int, tuple] = {}  # by r
-        self._printed_matches: dict[int, bool] = {}  # by r
+        self._brackets: dict[tuple[int, int], tuple] = {}  # by (exponent, r % 2)
         self._docagne_rhs: dict[int, tuple] = {}  # by r - n
 
     @property
@@ -108,20 +120,18 @@ class HyperContext:
 
     def stars(self) -> tuple[AlgElement, AlgElement]:
         """alpha* = sum_k alpha^k e_k and its beta counterpart."""
-        if self._star is None:
-            fib = self.fib
-            a = AlgElement(self.table, tuple(fib.alpha_pow(k) for k in range(self.dim)))
-            b = AlgElement(self.table, tuple(fib.beta_pow(k) for k in range(self.dim)))
-            self._star = (a, b)
-        return self._star
+        fib = self.fib
+        return (
+            AlgElement(self.table, tuple(fib.alpha_pow(k) for k in range(self.dim))),
+            AlgElement(self.table, tuple(fib.beta_pow(k) for k in range(self.dim))),
+        )
 
     def star_products(self) -> tuple[AlgElement, AlgElement]:
         """(alpha* beta*, beta* alpha*): distinct in a noncommutative
-        algebra, and kept in this order everywhere."""
-        if self._star_products is None:
-            a, b = self.stars()
-            self._star_products = (a * b, b * a)
-        return self._star_products
+        algebra.  The checks use their coordinates in closed form instead
+        (see the module docstring)."""
+        a, b = self.stars()
+        return a * b, b * a
 
     # -- cached bilinear products of Q elements ---------------------------
 
@@ -173,101 +183,84 @@ class HyperContext:
         return Verdict(True)
 
     def binet_check(self, n: int) -> Verdict:
-        """(alpha* alpha^n - beta* beta^n) / (alpha - beta) == Q_n, with
-        the division performed exactly by s per coordinate (the quotients
-        are shared with every algebra through `FibContext.binet_quotient`)."""
+        """(alpha* alpha^n - beta* beta^n) / (alpha - beta) == Q_n.
+        Coordinate k of the numerator is alpha^(n+k) - beta^(n+k), so the
+        quotient is the scalar closed form `FibContext.binet(n + k)`."""
         fib = self.fib
         for k in range(self.dim):
-            quotient = fib.binet_quotient(k, n)
-            if quotient is None:
-                return Verdict(False, f"coordinate {k}: numerator not divisible by s")
-            if quotient.b:
-                return Verdict(False, f"coordinate {k}: radical residue")
-            if quotient.a != fib.fib(n + k):
+            if fib.binet(n + k) != fib.fib(n + k):
                 return Verdict(False, f"coordinate {k} at n={n}")
         return Verdict(True)
 
+    def genfun_numerator(self) -> tuple[AlgElement, AlgElement]:
+        """(N_0, N_1) with sum Q_n t^n == (N_0 + N_1 t) / (1 - h t - t^2).
+        Coordinate k is F_k in N_0 and F_{k-1} in N_1, taken from the
+        literals F_{-1} = 1, F_0 = 0 and the binomial closed form, never
+        from the recurrence cache, so a wrong seed of the terms shows."""
+        fib = self.fib
+        values = [ONE, ZERO] + [fib.explicit_binomial(k) for k in range(1, self.dim)]
+        return (
+            AlgElement(self.table, tuple(values[1:])),
+            AlgElement(self.table, tuple(values[:-1])),
+        )
+
     def genfun_check(self, trunc: int) -> Verdict:
-        """(1 - h t - t^2) * sum Q_n t^n == Q_0 + (Q_1 - h Q_0) t up to
-        the truncation order.  Coefficient j of the left side is the
-        explicit convolution Q_j - h Q_{j-1} - Q_{j-2}."""
+        """(1 - h t - t^2) * sum Q_n t^n == N_0 + N_1 t up to the
+        truncation order, with the numerator of `genfun_numerator`.
+        Coefficient j of the left side is the explicit convolution
+        Q_j - h Q_{j-1} - Q_{j-2}."""
+        numerator = self.genfun_numerator()
         terms = [self.q(i) for i in range(trunc + 1)]
-        q0 = terms[0]
-        q1_adj = self.q(1) - q0 * self.h
         for j, got in enumerate(denominator_times_series(self.h, terms)):
-            if j == 0:
-                ok = got == q0
-            elif j == 1:
-                ok = got == q1_adj
-            else:
-                ok = not got
-            if not ok:
+            if not (got == numerator[j] if j < 2 else not got):
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
         return Verdict(True)
 
-    # -- right-hand brackets, built once per context ----------------------
+    # -- right sides from the cached root powers, built once per context --
 
-    def _signed(self, element: AlgElement, n: int) -> AlgElement:
-        return -element if n % 2 else element
+    def _pair_terms(self, k: int, shift: int, weight, odd: bool = False) -> list:
+        """Coordinate k of weight * sum c_ijk X(i + shift, j), or of the
+        sum of Y with `odd` (see the module docstring), as (Poly,
+        multiplier) pairs."""
+        alpha_pow = self.fib.alpha_pow
+        terms = []
+        for i, j, c in self._coord_terms[k]:
+            sign, m = _root_product(i + shift, j)
+            power = alpha_pow(abs(m))
+            if odd:
+                terms.append((power.b, 2 * weight * c * (sign if m >= 0 else -sign)))
+            else:
+                terms.append((power.a, 2 * weight * c * sign))
+        return terms
 
-    def _catalan_bracket(self, r: int) -> AlgElement:
-        """a*b* (1 - (-1)^r a^2r) + b*a* (1 - (-1)^r b^2r)."""
-        got = self._catalan_brackets.get(r)
+    def _bracket(self, exponent: int, r: int) -> tuple:
+        """Per coordinate k, sum c_ijk [X(i, j) - (-1)^r X(i + exponent, j)]
+        as (value, -value) for even and odd n: the derived Catalan bracket
+        at exponent 2r, (-1)^(r+1) times the printed one at exponent 2."""
+        key = (exponent, r % 2)
+        got = self._brackets.get(key)
         if got is None:
-            fib = self.fib
-            one = QuadExt.one(fib.modulus)
-            sign = -1 if r % 2 else 1
-            ab, ba = self.star_products()
-            got = ab * (one - fib.alpha_pow(2 * r) * sign) + ba * (
-                one - fib.beta_pow(2 * r) * sign
-            )
-            self._catalan_brackets[r] = got
-        return got
-
-    def _printed_bracket(self, r: int) -> AlgElement:
-        """a*b* ((-1)^(r+1) + a^2) + b*a* ((-1)^(r+1) + b^2)."""
-        got = self._printed_brackets.get(r % 2)
-        if got is None:
-            fib = self.fib
-            one = QuadExt.one(fib.modulus)
-            unit = one if r % 2 else -one  # (-1)^(r+1)
-            ab, ba = self.star_products()
-            got = ab * (unit + fib.alpha_pow(2)) + ba * (unit + fib.beta_pow(2))
-            self._printed_brackets[r % 2] = got
-        return got
-
-    def _catalan_cleared(self, r: int) -> tuple:
-        """Per coordinate a + b s of the derived Catalan bracket: (a, -a),
-        the value that (h^2+4) times the left side must take for even and
-        odd n, or None when b != 0, since the cleared left side has no
-        s-part."""
-        got = self._catalan_rhs.get(r)
-        if got is None:
-            got = self._catalan_rhs[r] = tuple(
-                None if c.b else (c.a, -c.a) for c in self._catalan_bracket(r).coords
-            )
+            self.fib.require_root_relations()
+            weight = 1 if r % 2 else -1  # -(-1)^r
+            got = []
+            for k in range(self.dim):
+                value = poly_combination(
+                    self._pair_terms(k, 0, 1) + self._pair_terms(k, exponent, weight)
+                )
+                got.append((value, -value))
+            got = self._brackets[key] = tuple(got)
         return got
 
     def _docagne_quotients(self, diff: int) -> tuple:
-        """Per coordinate of a*b* a^diff - b*a* b^diff: its exact quotient
-        by s as (q, -q) for even and odd n, or the failure text when s does
-        not divide it or the quotient keeps an s-part."""
+        """Per coordinate k, (a*b* a^diff - b*a* b^diff) / s =
+        sum c_ijk Y(i + diff, j) as (q, -q) for even and odd n."""
         got = self._docagne_rhs.get(diff)
         if got is None:
-            fib = self.fib
-            ab, ba = self.star_products()
-            bracket = ab * fib.alpha_pow(diff) - ba * fib.beta_pow(diff)
+            self.fib.require_root_relations()
             got = []
-            for k, coord in enumerate(bracket.coords):
-                try:
-                    quotient = coord.divexact_by_s()
-                except NotDivisible:
-                    got.append(f"coordinate {k}: numerator not divisible by s")
-                    continue
-                if quotient.b:
-                    got.append(f"coordinate {k}: radical residue")
-                else:
-                    got.append((quotient.a, -quotient.a))
+            for k in range(self.dim):
+                quotient = poly_combination(self._pair_terms(k, diff, 1, odd=True))
+                got.append((quotient, -quotient))
             got = self._docagne_rhs[diff] = tuple(got)
         return got
 
@@ -278,9 +271,7 @@ class HyperContext:
         signed by (-1)^n, coordinate by coordinate."""
         modulus = self.fib.modulus
         square = self._q_mul(n, n).coords
-        for k, expected in enumerate(self._catalan_cleared(r)):
-            if expected is None:
-                return Verdict(False, f"coordinate {k} at {where}")
+        for k, expected in enumerate(self._bracket(2 * r, r)):
             lhs = poly_combination(self._product_terms(k, n + r, n - r) + [(square[k], -1)])
             if modulus * lhs != expected[n % 2]:
                 return Verdict(False, f"coordinate {k} at {where}")
@@ -293,11 +284,7 @@ class HyperContext:
         (-1)^(r+1) times the printed bracket is the derived bracket."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        got = self._printed_matches.get(r)
-        if got is None:
-            printed = self._signed(self._printed_bracket(r), r + 1)
-            got = self._printed_matches[r] = printed == self._catalan_bracket(r)
-        return got
+        return self._bracket(2, r) == self._bracket(2 * r, r)
 
     def catalan_check(self, n: int, r: int) -> CatalanVerdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the derived bracket
@@ -321,12 +308,10 @@ class HyperContext:
     def docagne_check(self, n: int, r: int) -> Verdict:
         """Q_r Q_{n+1} - Q_{r+1} Q_n ==
         (-1)^n [a*b* a^(r-n) - b*a* b^(r-n)] / (alpha - beta), with the
-        division carried out exactly by s per coordinate."""
+        quotient by s = alpha - beta taken from the root powers."""
         if n < 0 or r <= n:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
         for k, expected in enumerate(self._docagne_quotients(r - n)):
-            if isinstance(expected, str):
-                return Verdict(False, expected)
             lhs = poly_combination(
                 self._product_terms(k, r, n + 1) + self._product_terms(k, r + 1, n, -1)
             )

@@ -53,7 +53,9 @@ class ModulusMismatch(ValueError):
 
 class NonRealResult(ArithmeticError):
     """A value expected to be plain rational kept an imaginary or radical
-    part; this always signals a fault upstream, never a data error."""
+    part, or the characteristic roots break alpha + beta = h or
+    alpha beta = -1; this always signals a fault upstream, never a data
+    error."""
 
 
 def binomial(n: int, k: int) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hxfib import cli
-from hxfib.cli import MAX_GENFUN_N, MAX_SEQ_N, MAX_VERIFY_NMAX, main
+from hxfib.cli import MAX_GENFUN_N, MAX_N_TIMES_DEGREE, MAX_SEQ_N, MAX_VERIFY_NMAX, main
 from hxfib.polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
 from hxfib.scalars import ONE, X, ZERO, Poly
 from hxfib.suite import random_h_polys
@@ -189,12 +189,16 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.FibContext, "fib", no_work)
     monkeypatch.setattr(cli, "run_all", no_work)
+    assert 7 * 143 == 13 * 77 == MAX_N_TIMES_DEGREE + 1
     for argv, option in (
         (("seq", "--h", "1", "--n", str(MAX_SEQ_N + 1)), "--n"),
         (("genfun", "--h", "1", "--N", str(MAX_GENFUN_N + 1)), "--N"),
         (("verify", "--nmax", str(MAX_VERIFY_NMAX + 1)), "--nmax"),
         (("seq", "--h", f"x^{MAX_EXPONENT + 1}", "--n", "1"), "exponent"),
         (("genfun", "--h", f"x^{MAX_EXPONENT + 1}", "--N", "1"), "exponent"),
+        # n * deg h one above the joint cap, each factor within its own
+        (("seq", "--h", "x^7+1", "--n", "143"), "--n times max(deg h, 1)"),
+        (("genfun", "--h", "x^13-x", "--N", "77"), "--N times max(deg h, 1)"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -202,8 +206,8 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
 
 
 def test_caps_are_stated_in_help(capsys):
-    for command, caps in (("seq", (MAX_SEQ_N, MAX_EXPONENT)),
-                          ("genfun", (MAX_GENFUN_N, MAX_EXPONENT)),
+    for command, caps in (("seq", (MAX_SEQ_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE)),
+                          ("genfun", (MAX_GENFUN_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE)),
                           ("verify", (MAX_VERIFY_NMAX,))):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -217,6 +221,9 @@ def test_index_options_at_their_caps_run(capsys):
     assert code == 0 and out.splitlines()[-1].startswith(f"{MAX_SEQ_N},")
     code, out, _ = run_cli(capsys, "genfun", "--h", "1", "--N", str(MAX_GENFUN_N))
     assert code == 0 and out.splitlines()[-1] == "verified"
+    n = MAX_N_TIMES_DEGREE // 8
+    code, out, _ = run_cli(capsys, "seq", "--h", "x^8+1", "--n", str(n))
+    assert code == 0 and out.splitlines()[-1].startswith(f"{n},")
 
 
 # -- algebra ----------------------------------------------------------------------

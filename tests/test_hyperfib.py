@@ -2,6 +2,7 @@
 builtin algebras, plus the one-dimensional specialization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from hxfib.algebra import (
 )
 from hxfib.fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
 from hxfib.hyperfib import HyperContext
-from hxfib.scalars import ONE, X, ZERO, NotDivisible, Poly, QuadExt
+from hxfib.scalars import (ONE, X, ZERO, NonRealResult, NotDivisible, Poly, QuadExt,
+                           quad_from_alpha, quad_from_beta)
 from hxfib.suite import corrupt_table_entry, random_h_polys
 
 F = Fraction
@@ -169,9 +171,9 @@ GENFUN_HS = (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), ZERO)
 
 
 def genfun_expected(first_bad, trunc, text):
-    """The verdict the series-multiplication route gave when t^first_bad
-    was the first wrong coefficient (recorded before the convolution
-    replaced it)."""
+    """The verdict when t^first_bad is the first wrong coefficient, as the
+    series-multiplication route gave it before the convolution replaced
+    it."""
     if trunc < first_bad:
         return Verdict(True)
     return Verdict(False, f"t^{first_bad} {text}")
@@ -193,13 +195,25 @@ def test_scalar_genfun_convolution_keeps_verdicts_and_witnesses(monkeypatch):
             assert early.genfun_check(trunc) == genfun_expected(5, trunc, text)
 
 
+@pytest.mark.parametrize("table", [quaternion_table(), octonion_table(), THREEFOLD],
+                         ids=lambda t: t.name)
+def test_hyper_genfun_notices_a_wrong_seed(table, monkeypatch):
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", (0, 2))
+    for h in GENFUN_HS:
+        verdict = HyperContext(h, table).genfun_check(5)
+        assert not verdict.ok, h
+        assert verdict.witness.split()[0] in ("t^0", "t^1"), verdict.witness
+
+
 @pytest.mark.parametrize("table, first_bad", [
-    (quaternion_table(), 2), (octonion_table(), 2), (THREEFOLD, 3),
+    (quaternion_table(), 2), (octonion_table(), 0), (THREEFOLD, 3),
 ], ids=lambda v: getattr(v, "name", None))
 def test_genfun_convolution_keeps_verdicts_and_witnesses(table, first_bad, monkeypatch):
-    # F_5 sits in coordinate k of Q_{5-k}; the t^0 and t^1 coefficients
-    # equal the numerator by construction, so the first wrong one is
-    # t^max(2, 5-k) for the last coordinate k = dim - 1
+    # F_5 sits in coordinate k of Q_{5-k}, so the first wrong coefficient
+    # is t^max(0, 5-k) for the last coordinate k = dim - 1: the t^0 and t^1
+    # coefficients are compared with a numerator taken from outside the
+    # cache.  A wrong seed doubles Q_0 against the numerator's F_k, so t^0
+    # is wrong at once.
     text = "coefficient of the multiplied series"
     for h in GENFUN_HS:
         with monkeypatch.context() as patched:
@@ -210,8 +224,7 @@ def test_genfun_convolution_keeps_verdicts_and_witnesses(table, first_bad, monke
         f5_off_by_one(early.fib, prefill=True)
         for trunc in range(12):
             assert HyperContext(h, table).genfun_check(trunc) == Verdict(True)
-            # the numerator is built from the same wrong start, so it holds
-            assert wrong_start.genfun_check(trunc) == Verdict(True)
+            assert wrong_start.genfun_check(trunc) == genfun_expected(0, trunc, text)
             assert late.genfun_check(trunc) == genfun_expected(first_bad, trunc, text)
             assert early.genfun_check(trunc) == genfun_expected(first_bad, trunc, text)
 
@@ -395,13 +408,11 @@ DIFFERENTIAL_TABLES = [
 
 _fib = FibContext.fib
 
-#: faults both routes see: none, the alpha/beta swap of the battery, a beta
-#: that is not the conjugate of alpha (numerators s cannot divide), and a
+#: faults both routes see: none, the alpha/beta swap of the battery, and a
 #: wrong F_5 (mismatches past coordinate 0)
 FAULTS = {
     "exact": None,
     "roots_swapped": ("roots", suite._faulty_roots),
-    "beta_not_conjugate": ("beta_pow", lambda self, n: self.alpha_pow(n) + 1),
     "f5_off_by_one": ("fib", lambda self, n: _fib(self, n) + (1 if n == 5 else 0)),
 }
 
@@ -435,10 +446,80 @@ def test_cached_identities_match_the_straightforward_route(table, fault, monkeyp
     if fault == "exact":
         # bilinear identities hold for any table, a corrupted one included
         assert witnesses == {None}
-    elif fault == "beta_not_conjugate":
-        assert any(w and "not divisible by s" in w for w in witnesses)
     elif fault == "f5_off_by_one" and table.name in ("dual", "octonion"):
         assert any(w and not w.startswith("coordinate 0") for w in witnesses)
+
+
+def test_a_beta_that_is_not_alpha_conjugate_fails_both_binet_checks(monkeypatch):
+    # the quadratic identities read only the powers of alpha, so the closed
+    # form and the hyper-Binet check are the ones that see beta; s cannot
+    # divide their numerators, or leaves a radical residue
+    monkeypatch.setattr(FibContext, "beta_pow", lambda self, n: self.alpha_pow(n) + 1)
+    report = suite.run_all(suite.mutation_corpus(),
+                           include={"closed_form_binet", "hyper_binet"})
+    assert {c.name for c in report.failures} == {"closed_form_binet", "hyper_binet"}
+    for record in report.failures:
+        assert suite._failure_kind(record.witness) in ("NotDivisible", "NonRealResult")
+
+
+def _roots_off_by_one(self):
+    alpha = quad_from_alpha(self.h) + 1
+    return alpha, alpha.conjugate()
+
+
+@pytest.mark.parametrize("table", [quaternion_table(), octonion_table(), THREEFOLD],
+                         ids=lambda t: t.name)
+def test_roots_that_break_their_relations_fail_the_guard(table, monkeypatch):
+    witness = "the roots break alpha + beta = h"
+    for h in (ONE, X):
+        FibContext(h).require_root_relations()
+        with monkeypatch.context() as patched:
+            patched.setattr(FibContext, "roots", suite._faulty_roots)
+            FibContext(h).require_root_relations()  # the swap keeps both relations
+            patched.setattr(FibContext, "roots", lambda self: (
+                quad_from_alpha(self.h) + 1, quad_from_beta(self.h) - 1))
+            with pytest.raises(NonRealResult, match="alpha beta = -1"):
+                FibContext(h).require_root_relations()
+        with monkeypatch.context() as patched:
+            patched.setattr(FibContext, "roots", _roots_off_by_one)
+            ctx = HyperContext(h, table)
+            for check in (lambda: ctx.catalan_check(3, 2), lambda: ctx.cassini_check(3),
+                          lambda: ctx.printed_matches(3, 2), lambda: ctx.docagne_check(1, 3)):
+                with pytest.raises(NonRealResult, match=witness.replace("+", "\\+")):
+                    check()
+    monkeypatch.setattr(FibContext, "roots", _roots_off_by_one)
+    report = suite.run_all(replace(suite.mutation_corpus(), algebras=(table,)), include={
+        "hyper_catalan", "hyper_catalan_printed", "hyper_cassini", "hyper_docagne"})
+    # the printed comparison is a flag either way, and carries the witness
+    assert report.checks and all(c.verdict == "fail" for c in report.checks
+                                 if c.name != "hyper_catalan_printed")
+    assert {c.witness for c in report.checks} == {f"NonRealResult: {witness}"}
+
+
+def test_right_sides_take_no_products_in_the_quadratic_extension(monkeypatch):
+    calls = []
+    for name in ("__mul__", "divexact_by_s"):
+        real = getattr(QuadExt, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(QuadExt, name, counted)
+    ctx = HyperContext(Poly([F(1, 2), 0, 1]), octonion_table())
+    ctx.fib.alpha_pow(40)
+    ctx.fib.require_root_relations()
+    calls.clear()
+    for n in range(0, 9):
+        for r in range(0, n + 1):
+            assert ctx.catalan_check(n, r).ok
+            if r:
+                ctx.printed_matches(n, r)
+        if n:
+            assert ctx.cassini_check(n).ok
+        for r in range(n + 1, 10):
+            assert ctx.docagne_check(n, r).ok
+    assert calls == []
 
 
 # -- dimension-one specialization ------------------------------------------------------

@@ -155,6 +155,14 @@ def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch):
     assert {"hyper_catalan", "hyper_cassini", "hyper_docagne"} <= failed
 
 
+def test_battery_notices_root_products_without_their_sign(monkeypatch):
+    # alpha^u beta^v without the factor (-1)^min(u, v) from alpha beta = -1
+    monkeypatch.setattr(hyperfib, "_root_product", lambda u, v: (1, u - v))
+    report = run_all(mutation_corpus())
+    failed = {c.name for c in report.failures}
+    assert {"hyper_catalan", "hyper_docagne"} <= failed
+
+
 def test_ratio_limit_fails_on_a_non_finite_residual(monkeypatch):
     params = {"h": "1", "x0": 2.0, "n": 40}
     rt = Runtime({})
