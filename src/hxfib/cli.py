@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -42,6 +41,11 @@ MAX_VERIFY_NMAX = 100
 #: Bound on n * max(deg h, 1) for `seq --n` and `genfun --N`: the cache
 #: keeps F_0..F_n, about n^2 deg h / 2 coefficients.
 MAX_N_TIMES_DEGREE = 1000
+#: Bound on n times the largest bit length among h's integer numerators
+#: (over their common denominator) and that denominator, for `seq --n` and
+#: `genfun --N`: each step of the recurrence adds about that many bits to
+#: every coefficient of F_n.
+MAX_N_TIMES_BITS = 1000
 
 
 class UsageError(Exception):
@@ -80,18 +84,32 @@ def _parse_h(text: str) -> FibContext:
 def _check_size(ctx: FibContext, n: int, option: str):
     if n * max(ctx.h.degree, 1) > MAX_N_TIMES_DEGREE:
         raise UsageError(f"{option} times max(deg h, 1) must be at most {MAX_N_TIMES_DEGREE}")
+    bits = max(v.bit_length() for v in ctx.h.num + (ctx.h.den,))
+    if n * bits > MAX_N_TIMES_BITS:
+        raise UsageError(f"{option} times the bit length of h's numerators and denominator "
+                         f"must be at most {MAX_N_TIMES_BITS}")
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, meta: dict) -> str:
+def _write_rows(header: list[str], rows, fmt: str, meta: dict) -> None:
+    """Write `rows` (an iterable of string lists, at least one) to stdout
+    as CSV, or as the JSON document {**meta, "rows": [{header: cell}, ...]}
+    with `indent=2` and sorted keys, each row as soon as it is produced."""
+    out = sys.stdout
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    doc = dict(meta)
-    doc["rows"] = [dict(zip(header, row)) for row in rows]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        for row in rows:
+            writer.writerow(row)
+        return
+    # meta holds "h" and maybe "algebra", both sorting before "rows", so
+    # the document is the meta object with one more member, written last
+    out.write(json.dumps(meta, indent=2, sort_keys=True)[:-2] + ',\n  "rows": [')
+    sep = "\n"
+    for row in rows:
+        text = json.dumps(dict(zip(header, row)), indent=2, sort_keys=True)
+        out.write(sep + "    " + text.replace("\n", "\n    "))
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
 
 
 def cmd_seq(args) -> int:
@@ -104,15 +122,15 @@ def cmd_seq(args) -> int:
         table = _load_algebra(args.algebra)
         hctx = HyperContext(ctx, table)
         header = ["n"] + [f"e{k}" for k in range(table.dim)]
-        rows = [
+        rows = (
             [str(n)] + [format_poly(c) for c in hctx.q(n).coords]
             for n in range(args.n + 1)
-        ]
+        )
         meta["algebra"] = table.name
     else:
         header = ["n", "value"]
-        rows = [[str(n), format_poly(ctx.fib(n))] for n in range(args.n + 1)]
-    sys.stdout.write(_emit_rows(header, rows, args.format, meta))
+        rows = ([str(n), format_poly(ctx.fib(n))] for n in range(args.n + 1))
+    _write_rows(header, rows, args.format, meta)
     return EXIT_OK
 
 
@@ -121,24 +139,21 @@ def cmd_genfun(args) -> int:
     if not 0 <= args.N <= MAX_GENFUN_N:
         raise UsageError(f"--N must be between 0 and {MAX_GENFUN_N}")
     _check_size(ctx, args.N, "--N")
-    out = []
+    write = sys.stdout.write
     if args.algebra:
         table = _load_algebra(args.algebra)
         hctx = HyperContext(ctx, table)
         for k in range(args.N + 1):
-            coords = ",".join(format_poly(c) for c in hctx.q(k).coords)
-            out.append(f"t^{k},{coords}")
+            write(f"t^{k}," + ",".join(format_poly(c) for c in hctx.q(k).coords) + "\n")
         for j, term in enumerate(hctx.genfun_numerator()):
-            out.append(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords))
+            write(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords) + "\n")
         ok = hctx.genfun_check(args.N).ok if args.N >= 1 else True
     else:
         for k in range(args.N + 1):
-            out.append(f"t^{k},{format_poly(ctx.fib(k))}")
-        out.append("numerator t^0,0")
-        out.append("numerator t^1,1")
+            write(f"t^{k},{format_poly(ctx.fib(k))}\n")
+        write("numerator t^0,0\nnumerator t^1,1\n")
         ok = ctx.genfun_check(args.N).ok if args.N >= 1 else True
-    out.append("verified" if ok else "FAILED")
-    sys.stdout.write("\n".join(out) + "\n")
+    write("verified\n" if ok else "FAILED\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -221,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     h_help = f'h polynomial, e.g. "x^2+1/2x-3" (exponents at most {MAX_EXPONENT})'
     seq.add_argument("--h", required=True, help=h_help)
     seq.add_argument("--n", type=int, required=True,
-                     help=f"last index to print (at most {MAX_SEQ_N}, and "
-                     f"n * max(deg h, 1) at most {MAX_N_TIMES_DEGREE})")
+                     help=f"last index to print (at most {MAX_SEQ_N}, "
+                     f"n * max(deg h, 1) at most {MAX_N_TIMES_DEGREE}, and n times "
+                     "the largest bit length of h's numerators and denominator "
+                     f"at most {MAX_N_TIMES_BITS})")
     seq.add_argument("--algebra", help="builtin name or JSON file")
     seq.add_argument("--format", choices=("csv", "json"), default="csv")
     seq.set_defaults(func=cmd_seq)
@@ -230,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("genfun", help="expand the generating function")
     gen.add_argument("--h", required=True, help=h_help)
     gen.add_argument("--N", type=int, required=True,
-                     help=f"truncation order (at most {MAX_GENFUN_N}, and "
-                     f"N * max(deg h, 1) at most {MAX_N_TIMES_DEGREE})")
+                     help=f"truncation order (at most {MAX_GENFUN_N}, "
+                     f"N * max(deg h, 1) at most {MAX_N_TIMES_DEGREE}, and N times "
+                     "the largest bit length of h's numerators and denominator "
+                     f"at most {MAX_N_TIMES_BITS})")
     gen.add_argument("--algebra", help="builtin name or JSON file")
     gen.set_defaults(func=cmd_genfun)
 

@@ -7,6 +7,20 @@ Every check with a denominator is run in cleared form or through exact
 ring division with a divisibility assertion, so a verdict is an exact
 ring equality.  The single exception is `ratio_limit_check`, the only
 floating-point computation in the package.
+
+The two quadratic identities, `catalan_check` and `index_shift_check`,
+compare big integers instead of polynomials.  With h = H/d and H over Z,
+the terms G_n = d^(n-1) F_n have integer coefficients (the cache's
+denominators are checked to divide d^(n-1)), and each identity multiplied
+through by the same power of d becomes one among products G_u G_v and
+powers of d.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
+substitution), so a product G_u G_v is one big-integer multiply and the
+identity one comparison of integers, with no float anywhere.  The
+comparison is exact because evaluation at 2^(8w) is injective on integer
+polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
+check bounds every coefficient of its left side minus its right side by
+the 1-norms of the G involved, picks w from that bound, and raises
+`AssertionError` if w does not cover it.
 """
 
 from __future__ import annotations
@@ -20,8 +34,10 @@ from .scalars import (
     ONE,
     ZERO,
     NonRealResult,
+    NotDivisible,
     Poly,
     QuadExt,
+    _kronecker_pack,
     as_poly,
     binomial,
     poly_sum,
@@ -74,6 +90,14 @@ def denominator_times_series(h: Poly, terms: list):
         yield got
 
 
+def _pack_width(bound: int) -> int:
+    """Bytes per Kronecker slot for values bounded by `bound` in absolute
+    value: the smallest power of two w with bound < 2^(8w-1).  Powers of
+    two keep the number of distinct packings of each G_n small."""
+    need = bound.bit_length() // 8 + 1
+    return 1 << (need - 1).bit_length()
+
+
 def _eval_float(p: Poly, x: float) -> float:
     acc = 0.0
     for c in reversed(p.coeffs):
@@ -95,6 +119,13 @@ class FibContext:
         f0, f1 = _INITIAL_TERMS
         self._fib = [as_poly(f0), as_poly(f1)]
         self._products: dict[tuple[int, int], Poly] = {}
+        # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
+        # slot width w the packings G_n(2^(8w)) and products of two
+        self._scaled: list[tuple] = []
+        self._norms: list[int] = []
+        self._den_sq_pows = [1]
+        self._packed: dict[int, dict[int, int]] = {}
+        self._packed_products: dict[int, dict[tuple[int, int], int]] = {}
         self._h_pows = [ONE]
         self._disc_pows = [ONE]
         self._alpha_pows: list[QuadExt] | None = None
@@ -122,6 +153,63 @@ class FibContext:
             got = self.fib(key[0]) * self.fib(key[1])
             self._products[key] = got
         return got
+
+    # -- packed fraction-free terms ----------------------------------------
+
+    def _scale_to(self, n: int) -> None:
+        """Extend G_k = d^(k-1) F_k and N_k = ||G_k||_1 up to k = n, from the
+        cached terms; a term whose denominator does not divide d^(k-1)
+        raises `NotDivisible`."""
+        d = self.h.den
+        scaled, norms = self._scaled, self._norms
+        for k in range(len(scaled), n + 1):
+            f = self.fib(k)
+            # G_k = num(F_k) d^k / (den(F_k) d), which covers G_0 = F_0 / d
+            top, div = d ** k, f.den * d
+            g = [v * top for v in f.num]
+            if any(v % div for v in g):
+                raise NotDivisible(f"d^{k - 1} F_{k} has a non-integer coefficient")
+            g = tuple(v // div for v in g)
+            scaled.append(g)
+            norms.append(sum(map(abs, g)))
+
+    def _den_sq_pow(self, k: int) -> int:
+        """d^(2k) for the denominator d of h."""
+        pows = self._den_sq_pows
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.h.den ** 2)
+        return pows[k]
+
+    def _packed_product(self, u: int, v: int, w: int) -> int:
+        """G_u(2^(8w)) * G_v(2^(8w)), memoized per width.  A product with a
+        zero factor is 0 without packing the other one, which the caller's
+        bound need not cover."""
+        products = self._packed_products.get(w)
+        if products is None:
+            products = self._packed_products[w] = {}
+            self._packed[w] = {}
+        key = (u, v) if u <= v else (v, u)
+        got = products.get(key)
+        if got is None:
+            if not (self._norms[u] and self._norms[v]):
+                got = 0
+            else:
+                packed = self._packed[w]
+                for k in key:
+                    if k not in packed:
+                        packed[k] = _kronecker_pack(self._scaled[k], w)
+                got = packed[u] * packed[v]
+            products[key] = got
+        return got
+
+    def _slot_width(self, bound: int) -> int:
+        """The slot width for a check whose left side minus right side has
+        every coefficient at most `bound` in absolute value, with that
+        bound asserted: packing at 2^(8w) is injective only below it."""
+        w = _pack_width(bound)
+        if bound.bit_length() >= 8 * w:
+            raise AssertionError(f"{w}-byte slots cannot hold coefficients up to {bound}")
+        return w
 
     # -- characteristic roots -------------------------------------------
 
@@ -263,27 +351,44 @@ class FibContext:
         return Verdict(True)
 
     def catalan_check(self, n: int, r: int) -> Verdict:
-        """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2."""
+        """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2, checked as
+        G_{n-r} G_{n+r} - G_n^2 == (-1)^(n-r-1) d^(2(n-r)) G_r^2 between
+        packed integers (see the module docstring)."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        lhs = self.fib_product(n - r, n + r) - self.fib_product(n, n)
-        sign = -1 if (n - r - 1) % 2 else 1
-        rhs = self.fib_product(r, r) * sign
-        if lhs != rhs:
+        self._scale_to(n + r)
+        norms = self._norms
+        scale = self._den_sq_pow(n - r)
+        bound = norms[n - r] * norms[n + r] + norms[n] ** 2 + scale * norms[r] ** 2
+        w = self._slot_width(bound)
+        product = self._packed_product
+        lhs = product(n - r, n + r, w) - product(n, n, w)
+        rhs = scale * product(r, r, w)
+        if lhs != (-rhs if (n - r - 1) % 2 else rhs):
             return Verdict(False, f"n={n}, r={r}")
         return Verdict(True)
 
     def index_shift_check(self, a: int, b: int, c: int, d: int, r: int) -> Verdict:
         """F_a F_b - F_c F_d == (-1)^r (F_{a-r} F_{b-r} - F_{c-r} F_{d-r})
-        for a + b = c + d; all shifted indices must stay nonnegative."""
+        for a + b = c + d; all shifted indices must stay nonnegative.
+        Checked as G_a G_b - G_c G_d ==
+        (-1)^r d^(2r) (G_{a-r} G_{b-r} - G_{c-r} G_{d-r}) between packed
+        integers, with d here the denominator of h (see the module
+        docstring)."""
         if a + b != c + d:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
-        lhs = self.fib_product(a, b) - self.fib_product(c, d)
-        shifted = self.fib_product(a - r, b - r) - self.fib_product(c - r, d - r)
-        rhs = shifted * (-1 if r % 2 else 1)
-        if lhs != rhs:
+        self._scale_to(max(a, b, c, d))
+        norms = self._norms
+        scale = self._den_sq_pow(r)
+        bound = (norms[a] * norms[b] + norms[c] * norms[d]
+                 + scale * (norms[a - r] * norms[b - r] + norms[c - r] * norms[d - r]))
+        w = self._slot_width(bound)
+        product = self._packed_product
+        lhs = product(a, b, w) - product(c, d, w)
+        rhs = scale * (product(a - r, b - r, w) - product(c - r, d - r, w))
+        if lhs != (-rhs if r % 2 else rhs):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
         return Verdict(True)
 

@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from hxfib import cli
-from hxfib.cli import MAX_GENFUN_N, MAX_N_TIMES_DEGREE, MAX_SEQ_N, MAX_VERIFY_NMAX, main
+from hxfib.cli import (
+    MAX_GENFUN_N,
+    MAX_N_TIMES_BITS,
+    MAX_N_TIMES_DEGREE,
+    MAX_SEQ_N,
+    MAX_VERIFY_NMAX,
+    main,
+)
 from hxfib.polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
 from hxfib.scalars import ONE, X, ZERO, Poly
 from hxfib.suite import random_h_polys
@@ -140,6 +147,52 @@ def test_seq_algebra_formats_agree(capsys):
         assert row == [str(rec["n"]), rec["e0"], rec["e1"]]
 
 
+def emit_rows(header, rows, fmt, meta):
+    """The whole-text emitter `seq` used before it streamed its rows."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    doc = dict(meta)
+    doc["rows"] = [dict(zip(header, row)) for row in rows]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_seq_streams_the_text_the_whole_text_emitter_built(tmp_path, capsys):
+    from hxfib.algebra import builtin, quaternion_table, table_to_spec
+    from hxfib.fibseq import FibContext
+    from hxfib.hyperfib import HyperContext
+
+    spec = table_to_spec(quaternion_table(2, -3))
+    spec["name"] = 'q "2,-3" \u00e9'
+    path = tmp_path / "odd_name.json"
+    path.write_text(json.dumps(spec))
+    for h_text in ("x^2-1/2x+3", "-2"):
+        ctx = FibContext(parse_poly(h_text))
+        for algebra in (None, "complex", "octonion", str(path)):
+            meta = {"h": format_poly(ctx.h)}
+            if algebra is None:
+                header = ["n", "value"]
+                row = lambda n: [str(n), format_poly(ctx.fib(n))]
+            else:
+                table = cli._load_algebra(algebra)
+                hctx = HyperContext(ctx, table)
+                header = ["n"] + [f"e{k}" for k in range(table.dim)]
+                row = lambda n: [str(n)] + [format_poly(c) for c in hctx.q(n).coords]
+                meta["algebra"] = table.name
+            for n in (0, 1, 7):
+                rows = [row(k) for k in range(n + 1)]
+                for fmt in ("csv", "json"):
+                    argv = ["seq", "--h", h_text, "--n", str(n), "--format", fmt]
+                    if algebra:
+                        argv += ["--algebra", algebra]
+                    code, out, _ = run_cli(capsys, *argv)
+                    assert code == 0
+                    assert out == emit_rows(header, rows, fmt, meta), argv
+
+
 def test_seq_rejects_bad_polynomial(capsys):
     code, _, err = run_cli(capsys, "seq", "--h", "2z", "--n", "3")
     assert code == 2
@@ -189,7 +242,7 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.FibContext, "fib", no_work)
     monkeypatch.setattr(cli, "run_all", no_work)
-    assert 7 * 143 == 13 * 77 == MAX_N_TIMES_DEGREE + 1
+    assert 7 * 143 == 13 * 77 == MAX_N_TIMES_DEGREE + 1 == MAX_N_TIMES_BITS + 1
     for argv, option in (
         (("seq", "--h", "1", "--n", str(MAX_SEQ_N + 1)), "--n"),
         (("genfun", "--h", "1", "--N", str(MAX_GENFUN_N + 1)), "--N"),
@@ -199,6 +252,13 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
         # n * deg h one above the joint cap, each factor within its own
         (("seq", "--h", "x^7+1", "--n", "143"), "--n times max(deg h, 1)"),
         (("genfun", "--h", "x^13-x", "--N", "77"), "--N times max(deg h, 1)"),
+        # n times the bit length of h's numerators and denominator one above
+        # its cap, through a numerator and through the denominator
+        (("seq", "--h", str(2 ** (MAX_N_TIMES_BITS // 7)) + "x", "--n", "7"),
+         "--n times the bit length"),
+        (("genfun", "--h", f"1/{2 ** (MAX_N_TIMES_BITS // 7)}x+1", "--N", "7"),
+         "--N times the bit length"),
+        (("seq", "--h", str(2 ** MAX_N_TIMES_BITS), "--n", "1"), "--n times the bit length"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -206,8 +266,10 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
 
 
 def test_caps_are_stated_in_help(capsys):
-    for command, caps in (("seq", (MAX_SEQ_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE)),
-                          ("genfun", (MAX_GENFUN_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE)),
+    for command, caps in (("seq", (MAX_SEQ_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE,
+                                   MAX_N_TIMES_BITS)),
+                          ("genfun", (MAX_GENFUN_N, MAX_EXPONENT, MAX_N_TIMES_DEGREE,
+                                      MAX_N_TIMES_BITS)),
                           ("verify", (MAX_VERIFY_NMAX,))):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -224,6 +286,12 @@ def test_index_options_at_their_caps_run(capsys):
     n = MAX_N_TIMES_DEGREE // 8
     code, out, _ = run_cli(capsys, "seq", "--h", "x^8+1", "--n", str(n))
     assert code == 0 and out.splitlines()[-1].startswith(f"{n},")
+    # n times the bit length of h at its cap, by a numerator and by the denominator
+    code, out, _ = run_cli(capsys, "seq", "--h", str(2 ** (MAX_N_TIMES_BITS - 1)), "--n", "1")
+    assert code == 0 and out.splitlines()[-1] == "1,1"
+    h = f"1/{2 ** (MAX_N_TIMES_BITS // 8 - 1)}x"
+    code, out, _ = run_cli(capsys, "genfun", "--h", h, "--N", "8")
+    assert code == 0 and out.splitlines()[-1] == "verified"
 
 
 # -- algebra ----------------------------------------------------------------------

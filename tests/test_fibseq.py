@@ -12,6 +12,7 @@ from hxfib.fibseq import (
     DomainError,
     FibContext,
     IndexConstraintViolated,
+    Verdict,
     ZeroH,
 )
 from hxfib.scalars import (
@@ -22,7 +23,7 @@ from hxfib.scalars import (
     quad_from_alpha,
     quad_from_beta,
 )
-from hxfib.suite import random_h_polys
+from hxfib.suite import _index_shift_tuples, random_h_polys
 
 F = Fraction
 
@@ -199,6 +200,121 @@ def test_identities_over_random_corpus():
             for n in range(1, 13):
                 assert ctx.sum_identity_check(n).ok
         assert ctx.genfun_check(12).ok
+
+
+# -- packed quadratic identities against the polynomial route ---------------------
+
+def ref_catalan(ctx, n, r):
+    """The straightforward Catalan check on memoized polynomial products."""
+    lhs = ctx.fib_product(n - r, n + r) - ctx.fib_product(n, n)
+    rhs = ctx.fib_product(r, r) * (-1 if (n - r - 1) % 2 else 1)
+    return Verdict(True) if lhs == rhs else Verdict(False, f"n={n}, r={r}")
+
+
+def ref_index_shift(ctx, a, b, c, d, r):
+    """The straightforward index-shift check on memoized polynomial products."""
+    lhs = ctx.fib_product(a, b) - ctx.fib_product(c, d)
+    shifted = ctx.fib_product(a - r, b - r) - ctx.fib_product(c - r, d - r)
+    if lhs == shifted * (-1 if r % 2 else 1):
+        return Verdict(True)
+    return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
+
+
+def packed_test_hs():
+    """Seeded h: denominators above 1, constants, x, negative and sparse
+    coefficients, degree 4."""
+    rng = random.Random(113)
+    hs = [ONE, Poly([F(-7, 3)]), X, Poly([0, 0, 0, 0, F(-3, 2)]),
+          Poly([F(5, 6), 0, 0, -2, F(1, 4)])]
+    while len(hs) < 9:
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) * rng.randint(0, 1)
+                  for _ in range(rng.randint(1, 5))]
+        if any(coeffs):
+            hs.append(Poly(coeffs))
+    return hs
+
+
+def both_routes(fast, ref):
+    """Verdict pairs for every index-shift tuple to 12 and every Catalan
+    (n, r) with 0 <= r <= n <= 16."""
+    for n in range(17):
+        for r in range(n + 1):
+            yield fast.catalan_check(n, r), ref_catalan(ref, n, r)
+    for tup in _index_shift_tuples(12):
+        yield fast.index_shift_check(*tup), ref_index_shift(ref, *tup)
+
+
+def f5_coefficient_raised(ctx, prefill):
+    """Raise the x coefficient of the cached F_5 by one, before or after
+    the later terms are derived from it."""
+    ctx.fib(16 if prefill else 5)
+    ctx._fib[5] = ctx._fib[5] + X
+
+
+def test_packed_quadratic_identities_match_the_polynomial_route():
+    hs = packed_test_hs()
+    assert any(h.den > 1 for h in hs) and any(h.degree == 4 for h in hs)
+    for h in hs:
+        pairs = list(both_routes(FibContext(h), FibContext(h)))
+        assert all(fast == ref == Verdict(True) for fast, ref in pairs), h
+
+
+@pytest.mark.parametrize("prefill", [False, True], ids=["before", "after"])
+def test_packed_quadratic_identities_fail_where_the_polynomial_route_fails(prefill):
+    for h in packed_test_hs():
+        fast, ref = FibContext(h), FibContext(h)
+        f5_coefficient_raised(fast, prefill)
+        f5_coefficient_raised(ref, prefill)
+        pairs = list(both_routes(fast, ref))
+        assert [fast for fast, _ in pairs] == [ref for _, ref in pairs], h
+        assert not all(fast.ok for fast, _ in pairs), h
+
+
+def test_packed_checks_assert_their_slot_width(monkeypatch):
+    h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
+    assert FibContext(h).index_shift_check(9, 6, 8, 7, 3).ok
+    # one byte below what the coefficient bound needs
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
+    ctx = FibContext(h)
+    for n, r in ((0, 0), (3, 1), (12, 5), (16, 16)):
+        with pytest.raises(AssertionError):
+            ctx.catalan_check(n, r)
+    for tup in ((1, 1, 0, 2, 0), (5, 3, 4, 4, 1), (9, 6, 8, 7, 3), (12, 12, 11, 13, 11)):
+        with pytest.raises(AssertionError):
+            ctx.index_shift_check(*tup)
+
+
+def test_packed_bound_covers_every_product_coefficient(monkeypatch):
+    bounds = []
+    real = fibseq._pack_width
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
+    for h in packed_test_hs():
+        ctx, d = FibContext(h), h.den
+
+        def height(u, v):
+            """Largest |coefficient| of G_u G_v, with G_n = d^(n-1) F_n."""
+            product = ctx.fib(u) * ctx.fib(v) * F(d) ** (u + v - 2)
+            assert product.den == 1
+            return max(map(abs, product.num), default=0)
+
+        for n in range(11):
+            for r in range(n + 1):
+                ctx.catalan_check(n, r)
+                need = height(n - r, n + r) + height(n, n) + d ** (2 * (n - r)) * height(r, r)
+                assert bounds.pop() >= need
+        for a, b, c, e, r in _index_shift_tuples(8):
+            ctx.index_shift_check(a, b, c, e, r)
+            need = (height(a, b) + height(c, e)
+                    + d ** (2 * r) * (height(a - r, b - r) + height(c - r, e - r)))
+            assert bounds.pop() >= need
+        assert not bounds
+
+
+def test_pack_width_is_the_smallest_power_of_two_that_fits():
+    for bound in (0, 1, 127, 128, 2 ** 15 - 1, 2 ** 15, 2 ** 31, 2 ** 300):
+        w = fibseq._pack_width(bound)
+        assert bound < 2 ** (8 * w - 1) and w & (w - 1) == 0
+        assert w == 1 or bound >= 2 ** (4 * w - 1)
 
 
 # -- ratio spot-check --------------------------------------------------------------

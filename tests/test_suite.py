@@ -123,11 +123,13 @@ def _unpack_without_borrow(value, count, w):
 
 
 def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
-    # F_u * F_v for a degree-4 h has 4u - 3 coefficients, so catalan_real
-    # up to n = 20 multiplies well above the Kronecker crossover
+    # F_u * F_v for a degree-4 h has 4u - 3 coefficients, and the complex
+    # hyper_catalan multiplies F_(n+i) F_(n+j) for i, j in {0, 1}, so from
+    # n = 3 on it multiplies above the Kronecker crossover (catalan_real
+    # compares packed integers and multiplies no polynomials)
     h = Poly([-2, Fraction(1, 3), 0, -1, Fraction(5, 2)])
-    corpus = Corpus(seed=0, h_polys=(h,), algebras=(), n_max=20)
-    assert run_all(corpus, include={"catalan_real"}).ok
+    corpus = Corpus(seed=0, h_polys=(h,), algebras=(complex_table(),), n_max=20)
+    assert run_all(corpus, include={"hyper_catalan"}).ok
     calls = []
 
     def broken(value, count, w):
@@ -135,11 +137,24 @@ def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
         return _unpack_without_borrow(value, count, w)
 
     monkeypatch.setattr(scalars, "_kronecker_unpack", broken)
-    report = run_all(corpus, include={"catalan_real"})
+    report = run_all(corpus, include={"hyper_catalan"})
     assert calls
     assert report.failures
-    # below n = 4 every product stays on the schoolbook loop
-    assert all(c.params["n"] >= 4 for c in report.failures)
+    # below n = 3 every product stays on the schoolbook loop
+    assert all(c.params["n"] >= 3 for c in report.failures)
+
+
+def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
+    # G_n = d^(n-1) F_n turns each quadratic identity into one with a factor
+    # d^(2r) (Catalan: d^(2(n-r))) on its right side; dropping it is
+    # invisible on the integer h of mutation_corpus(), so this fault is
+    # not one of the MUTATIONS
+    monkeypatch.setattr(FibContext, "_den_sq_pow", lambda self, k: 1)
+    include = {"index_shift", "catalan_real"}
+    assert run_all(mutation_corpus(), include=include).ok
+    h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
+    report = run_all(Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8), include=include)
+    assert {c.name for c in report.failures} == include
 
 
 def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch):
