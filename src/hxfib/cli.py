@@ -98,8 +98,7 @@ def _write_rows(header: list[str], rows, fmt: str, meta: dict) -> None:
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return
     # meta holds "h" and maybe "algebra", both sorting before "rows", so
     # the document is the meta object with one more member, written last
