@@ -8,12 +8,10 @@ Exit codes: 0 success, 1 a check failed (or a table is not unital),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
+from collections import deque
 from dataclasses import replace
-from fractions import Fraction
 
 from .algebra import (
     AlgebraTable,
@@ -26,8 +24,8 @@ from .algebra import (
 )
 from .fibseq import FibContext
 from .hyperfib import HyperContext
-from .polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
-from .suite import default_corpus, run_all
+from .polytext import MAX_EXPONENT, PolyParseError, _format_terms, format_poly, parse_poly
+from .suite import _tables_by_name, default_corpus, run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,25 +51,27 @@ class UsageError(Exception):
 
 
 def _load_algebra(spec: str) -> AlgebraTable:
-    """Resolve a builtin name (optionally "name:a,b") or a JSON file path."""
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
+    """Resolve a builtin name, optionally with rational parameters
+    ("name:a,b"); any other spec is a JSON file path."""
+    if spec.partition(":")[0] in builtin_names():
         try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read algebra file {spec!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed JSON in {spec!r}: {exc}")
-        try:
-            return table_from_spec(doc)
-        except ValueError as exc:
-            if isinstance(exc, NotUnital):
-                raise
-            raise UsageError(f"bad algebra spec {spec!r}: {exc}")
+            return builtin(spec)
+        except UnknownKind as exc:
+            raise UsageError(str(exc))
     try:
-        return builtin(spec)
-    except UnknownKind as exc:
-        raise UsageError(str(exc))
+        with open(spec, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read algebra file {spec!r} (builtins: "
+                         f"{', '.join(builtin_names())}): {exc}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed JSON in {spec!r}: {exc}")
+    try:
+        return table_from_spec(doc)
+    except ValueError as exc:
+        if isinstance(exc, NotUnital):
+            raise
+        raise UsageError(f"bad algebra spec {spec!r}: {exc}")
 
 
 def _parse_h(text: str) -> FibContext:
@@ -90,15 +90,26 @@ def _check_size(ctx: FibContext, n: int, option: str):
                          f"must be at most {MAX_N_TIMES_BITS}")
 
 
+def _windows(ctx: FibContext, dim: int, count: int):
+    """The formatted F_n..F_(n+dim-1) for n < count: the coordinates of
+    Q_n over a dim-dimensional table.  The window slides, so each F_k is
+    formatted once, and no term past the last window is."""
+    window = deque(maxlen=dim)
+    for k in range(count + dim - 1):
+        window.append(format_poly(ctx.fib(k)))
+        if k >= dim - 1:
+            yield list(window)
+
+
 def _write_rows(header: list[str], rows, fmt: str, meta: dict) -> None:
     """Write `rows` (an iterable of string lists, at least one) to stdout
     as CSV, or as the JSON document {**meta, "rows": [{header: cell}, ...]}
-    with `indent=2` and sorted keys, each row as soon as it is produced."""
+    with `indent=2` and sorted keys, each row as soon as it is produced.
+    No cell holds a comma, quote or line break, so no CSV cell is quoted."""
     out = sys.stdout
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
         return
     # meta holds "h" and maybe "algebra", both sorting before "rows", so
     # the document is the meta object with one more member, written last
@@ -116,19 +127,14 @@ def cmd_seq(args) -> int:
     if not 0 <= args.n <= MAX_SEQ_N:
         raise UsageError(f"--n must be between 0 and {MAX_SEQ_N}")
     _check_size(ctx, args.n, "--n")
+    table = _load_algebra(args.algebra) if args.algebra else scalar_table()
     meta = {"h": format_poly(ctx.h)}
     if args.algebra:
-        table = _load_algebra(args.algebra)
-        hctx = HyperContext(ctx, table)
-        header = ["n"] + [f"e{k}" for k in range(table.dim)]
-        rows = (
-            [str(n)] + [format_poly(c) for c in hctx.q(n).coords]
-            for n in range(args.n + 1)
-        )
         meta["algebra"] = table.name
+        header = ["n"] + [f"e{k}" for k in range(table.dim)]
     else:
         header = ["n", "value"]
-        rows = ([str(n), format_poly(ctx.fib(n))] for n in range(args.n + 1))
+    rows = ([str(n)] + window for n, window in enumerate(_windows(ctx, table.dim, args.n + 1)))
     _write_rows(header, rows, args.format, meta)
     return EXIT_OK
 
@@ -138,20 +144,14 @@ def cmd_genfun(args) -> int:
     if not 0 <= args.N <= MAX_GENFUN_N:
         raise UsageError(f"--N must be between 0 and {MAX_GENFUN_N}")
     _check_size(ctx, args.N, "--N")
+    table = _load_algebra(args.algebra) if args.algebra else scalar_table()
+    hctx = HyperContext(ctx, table)
     write = sys.stdout.write
-    if args.algebra:
-        table = _load_algebra(args.algebra)
-        hctx = HyperContext(ctx, table)
-        for k in range(args.N + 1):
-            write(f"t^{k}," + ",".join(format_poly(c) for c in hctx.q(k).coords) + "\n")
-        for j, term in enumerate(hctx.genfun_numerator()):
-            write(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords) + "\n")
-        ok = hctx.genfun_check(args.N).ok if args.N >= 1 else True
-    else:
-        for k in range(args.N + 1):
-            write(f"t^{k},{format_poly(ctx.fib(k))}\n")
-        write("numerator t^0,0\nnumerator t^1,1\n")
-        ok = ctx.genfun_check(args.N).ok if args.N >= 1 else True
+    for k, window in enumerate(_windows(ctx, table.dim, args.N + 1)):
+        write(f"t^{k}," + ",".join(window) + "\n")
+    for j, term in enumerate(hctx.genfun_numerator()):
+        write(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords) + "\n")
+    ok = hctx.genfun_check(args.N).ok if args.N >= 1 else True
     write("verified\n" if ok else "FAILED\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -170,14 +170,10 @@ def cmd_verify(args) -> int:
     corpus = default_corpus(seed=args.seed, **kwargs)
     if args.algebra:
         tables = tuple(_load_algebra(a) for a in args.algebra)
-        names = [t.name for t in tables]
-        for table in tables:
-            if names.count(table.name) > 1:
-                # the run keys its tables and caches by name
-                raise UsageError(f"algebra name {table.name!r} is given more than once")
-            if table.name == "scalar" and table != scalar_table():
-                raise UsageError("algebra name 'scalar' is reserved for the "
-                                 "one-dimensional table")
+        try:
+            _tables_by_name(tables)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         corpus = replace(corpus, algebras=tables)
     report = run_all(corpus)
     text = report.to_json(indent=2)
@@ -191,31 +187,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _format_combination(coords) -> str:
-    parts = []
-    for k, c in enumerate(coords):
-        c = Fraction(c)
-        if not c:
-            continue
-        mag = abs(c)
-        body = f"e{k}" if mag == 1 else (
-            f"{mag.numerator}e{k}" if mag.denominator == 1
-            else f"{mag.numerator}/{mag.denominator}e{k}"
-        )
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts) or "0"
-
-
 def cmd_algebra(args) -> int:
     table = _load_algebra(args.algebra)
     report = table.validate()
     print(f"algebra {table.name} (dim {table.dim})")
     for i in range(table.dim):
         for j in range(table.dim):
-            print(f"e{i}*e{j} = {_format_combination(table.basis_product(i, j))}")
+            terms = ((c.numerator, c.denominator, f"e{k}")
+                     for k, c in enumerate(table.basis_product(i, j)))
+            print(f"e{i}*e{j} = {_format_terms(terms)}")
     yn = lambda f: "yes" if f else "no"
     print(f"unital: {yn(report.unital)}")
     print(f"associative: {yn(report.associative)}")

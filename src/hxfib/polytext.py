@@ -11,13 +11,15 @@ stored densely.
 
 The printer emits descending powers with explicit "^" and "p/q"
 coefficients, omitting unit coefficients and the exponent 1, so that
-print(parse(s)) always parses back to an equal polynomial.
+print(parse(s)) always parses back to an equal polynomial.  Its signed-term
+renderer also writes the `hxfib algebra` listing, with symbols e0, e1, ...
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .scalars import Poly
 
@@ -85,31 +87,32 @@ def parse_poly(text: str) -> Poly:
     return Poly([coeffs.get(k, Fraction(0)) for k in range(degree + 1)])
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _format_terms(terms) -> str:
+    """Render the signed sum of (numerator, denominator, symbol) triples,
+    with positive denominators, in the order given: zero terms are left
+    out, a unit coefficient is left off a nonempty symbol, and the empty
+    sum is "0"."""
+    parts = []
+    for num, den, symbol in terms:
+        if not num:
+            continue
+        mag = abs(num)
+        if den != 1:
+            g = gcd(mag, den)
+            mag, den = mag // g, den // g
+        if den != 1:
+            coeff = f"{mag}/{den}"
+        else:
+            coeff = "" if mag == 1 and symbol else str(mag)
+        parts.append(("-" if num < 0 else "+") + coeff + symbol)
+    return "".join(parts).removeprefix("+") or "0"
+
+
+def _power(k: int) -> str:
+    return f"x^{k}" if k > 1 else ("x" if k else "")
 
 
 def format_poly(p: Poly) -> str:
     """Render a rational-coefficient Poly in the grammar above."""
-    if not p:
-        return "0"
-    coeffs = p.coeffs
-    parts: list[str] = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[k])
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = _format_coeff(mag)
-        else:
-            var = "x" if k == 1 else f"x^{k}"
-            body = var if mag == 1 else _format_coeff(mag) + var
-        if not parts:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(sign + body)
-    return "".join(parts)
+    num, den = p.num, p.den
+    return _format_terms((num[k], den, _power(k)) for k in range(len(num) - 1, -1, -1))

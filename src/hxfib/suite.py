@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 from unittest import mock
 
 from . import fibseq as fibseq_mod
@@ -190,16 +190,27 @@ class Report:
 # runtime and check implementations
 
 
+def _tables_by_name(tables: Iterable[AlgebraTable]) -> dict[str, AlgebraTable]:
+    """The tables of a run keyed by name, with the one-dimensional table
+    under "scalar", where dim1_specialization runs.  Raises `ValueError`
+    for a name given twice, since the run keys its tables and caches by
+    name, and for a table named "scalar" that is not `scalar_table()`."""
+    by_name: dict[str, AlgebraTable] = {}
+    for table in tables:
+        if table.name in by_name:
+            raise ValueError(f"algebra name {table.name!r} is given more than once")
+        by_name[table.name] = table
+    if by_name.setdefault("scalar", scalar_table()) != scalar_table():
+        raise ValueError("algebra name 'scalar' is reserved for the one-dimensional table")
+    return by_name
+
+
 class Runtime:
     """Per-run cache of contexts; single-threaded, cleared between h values
     to bound memory."""
 
     def __init__(self, tables: dict[str, AlgebraTable]):
-        self.tables = dict(tables)
-        # dim1_specialization runs on the table of this name
-        scalar = scalar_table()
-        if self.tables.setdefault("scalar", scalar) != scalar:
-            raise ValueError("algebra name 'scalar' is reserved for the one-dimensional table")
+        self.tables = _tables_by_name(tables.values())
         self._fib: dict[str, FibContext] = {}
         self._hyper: dict[tuple[str, str], HyperContext] = {}
 
@@ -550,7 +561,7 @@ def _schedule(corpus: Corpus, include: set[str] | None = None) -> Iterator[tuple
 
 def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
     """Execute the scheduled cross-product of checks over the corpus."""
-    runtime = Runtime({t.name: t for t in corpus.algebras})
+    runtime = Runtime(_tables_by_name(corpus.algebras))
     records: list[CheckRecord] = []
     current_h: str | None = None
     for name, params in _schedule(corpus, include):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hxfib import cli
+from hxfib.algebra import builtin_names
 from hxfib.cli import (
     MAX_GENFUN_N,
     MAX_N_TIMES_BITS,
@@ -98,6 +99,49 @@ def test_round_trip_property():
         assert parse_poly(format_poly(p)) == p
 
 
+def fraction_format_poly(p):
+    """`format_poly` before it shared the signed-term renderer: one
+    `Fraction` per coefficient."""
+    if not p:
+        return "0"
+    coeffs = p.coeffs
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = Fraction(coeffs[k])
+        if not c:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if k == 0:
+            body = text
+        else:
+            var = "x" if k == 1 else f"x^{k}"
+            body = var if mag == 1 else text + var
+        if not parts:
+            parts.append(body if sign == "+" else "-" + body)
+        else:
+            parts.append(sign + body)
+    return "".join(parts)
+
+
+def test_format_poly_matches_the_fraction_printer():
+    rng = random.Random(8080)
+    picks = (0, 0, 1, -1, F(1, 2), F(-1, 2), F(2, 4), F(-6, 3), 7, -12, F(5, 6), F(-9, 4),
+             2 ** 200 + 1, -(3 ** 90), F(2 ** 70, 3 ** 40))
+    polys = [ZERO, ONE, -ONE, Poly([F(1, 2)]), Poly([F(-7, 3)]), X, -X, Poly([0, 0, 1]),
+             Poly([0, F(-1, 2)]), Poly([-1, 0, 0, F(1, 2)])]
+    for _ in range(400):
+        length = rng.randint(1, 9)
+        polys.append(Poly([rng.choice(picks) for _ in range(length)]))
+        # a shared denominator d > 1 that divides some coefficients but not others
+        d = rng.randint(2, 30)
+        polys.append(Poly([F(rng.randint(-3 * d, 3 * d), d) for _ in range(length)]))
+    assert sum(p.den > 1 for p in polys) > 300
+    for p in polys:
+        assert format_poly(p) == fraction_format_poly(p), p
+
+
 # -- seq -----------------------------------------------------------------------
 
 def test_seq_fibonacci(capsys):
@@ -169,7 +213,7 @@ def test_seq_streams_the_text_the_whole_text_emitter_built(tmp_path, capsys):
     spec["name"] = 'q "2,-3" \u00e9'
     path = tmp_path / "odd_name.json"
     path.write_text(json.dumps(spec))
-    for h_text in ("x^2-1/2x+3", "-2"):
+    for h_text in ("x^2-1/2x+3", "-2", "-3/2x^4+x-7/3"):
         ctx = FibContext(parse_poly(h_text))
         for algebra in (None, "complex", "octonion", str(path)):
             meta = {"h": format_poly(ctx.h)}
@@ -185,12 +229,30 @@ def test_seq_streams_the_text_the_whole_text_emitter_built(tmp_path, capsys):
             for n in (0, 1, 7):
                 rows = [row(k) for k in range(n + 1)]
                 for fmt in ("csv", "json"):
-                    argv = ["seq", "--h", h_text, "--n", str(n), "--format", fmt]
+                    argv = ["seq", f"--h={h_text}", "--n", str(n), "--format", fmt]
                     if algebra:
                         argv += ["--algebra", algebra]
                     code, out, _ = run_cli(capsys, *argv)
                     assert code == 0
                     assert out == emit_rows(header, rows, fmt, meta), argv
+
+
+def test_seq_formats_each_term_once(capsys, monkeypatch):
+    from hxfib.fibseq import FibContext
+
+    calls = []
+
+    def counting_format_poly(p):
+        calls.append(p)
+        return format_poly(p)
+
+    monkeypatch.setattr(cli, "format_poly", counting_format_poly)
+    code, out, _ = run_cli(capsys, "seq", "--h", "x+1", "--n", "50", "--algebra", "octonion")
+    assert code == 0 and len(out.splitlines()) == 52
+    ctx = FibContext(parse_poly("x+1"))
+    # h for the JSON meta, then rows 0..50 of an eight-dimensional table:
+    # F_0..F_57, each once and in order, and nothing past F_57
+    assert calls == [ctx.h] + [ctx.fib(k) for k in range(58)]
 
 
 def test_seq_rejects_bad_polynomial(capsys):
@@ -232,6 +294,51 @@ def test_genfun_with_algebra(capsys):
     assert lines[0] == "t^0,0,1"
     assert lines[-1] == "verified"
     assert any(line.startswith("numerator t^1,") for line in lines)
+
+
+def two_branch_genfun_text(h_text, trunc, algebra):
+    """The text `genfun` wrote when its scalar case had a branch of its own
+    instead of running over the one-dimensional table."""
+    from hxfib.fibseq import FibContext
+    from hxfib.hyperfib import HyperContext
+
+    ctx = FibContext(parse_poly(h_text))
+    lines = []
+    if algebra:
+        hctx = HyperContext(ctx, cli._load_algebra(algebra))
+        for k in range(trunc + 1):
+            lines.append(f"t^{k}," + ",".join(format_poly(c) for c in hctx.q(k).coords))
+        for j, term in enumerate(hctx.genfun_numerator()):
+            lines.append(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords))
+        ok = hctx.genfun_check(trunc).ok if trunc >= 1 else True
+    else:
+        for k in range(trunc + 1):
+            lines.append(f"t^{k},{format_poly(ctx.fib(k))}")
+        lines += ["numerator t^0,0", "numerator t^1,1"]
+        ok = ctx.genfun_check(trunc).ok if trunc >= 1 else True
+    lines.append("verified" if ok else "FAILED")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [None, (0, 2)], ids=["good_seed", "wrong_seed"])
+def test_genfun_writes_the_text_of_the_two_branch_emitter(capsys, monkeypatch, seed):
+    from hxfib import fibseq
+
+    if seed is not None:
+        # a wrong seed: both emitters must print the same FAILED text
+        monkeypatch.setattr(fibseq, "_INITIAL_TERMS", seed)
+    for h_text in ("x^2-1/2x+3", "-2", "-3/2x^4+x-7/3"):
+        for algebra in (None, "quaternion"):
+            for trunc in (0, 1, 7):
+                argv = ["genfun", f"--h={h_text}", "--N", str(trunc)]
+                if algebra:
+                    argv += ["--algebra", algebra]
+                want = two_branch_genfun_text(h_text, trunc, algebra)
+                code, out, _ = run_cli(capsys, *argv)
+                assert out == want, argv
+                assert code == (1 if want.endswith("FAILED\n") else 0), argv
+    if seed is not None:
+        assert want.endswith("FAILED\n")
 
 
 # -- input caps -------------------------------------------------------------------
@@ -324,6 +431,67 @@ def test_algebra_from_json_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "algebra", str(path))
     assert code == 0
     assert "e1*e1 = 2e0" in out
+
+
+def combination_text(coords):
+    """The `algebra` listing's printer before it shared the signed-term
+    renderer of `format_poly`."""
+    parts = []
+    for k, c in enumerate(coords):
+        c = Fraction(c)
+        if not c:
+            continue
+        mag = abs(c)
+        body = f"e{k}" if mag == 1 else (
+            f"{mag.numerator}e{k}" if mag.denominator == 1
+            else f"{mag.numerator}/{mag.denominator}e{k}"
+        )
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+" if c > 0 else "-") + body)
+    return "".join(parts) or "0"
+
+
+@pytest.mark.parametrize("spec", builtin_names() + ("quaternion:1/2,3", "octonion:3,-5",
+                                                    "rational.json"))
+def test_algebra_listing_matches_the_combination_printer(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    doc = {"name": "rational", "dim": 3,
+           "table": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], ["-1/2", "3/4", 0], ["4/2", 0, "-7/3"]],
+                     [[0, 0, 1], [0, "-1", "1/3"], ["-5/6", -1, 0]]]}
+    (tmp_path / "rational.json").write_text(json.dumps(doc))
+    table = cli._load_algebra(spec)
+    code, out, _ = run_cli(capsys, "algebra", spec)
+    assert code == 0
+    want = [f"e{i}*e{j} = {combination_text(table.basis_product(i, j))}"
+            for i in range(table.dim) for j in range(table.dim)]
+    assert out.splitlines()[1:1 + table.dim ** 2] == want
+
+
+def test_rational_builtin_parameters_are_not_a_path(tmp_path, capsys, monkeypatch):
+    # a file named like a builtin does not shadow it either
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "complex").write_text("{not json")
+    code, out, _ = run_cli(capsys, "algebra", "complex")
+    assert code == 0 and "e1*e1 = -e0" in out
+    code, out, err = run_cli(capsys, "algebra", "quaternion:1/2,3")
+    assert code == 0, err
+    assert out.splitlines()[0] == "algebra quaternion:1/2,3 (dim 4)"
+    assert "e1*e1 = 1/2e0" in out and "e3*e3 = -3/2e0" in out
+    code, out, err = run_cli(capsys, "seq", "--h", "1", "--n", "2", "--algebra",
+                             "quaternion:1/2,3")
+    assert code == 0 and out.splitlines()[-1] == "2,1,2,3,5", err
+    code, out, err = run_cli(capsys, "genfun", "--h", "1", "--N", "3", "--algebra",
+                             "quaternion:1/2,3")
+    assert code == 0 and out.splitlines()[-1] == "verified", err
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "verify", "--nmax", "2", "--algebra", "quaternion:1/2,3",
+                           "--report", str(report))
+    assert code == 0, err
+    algebras = {c["params"].get("algebra") for c in json.loads(report.read_text())["checks"]}
+    assert "quaternion:1/2,3" in algebras
 
 
 def test_algebra_malformed_json_exits_two(tmp_path, capsys):

@@ -20,6 +20,7 @@ from hxfib.suite import (
     Report,
     Runtime,
     corrupt_table_entry,
+    corrupt_unit_row,
     default_corpus,
     mutation_corpus,
     random_h_polys,
@@ -193,6 +194,18 @@ def test_runtime_reserves_the_scalar_name():
         Runtime({"scalar": impostor})
     assert Runtime({"scalar": scalar_table()}).table("scalar") == scalar_table()
     assert Runtime({}).table("scalar") == scalar_table()
+
+
+@pytest.mark.parametrize("bad_first", [True, False], ids=["corrupt_first", "corrupt_second"])
+def test_run_all_rejects_two_tables_of_one_name(bad_first):
+    good = quaternion_table()
+    bad = corrupt_unit_row(good)
+    tables = (bad, good) if bad_first else (good, bad)
+    # keyed by name, one of the two would run every check scheduled for both
+    with pytest.raises(ValueError, match="'quaternion' is given more than once"):
+        run_all(replace(mutation_corpus(), algebras=tables))
+    with pytest.raises(ValueError, match="more than once"):
+        Runtime({"first": tables[0], "second": tables[1]})
 
 
 # -- shrinking --------------------------------------------------------------------
