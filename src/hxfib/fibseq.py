@@ -9,8 +9,9 @@ ring equality.  The single exception is `ratio_limit_check`, the only
 floating-point computation in the package.
 
 The two quadratic identities, `catalan_check` and `index_shift_check`,
-compare big integers instead of polynomials.  With h = H/d and H over Z,
-the terms G_n = d^(n-1) F_n have integer coefficients (the cache's
+compare big integers instead of polynomials, and so do the algebra
+Catalan, Cassini and d'Ocagne checks of `hyperfib`.  With h = H/d and H
+over Z, the terms G_n = d^(n-1) F_n have integer coefficients (the cache's
 denominators are checked to divide d^(n-1)), and each identity multiplied
 through by the same power of d becomes one among products G_u G_v and
 powers of d.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
@@ -19,8 +20,8 @@ identity one comparison of integers, with no float anywhere.  The
 comparison is exact because evaluation at 2^(8w) is injective on integer
 polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
 check bounds every coefficient of its left side minus its right side by
-the 1-norms of the G involved, picks w from that bound, and raises
-`AssertionError` if w does not cover it.
+the 1-norms of the G involved, and `FibContext.packing` picks w from that
+bound and raises `AssertionError` if w does not cover it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .scalars import (
     ONE,
@@ -120,12 +121,11 @@ class FibContext:
         self._fib = [as_poly(f0), as_poly(f1)]
         self._products: dict[tuple[int, int], Poly] = {}
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
-        # slot width w the packings G_n(2^(8w)) and products of two
+        # slot width w the memoized products G_u(2^(8w)) G_v(2^(8w))
         self._scaled: list[tuple] = []
         self._norms: list[int] = []
-        self._den_sq_pows = [1]
-        self._packed: dict[int, dict[int, int]] = {}
-        self._packed_products: dict[int, dict[tuple[int, int], int]] = {}
+        self._den_pows = [1]
+        self._packed_products: dict[int, Callable[[int, int], int]] = {}
         self._h_pows = [ONE]
         self._disc_pows = [ONE]
         self._alpha_pows: list[QuadExt] | None = None
@@ -173,43 +173,54 @@ class FibContext:
             scaled.append(g)
             norms.append(sum(map(abs, g)))
 
-    def _den_sq_pow(self, k: int) -> int:
-        """d^(2k) for the denominator d of h."""
-        pows = self._den_sq_pows
+    def den_pow(self, k: int) -> int:
+        """d^k for the denominator d of h."""
+        pows = self._den_pows
         while len(pows) <= k:
-            pows.append(pows[-1] * self.h.den ** 2)
+            pows.append(pows[-1] * self.h.den)
         return pows[k]
 
-    def _packed_product(self, u: int, v: int, w: int) -> int:
-        """G_u(2^(8w)) * G_v(2^(8w)), memoized per width.  A product with a
-        zero factor is 0 without packing the other one, which the caller's
-        bound need not cover."""
-        products = self._packed_products.get(w)
-        if products is None:
-            products = self._packed_products[w] = {}
-            self._packed[w] = {}
-        key = (u, v) if u <= v else (v, u)
-        got = products.get(key)
-        if got is None:
-            if not (self._norms[u] and self._norms[v]):
-                got = 0
-            else:
-                packed = self._packed[w]
-                for k in key:
-                    if k not in packed:
-                        packed[k] = _kronecker_pack(self._scaled[k], w)
-                got = packed[u] * packed[v]
-            products[key] = got
-        return got
+    def packing(self, top: int, bound) -> tuple[int, Callable[[int, int], int]]:
+        """The slot width w and the packed products of one comparison
+        among G_0..G_top (see the module docstring).
 
-    def _slot_width(self, bound: int) -> int:
-        """The slot width for a check whose left side minus right side has
-        every coefficient at most `bound` in absolute value, with that
-        bound asserted: packing at 2^(8w) is injective only below it."""
-        w = _pack_width(bound)
-        if bound.bit_length() >= 8 * w:
-            raise AssertionError(f"{w}-byte slots cannot hold coefficients up to {bound}")
-        return w
+        `bound(norms)`, given N_k = ||G_k||_1 for k <= top, must bound in
+        absolute value every coefficient of the comparison's left side
+        minus its right side and of every vector the caller packs itself;
+        w is picked from it and asserted.  `product(u, v)` is
+        G_u(2^(8w)) * G_v(2^(8w)), memoized per width and shared by every
+        check on this context.  A product with a zero factor is 0 without
+        packing the other one, which the bound need not cover."""
+        self._scale_to(top)
+        limit = bound(self._norms)
+        w = _pack_width(limit)
+        if limit.bit_length() >= 8 * w:
+            raise AssertionError(f"{w}-byte slots cannot hold coefficients up to {limit}")
+        product = self._packed_products.get(w)
+        if product is None:
+            product = self._packed_products[w] = self._memoized_products(w)
+        return w, product
+
+    def _memoized_products(self, w: int) -> Callable[[int, int], int]:
+        packed: dict[int, int] = {}
+        products: dict[tuple[int, int], int] = {}
+        scaled, norms = self._scaled, self._norms
+
+        def product(u: int, v: int) -> int:
+            key = (u, v) if u <= v else (v, u)
+            got = products.get(key)
+            if got is None:
+                if not (norms[u] and norms[v]):
+                    got = 0
+                else:
+                    for k in key:
+                        if k not in packed:
+                            packed[k] = _kronecker_pack(scaled[k], w)
+                    got = packed[u] * packed[v]
+                products[key] = got
+            return got
+
+        return product
 
     # -- characteristic roots -------------------------------------------
 
@@ -356,14 +367,11 @@ class FibContext:
         packed integers (see the module docstring)."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        self._scale_to(n + r)
-        norms = self._norms
-        scale = self._den_sq_pow(n - r)
-        bound = norms[n - r] * norms[n + r] + norms[n] ** 2 + scale * norms[r] ** 2
-        w = self._slot_width(bound)
-        product = self._packed_product
-        lhs = product(n - r, n + r, w) - product(n, n, w)
-        rhs = scale * product(r, r, w)
+        scale = self.den_pow(2 * (n - r))
+        _, product = self.packing(n + r, lambda N: (
+            N[n - r] * N[n + r] + N[n] ** 2 + scale * N[r] ** 2))
+        lhs = product(n - r, n + r) - product(n, n)
+        rhs = scale * product(r, r)
         if lhs != (-rhs if (n - r - 1) % 2 else rhs):
             return Verdict(False, f"n={n}, r={r}")
         return Verdict(True)
@@ -379,15 +387,12 @@ class FibContext:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
-        self._scale_to(max(a, b, c, d))
-        norms = self._norms
-        scale = self._den_sq_pow(r)
-        bound = (norms[a] * norms[b] + norms[c] * norms[d]
-                 + scale * (norms[a - r] * norms[b - r] + norms[c - r] * norms[d - r]))
-        w = self._slot_width(bound)
-        product = self._packed_product
-        lhs = product(a, b, w) - product(c, d, w)
-        rhs = scale * (product(a - r, b - r, w) - product(c - r, d - r, w))
+        scale = self.den_pow(2 * r)
+        _, product = self.packing(max(a, b, c, d), lambda N: (
+            N[a] * N[b] + N[c] * N[d]
+            + scale * (N[a - r] * N[b - r] + N[c - r] * N[d - r])))
+        lhs = product(a, b) - product(c, d)
+        rhs = scale * (product(a - r, b - r) - product(c - r, d - r))
         if lhs != (-rhs if r % 2 else rhs):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
         return Verdict(True)

@@ -16,9 +16,25 @@ faults are caught by the table checks of the battery
 (`hamilton_relations`, `unit_law`, `algebra_validate`); what these
 identities test is the sequence, its roots and the arithmetic.
 
-Coordinate k of a product Q_a Q_b is the linear combination of the
-memoized products F_{a+i} F_{b+j} with the nonzero structure constants
-c_ijk, formed in one `poly_combination`.
+The Catalan, Cassini and d'Ocagne comparisons run on packed fraction-free
+integers, like the scalar quadratic identities of `fibseq`.  Coordinate k
+of Q_a Q_b sums c_ijk F_{a+i} F_{b+j}.  With h = H/d, G_n = d^(n-1) F_n,
+e the lcm of the denominators of the constants and c'_ijk = e c_ijk, each
+coordinate of an identity is multiplied through by e and a power of d:
+
+    Catalan and Cassini: M' sum c'_ijk d^(2dim-2-i-j)
+        [G_{n+r+i} G_{n-r+j} - G_{n+i} G_{n+j}] == (-1)^n e d^(2n+2dim-2) B_k,
+    d'Ocagne: sum c'_ijk d^(2dim-2-i-j)
+        [G_{r+i} G_{n+1+j} - G_{r+1+i} G_{n+j}] == (-1)^n e d^(r+n+2dim-3) q_k,
+
+with M' = d^2 (h^2+4) = H^2 + 4d^2 and the right sides B_k and q_k below.
+Each left side is an integer polynomial.  A right side e d^t num/den, with
+num/den in lowest terms, is one too when den divides e d^t, and cannot
+equal the left side when it does not.  Both sides are evaluated at
+x = 2^(8w) from the products G_u G_v that `FibContext.packing` memoizes
+for every table over one h.  The bound that picks w also covers M' and the
+right-side numerators, the vectors packed here.  The square part of
+Catalan, the sum over G_{n+i} G_{n+j}, is cached per n and w.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -31,7 +47,7 @@ the cached powers alpha^m = a_m + b_m s and beta^m their conjugates,
             = (-1)^min(u,v) sgn(u-v) 2 b_|u-v|,
 
 so each right-side coordinate is one `poly_combination` of the a_m or b_m,
-built once per context as (value, -value) for even and odd n:
+built once per context:
 
 - Catalan at r, Cassini at r = 1: sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)],
   rational like (h^2+4) times the left side;
@@ -46,7 +62,9 @@ Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraTable, AlgElement
@@ -57,7 +75,7 @@ from .fibseq import (
     ZeroH,
     denominator_times_series,
 )
-from .scalars import ONE, ZERO, Poly, poly_combination
+from .scalars import ONE, ZERO, Poly, _kronecker_pack, poly_combination
 
 
 def _root_product(u: int, v: int) -> tuple[int, int]:
@@ -75,6 +93,31 @@ class CatalanVerdict(Verdict):
     meaningless."""
 
     printed_matches: Optional[bool] = None
+
+
+class _RightSides:
+    """The right sides num_k / den_k of one identity, one per coordinate,
+    against a left side that carries the integer polynomial factor M:
+    ||M||_1 and the ||num_k||_1 for the coefficient bound and, per slot
+    width, the packed M(2^(8w)) and num_k(2^(8w))."""
+
+    __slots__ = ("values", "factor", "factor_norm", "norms", "_packed")
+
+    def __init__(self, values: tuple, factor: tuple):
+        self.values = values
+        self.factor = factor
+        self.factor_norm = sum(map(abs, factor))
+        self.norms = tuple(sum(map(abs, v.num)) for v in values)
+        self._packed: dict[int, tuple] = {}
+
+    def packed(self, w: int) -> tuple:
+        got = self._packed.get(w)
+        if got is None:
+            got = self._packed[w] = (
+                _kronecker_pack(self.factor, w),
+                tuple(_kronecker_pack(v.num, w) for v in self.values),
+            )
+        return got
 
 
 class HyperContext:
@@ -98,10 +141,21 @@ class HyperContext:
             )
             for k in range(dim)
         )
-        self._squares: dict[int, AlgElement] = {}
+        #: e, and per coordinate k the (i, j, e c_ijk d^(2dim-2-i-j))
+        self._constants_lcm = math.lcm(*(Fraction(c).denominator
+                                         for terms in self._coord_terms for _, _, c in terms))
+        den_pow = self.fib.den_pow
+        self._cleared_terms = tuple(
+            tuple((i, j, int(self._constants_lcm * c) * den_pow(2 * dim - 2 - i - j))
+                  for i, j, c in terms)
+            for terms in self._coord_terms
+        )
+        #: M' = d^2 (h^2+4) as an integer vector
+        self._cleared_modulus = (self.fib.modulus * den_pow(2)).num
+        self._squares: dict[tuple[int, int], tuple] = {}  # Catalan's square parts by (n, w)
         self._prefix_sums: list[AlgElement] = []  # Q_1 + ... + Q_p at p - 1
-        self._brackets: dict[tuple[int, int], tuple] = {}  # by (exponent, r % 2)
-        self._docagne_rhs: dict[int, tuple] = {}  # by r - n
+        self._brackets: dict[tuple[int, int], _RightSides] = {}  # by (exponent, r % 2)
+        self._docagne_rhs: dict[int, _RightSides] = {}  # by r - n
 
     @property
     def h(self) -> Poly:
@@ -132,29 +186,6 @@ class HyperContext:
         (see the module docstring)."""
         a, b = self.stars()
         return a * b, b * a
-
-    # -- cached bilinear products of Q elements ---------------------------
-
-    def _product_terms(self, k: int, a: int, b: int, sign: int = 1) -> list:
-        """(F_{a+i} F_{b+j}, sign * c_ijk) pairs: coordinate k of
-        sign * Q_a Q_b as a linear combination of memoized products."""
-        product = self.fib.fib_product
-        return [(product(a + i, b + j), sign * c) for i, j, c in self._coord_terms[k]]
-
-    def _q_mul(self, ni: int, nj: int) -> AlgElement:
-        """Q_{ni} * Q_{nj} assembled from memoized scalar products; equal
-        to the straightforward element product by bilinearity (the test
-        suite checks the two routes against each other)."""
-        if ni == nj:
-            cached = self._squares.get(ni)
-            if cached is not None:
-                return cached
-        element = AlgElement(self.table, tuple(
-            poly_combination(self._product_terms(k, ni, nj)) for k in range(self.dim)
-        ))
-        if ni == nj:
-            self._squares[ni] = element
-        return element
 
     # -- verifiers ---------------------------------------------------------
 
@@ -207,13 +238,21 @@ class HyperContext:
     def genfun_check(self, trunc: int) -> Verdict:
         """(1 - h t - t^2) * sum Q_n t^n == N_0 + N_1 t up to the
         truncation order, with the numerator of `genfun_numerator`.
-        Coefficient j of the left side is the explicit convolution
-        Q_j - h Q_{j-1} - Q_{j-2}."""
-        numerator = self.genfun_numerator()
-        terms = [self.q(i) for i in range(trunc + 1)]
-        for j, got in enumerate(denominator_times_series(self.h, terms)):
-            if not (got == numerator[j] if j < 2 else not got):
+        Coefficient j of the left side is the convolution
+        Q_j - h Q_{j-1} - Q_{j-2}, whose coordinate k for j >= 2 is the
+        scalar residual F_m - h F_{m-1} - F_{m-2} at m = j + k, so each
+        residual is built once."""
+        h, dim = self.h, self.dim
+        terms = [self.fib.fib(m) for m in range(trunc + dim)]
+        for j, expected in enumerate(self.genfun_numerator()[:trunc + 1]):
+            got = terms[:dim] if j == 0 else [terms[k + 1] - h * terms[k] for k in range(dim)]
+            if tuple(got) != expected.coords:
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
+        if trunc >= 2:
+            for m, residual in enumerate(denominator_times_series(h, terms)):
+                if m >= 2 and residual:
+                    return Verdict(False, f"t^{max(2, m - dim + 1)} coefficient "
+                                          "of the multiplied series")
         return Verdict(True)
 
     # -- right sides from the cached root powers, built once per context --
@@ -233,47 +272,81 @@ class HyperContext:
                 terms.append((power.a, 2 * weight * c * sign))
         return terms
 
-    def _bracket(self, exponent: int, r: int) -> tuple:
-        """Per coordinate k, sum c_ijk [X(i, j) - (-1)^r X(i + exponent, j)]
-        as (value, -value) for even and odd n: the derived Catalan bracket
-        at exponent 2r, (-1)^(r+1) times the printed one at exponent 2."""
+    def _bracket(self, exponent: int, r: int) -> _RightSides:
+        """Per coordinate k, sum c_ijk [X(i, j) - (-1)^r X(i + exponent, j)]:
+        the derived Catalan bracket at exponent 2r, (-1)^(r+1) times the
+        printed one at exponent 2."""
         key = (exponent, r % 2)
         got = self._brackets.get(key)
         if got is None:
             self.fib.require_root_relations()
             weight = 1 if r % 2 else -1  # -(-1)^r
-            got = []
-            for k in range(self.dim):
-                value = poly_combination(
-                    self._pair_terms(k, 0, 1) + self._pair_terms(k, exponent, weight)
-                )
-                got.append((value, -value))
-            got = self._brackets[key] = tuple(got)
+            got = self._brackets[key] = _RightSides(tuple(
+                poly_combination(self._pair_terms(k, 0, 1) + self._pair_terms(k, exponent, weight))
+                for k in range(self.dim)
+            ), self._cleared_modulus)
         return got
 
-    def _docagne_quotients(self, diff: int) -> tuple:
+    def _docagne_quotients(self, diff: int) -> _RightSides:
         """Per coordinate k, (a*b* a^diff - b*a* b^diff) / s =
-        sum c_ijk Y(i + diff, j) as (q, -q) for even and odd n."""
+        sum c_ijk Y(i + diff, j)."""
         got = self._docagne_rhs.get(diff)
         if got is None:
             self.fib.require_root_relations()
-            got = []
-            for k in range(self.dim):
-                quotient = poly_combination(self._pair_terms(k, diff, 1, odd=True))
-                got.append((quotient, -quotient))
-            got = self._docagne_rhs[diff] = tuple(got)
+            got = self._docagne_rhs[diff] = _RightSides(tuple(
+                poly_combination(self._pair_terms(k, diff, 1, odd=True))
+                for k in range(self.dim)
+            ), (1,))
         return got
 
     # -- quadratic identities ---------------------------------------------
 
-    def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
-        """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket
-        signed by (-1)^n, coordinate by coordinate."""
-        modulus = self.fib.modulus
-        square = self._q_mul(n, n).coords
-        for k, expected in enumerate(self._bracket(2 * r, r)):
-            lhs = poly_combination(self._product_terms(k, n + r, n - r) + [(square[k], -1)])
-            if modulus * lhs != expected[n % 2]:
+    def _right_scale(self, t: int) -> int:
+        """e d^t, the factor that clears the right side against the
+        integer left side (see the module docstring)."""
+        return self._constants_lcm * self.fib.den_pow(t)
+
+    def _packed_check(self, sides: _RightSides, first: tuple, second: tuple,
+                      t: int, n: int, where: str) -> Verdict:
+        """Coordinate by coordinate, M sum c'_ijk d^(2dim-2-i-j)
+        [G_{a+i} G_{b+j} - G_{a2+i} G_{b2+j}] == (-1)^n e d^t num_k / den_k
+        between packed integers, with (a, b) = first, (a2, b2) = second and
+        num_k / den_k and M from `sides`.  The left side is an integer
+        polynomial, and num_k / den_k is in lowest terms, so the sides
+        differ wherever den_k does not divide e d^t."""
+        (a, b), (a2, b2) = first, second
+        terms = self._cleared_terms
+        scale = self._right_scale(t)
+        # per k, e d^t / den_k, or 0 where den_k does not divide e d^t
+        quotients = [0 if scale % v.den else scale // v.den for v in sides.values]
+
+        def bound(norms):
+            worst = 0
+            for k, coord in enumerate(terms):
+                total = 0
+                for i, j, weight in coord:
+                    total += abs(weight) * (norms[a + i] * norms[b + j]
+                                            + norms[a2 + i] * norms[b2 + j])
+                worst = max(worst, sides.factor_norm * total + quotients[k] * sides.norms[k])
+            return worst + sides.factor_norm + max(sides.norms)
+
+        w, product = self.fib.packing(max(a, b, a2, b2) + self.dim - 1, bound)
+
+        def pair_sum(u, v):
+            return tuple(sum(weight * product(u + i, v + j) for i, j, weight in coord)
+                         for coord in terms)
+
+        if a2 != b2:
+            seconds = pair_sum(a2, b2)
+        else:  # the square part of Catalan, shared by every r at one n
+            seconds = self._squares.get((a2, w))
+            if seconds is None:
+                seconds = self._squares[a2, w] = pair_sum(a2, b2)
+        factor, rights = sides.packed(w)
+        sign = -1 if n % 2 else 1
+        pairs = zip(quotients, rights, pair_sum(a, b), seconds)
+        for k, (quotient, right, x, y) in enumerate(pairs):
+            if not quotient or factor * (x - y) != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
         return Verdict(True)
 
@@ -284,7 +357,7 @@ class HyperContext:
         (-1)^(r+1) times the printed bracket is the derived bracket."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        return self._bracket(2, r) == self._bracket(2 * r, r)
+        return self._bracket(2, r).values == self._bracket(2 * r, r).values
 
     def catalan_check(self, n: int, r: int) -> CatalanVerdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the derived bracket
@@ -295,6 +368,12 @@ class HyperContext:
         verdict = self._catalan_cleared_check(n, r, f"n={n}, r={r}")
         printed = None if r == 0 else self.printed_matches(n, r)
         return CatalanVerdict(verdict.ok, verdict.witness, printed)
+
+    def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
+        """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket
+        signed by (-1)^n, coordinate by coordinate."""
+        return self._packed_check(self._bracket(2 * r, r), (n + r, n - r), (n, n),
+                                  2 * n + 2 * self.dim - 2, n, where)
 
     def cassini_check(self, n: int) -> Verdict:
         """(h^2+4) [Q_{n+1} Q_{n-1} - Q_n^2] ==
@@ -311,13 +390,8 @@ class HyperContext:
         quotient by s = alpha - beta taken from the root powers."""
         if n < 0 or r <= n:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
-        for k, expected in enumerate(self._docagne_quotients(r - n)):
-            lhs = poly_combination(
-                self._product_terms(k, r, n + 1) + self._product_terms(k, r + 1, n, -1)
-            )
-            if lhs != expected[n % 2]:
-                return Verdict(False, f"coordinate {k} at n={n}, r={r}")
-        return Verdict(True)
+        return self._packed_check(self._docagne_quotients(r - n), (r, n + 1), (r + 1, n),
+                                  r + n + 2 * self.dim - 3, n, f"n={n}, r={r}")
 
     @staticmethod
     def _first_diff(lhs: AlgElement, rhs: AlgElement, where: str) -> str:

@@ -1,14 +1,13 @@
 """Hypercomplex sequence elements and their identity verifiers across the
 builtin algebras, plus the one-dimensional specialization."""
 
-import random
 import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hxfib import fibseq, suite
+from hxfib import fibseq, hyperfib, scalars, suite
 from hxfib.algebra import (
     AlgebraTable,
     builtin,
@@ -19,7 +18,8 @@ from hxfib.algebra import (
     scalar_table,
     split_complex_table,
 )
-from hxfib.fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
+from hxfib.fibseq import (FibContext, IndexConstraintViolated, Verdict, ZeroH,
+                          denominator_times_series)
 from hxfib.hyperfib import HyperContext
 from hxfib.scalars import (ONE, X, ZERO, NonRealResult, NotDivisible, Poly, QuadExt,
                            quad_from_alpha, quad_from_beta)
@@ -74,15 +74,6 @@ def test_star_products_do_not_commute_for_quaternions():
     ctx = HyperContext(1, quaternion_table())
     ab, ba = ctx.star_products()
     assert ab != ba
-
-
-def test_q_mul_matches_element_product():
-    rng = random.Random(5)
-    for table in (quaternion_table(), octonion_table(), dual_table()):
-        ctx = HyperContext(Poly([1, 1]), table)
-        for _ in range(6):
-            a, b = rng.randint(0, 8), rng.randint(0, 8)
-            assert ctx._q_mul(a, b) == ctx.q(a) * ctx.q(b)
 
 
 # -- recurrence and partial sums ----------------------------------------------------
@@ -306,7 +297,7 @@ def test_docagne_boundary_holds_when_lifted_by_hand():
     # strict, so lifting it by direct computation must agree.
     ctx = HyperContext(Poly([1, 1]), quaternion_table())
     n = r = 4
-    lhs = ctx._q_mul(r, n + 1) - ctx._q_mul(r + 1, n)
+    lhs = ctx.q(r) * ctx.q(n + 1) - ctx.q(r + 1) * ctx.q(n)
     ab, ba = ctx.star_products()
     numerator = (ab - ba) if n % 2 == 0 else (ba - ab)
     for k in range(ctx.dim):
@@ -451,6 +442,58 @@ def test_cached_identities_match_the_straightforward_route(table, fault, monkeyp
         assert any(w and not w.startswith("coordinate 0") for w in witnesses)
 
 
+@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
+def test_packed_checks_at_the_smallest_indices(table):
+    # at n = r = 0 the products G_i G_j vanish or stay small, so the slot
+    # width must come from the packed M' = d^2 (h^2+4) and right sides too
+    for h in (Poly([F(1, 3)]), Poly([F(1000, 3), F(-7, 2)]), Poly([F(-1, 2), 0, F(3, 2)]),
+              Poly([F(5, 6), 0, 0, -2, F(1, 4)])):
+        ctx = HyperContext(h, table)
+        assert ctx.catalan_check(0, 0).ok, h
+        assert ctx.cassini_check(1).ok, h
+        assert ctx.docagne_check(0, 1).ok, h
+
+
+def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
+    h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
+    table = builtin("quaternion:1/2,3")
+    assert HyperContext(h, table).catalan_check(6, 2).ok
+    # one byte below what the coefficient bound needs
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
+    ctx = HyperContext(h, table)
+    checks = [lambda n=n: ctx.cassini_check(n) for n in (1, 4, 9)]
+    checks += [lambda n=n, r=r: ctx.catalan_check(n, r) for n, r in ((0, 0), (3, 1), (12, 5))]
+    checks += [lambda n=n, r=r: ctx.docagne_check(n, r) for n, r in ((0, 1), (2, 7), (9, 10))]
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
+
+
+def _ref_genfun(ctx, trunc):
+    """Coefficient j of (1 - h t - t^2) sum Q_n t^n as the convolution of
+    whole Q elements, against the numerator for j < 2 and zero after."""
+    numerator = ctx.genfun_numerator()
+    terms = [ctx.q(i) for i in range(trunc + 1)]
+    for j, got in enumerate(denominator_times_series(ctx.h, terms)):
+        if not (got == numerator[j] if j < 2 else not got):
+            return Verdict(False, f"t^{j} coefficient of the multiplied series")
+    return Verdict(True)
+
+
+@pytest.mark.parametrize("fault", ["exact", "f5_off_by_one"])
+@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
+def test_genfun_residuals_match_the_element_convolution(table, fault, monkeypatch):
+    if FAULTS[fault]:
+        monkeypatch.setattr(FibContext, *FAULTS[fault])
+    verdicts = []
+    for h in GENFUN_HS:
+        fast, ref = HyperContext(h, table), HyperContext(h, table)
+        for trunc in range(12):
+            verdicts.append(fast.genfun_check(trunc))
+            assert verdicts[-1] == _ref_genfun(ref, trunc), (h, trunc)
+    assert all(v.ok for v in verdicts) == (fault == "exact")
+
+
 def test_a_beta_that_is_not_alpha_conjugate_fails_both_binet_checks(monkeypatch):
     # the quadratic identities read only the powers of alpha, so the closed
     # form and the hyper-Binet check are the ones that see beta; s cannot
@@ -499,27 +542,42 @@ def test_roots_that_break_their_relations_fail_the_guard(table, monkeypatch):
 
 def test_right_sides_take_no_products_in_the_quadratic_extension(monkeypatch):
     calls = []
-    for name in ("__mul__", "divexact_by_s"):
-        real = getattr(QuadExt, name)
+
+    def count(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name):
             calls.append(_name)
             return _real(*args)
 
-        monkeypatch.setattr(QuadExt, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+
+    def run_checks():
+        for n in range(0, 9):
+            for r in range(0, n + 1):
+                assert ctx.catalan_check(n, r).ok
+                if r:
+                    ctx.printed_matches(n, r)
+            if n:
+                assert ctx.cassini_check(n).ok
+            for r in range(n + 1, 10):
+                assert ctx.docagne_check(n, r).ok
+
+    for name in ("__mul__", "divexact_by_s"):
+        count(QuadExt, name)
     ctx = HyperContext(Poly([F(1, 2), 0, 1]), octonion_table())
     ctx.fib.alpha_pow(40)
     ctx.fib.require_root_relations()
     calls.clear()
-    for n in range(0, 9):
-        for r in range(0, n + 1):
-            assert ctx.catalan_check(n, r).ok
-            if r:
-                ctx.printed_matches(n, r)
-        if n:
-            assert ctx.cassini_check(n).ok
-        for r in range(n + 1, 10):
-            assert ctx.docagne_check(n, r).ok
+    run_checks()
+    assert calls == []
+    # once the right sides and the packed terms are cached, the left sides
+    # take no polynomial product or linear combination either
+    count(Poly, "__mul__")
+    count(hyperfib, "poly_combination")
+    count(scalars, "poly_combination")
+    count(FibContext, "fib_product")
+    run_checks()
     assert calls == []
 
 

@@ -9,7 +9,8 @@ import pytest
 from fractions import Fraction
 
 from hxfib import hyperfib, scalars
-from hxfib.algebra import AlgebraTable, complex_table, quaternion_table, scalar_table
+from hxfib.algebra import (AlgebraTable, builtin, complex_table, quaternion_table,
+                           scalar_table)
 from hxfib.fibseq import FibContext
 from hxfib.scalars import ONE, X, Poly
 from hxfib.suite import (
@@ -124,13 +125,14 @@ def _unpack_without_borrow(value, count, w):
 
 
 def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
-    # F_u * F_v for a degree-4 h has 4u - 3 coefficients, and the complex
-    # hyper_catalan multiplies F_(n+i) F_(n+j) for i, j in {0, 1}, so from
-    # n = 3 on it multiplies above the Kronecker crossover (catalan_real
-    # compares packed integers and multiplies no polynomials)
+    # closed_form_halving multiplies h^(n-2k-1) by (h^2+4)^k; for a degree-4 h
+    # they have 4(n-2k-1) + 1 and 8k + 1 coefficients, so from n = 8 on
+    # (k = 2) both operands reach the Kronecker crossover, while the
+    # recurrence multiplies by the 5-coefficient h alone (the quadratic
+    # identities compare packed integers and multiply no polynomials)
     h = Poly([-2, Fraction(1, 3), 0, -1, Fraction(5, 2)])
     corpus = Corpus(seed=0, h_polys=(h,), algebras=(complex_table(),), n_max=20)
-    assert run_all(corpus, include={"hyper_catalan"}).ok
+    assert run_all(corpus, include={"closed_form_halving"}).ok
     calls = []
 
     def broken(value, count, w):
@@ -138,11 +140,11 @@ def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
         return _unpack_without_borrow(value, count, w)
 
     monkeypatch.setattr(scalars, "_kronecker_unpack", broken)
-    report = run_all(corpus, include={"hyper_catalan"})
+    report = run_all(corpus, include={"closed_form_halving"})
     assert calls
     assert report.failures
-    # below n = 3 every product stays on the schoolbook loop
-    assert all(c.params["n"] >= 3 for c in report.failures)
+    # below n = 8 every product stays on the schoolbook loop
+    assert all(c.params["n"] >= 8 for c in report.failures)
 
 
 def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
@@ -150,11 +152,29 @@ def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch
     # d^(2r) (Catalan: d^(2(n-r))) on its right side; dropping it is
     # invisible on the integer h of mutation_corpus(), so this fault is
     # not one of the MUTATIONS
-    monkeypatch.setattr(FibContext, "_den_sq_pow", lambda self, k: 1)
+    monkeypatch.setattr(FibContext, "den_pow", lambda self, k: 1)
     include = {"index_shift", "catalan_real"}
     assert run_all(mutation_corpus(), include=include).ok
     h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
     report = run_all(Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8), include=include)
+    assert {c.name for c in report.failures} == include
+
+
+@pytest.mark.parametrize("scale", [
+    lambda self, t: self._constants_lcm,
+    lambda self, t: self.fib.den_pow(t),
+], ids=["without_the_denominator_power", "without_the_constants_lcm"])
+def test_battery_notices_packed_algebra_checks_without_a_clearing_factor(scale, monkeypatch):
+    # the algebra right sides are cleared by e d^t, with e the lcm of the
+    # denominators of the structure constants and d that of h; an integer h
+    # and integer constants (mutation_corpus()) hide a missing factor
+    monkeypatch.setattr(hyperfib.HyperContext, "_right_scale", scale)
+    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+    assert run_all(mutation_corpus(), include=include).ok
+    h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
+    corpus = Corpus(seed=0, h_polys=(h,), algebras=(builtin("quaternion:1/2,3"),),
+                    n_max=6, r_max=6)
+    report = run_all(corpus, include=include)
     assert {c.name for c in report.failures} == include
 
 
