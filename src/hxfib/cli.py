@@ -2,7 +2,8 @@
 battery, expand generating functions, and inspect algebra tables.
 
 Exit codes: 0 success, 1 a check failed (or a table is not unital),
-2 usage or parse errors, an index above its cap among them.
+2 usage or parse errors, an index above its cap or a `verify --report`
+path that cannot be opened for writing among them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .algebra import (
@@ -175,15 +177,17 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
         corpus = replace(corpus, algebras=tables)
-    report = run_all(corpus)
-    text = report.to_json(indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(report.summary())
-    else:
-        sys.stdout.write(text + "\n")
-        print(report.summary(), file=sys.stderr)
+    # open the report before the run, so that a bad path costs no checks
+    try:
+        out = open(args.report, "w", encoding="utf-8") if args.report else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write report {args.report!r}: {exc.strerror or exc}")
+    with out as fh:
+        report = run_all(corpus)
+        text = report.to_json(indent=2)
+        fh.write(text)  # not text + "\n", a copy of the whole report
+        fh.write("\n")
+    print(report.summary(), file=sys.stdout if args.report else sys.stderr)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 

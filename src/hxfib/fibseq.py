@@ -120,6 +120,11 @@ class FibContext:
         f0, f1 = _INITIAL_TERMS
         self._fib = [as_poly(f0), as_poly(f1)]
         self._products: dict[tuple[int, int], Poly] = {}
+        # F_m - h F_(m-1) - F_(m-2) at m - 2, h (F_1 + ... + F_j) at j, and
+        # the closed form by index, shared by every table over this h
+        self._residuals: list[Poly] = []
+        self._h_partial_sums = [ZERO]
+        self._binets: dict[int, Poly] = {}
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
         # slot width w the memoized products G_u(2^(8w)) G_v(2^(8w))
         self._scaled: list[tuple] = []
@@ -143,6 +148,22 @@ class FibContext:
         while len(cache) <= n:
             cache.append(self.h * cache[-1] + cache[-2])
         return cache[n]
+
+    def _residual(self, m: int) -> Poly:
+        """F_m - h F_(m-1) - F_(m-2) for m >= 2, memoized: zero unless the
+        cached terms break the recurrence."""
+        residuals = self._residuals
+        while len(residuals) <= m - 2:
+            k = len(residuals) + 2
+            residuals.append(self.fib(k) - self.h * self.fib(k - 1) - self.fib(k - 2))
+        return residuals[m - 2]
+
+    def _h_partial_sum(self, j: int) -> Poly:
+        """h (F_1 + ... + F_j), memoized."""
+        sums = self._h_partial_sums
+        while len(sums) <= j:
+            sums.append(sums[-1] + self.h * self.fib(len(sums)))
+        return sums[j]
 
     def fib_product(self, u: int, v: int) -> Poly:
         """F_u * F_v, memoized; the quadratic identities reuse a small set
@@ -314,13 +335,17 @@ class FibContext:
         return scaled.a
 
     def binet(self, n: int) -> Poly:
-        """(alpha^n - beta^n) / (alpha - beta), via exact division by s."""
-        if n < 0:
-            raise IndexConstraintViolated("negative indices are undefined here")
-        quotient = (self.alpha_pow(n) - self.beta_pow(n)).divexact_by_s()
-        if quotient.b:
-            raise NonRealResult("radical residue in closed-form quotient")
-        return quotient.a
+        """(alpha^n - beta^n) / (alpha - beta), via exact division by s;
+        memoized, since the hyper-Binet check of every table reads it."""
+        got = self._binets.get(n)
+        if got is None:
+            if n < 0:
+                raise IndexConstraintViolated("negative indices are undefined here")
+            quotient = (self.alpha_pow(n) - self.beta_pow(n)).divexact_by_s()
+            if quotient.b:
+                raise NonRealResult("radical residue in closed-form quotient")
+            got = self._binets[n] = quotient.a
+        return got
 
     def differential_form(self, n: int) -> Poly:
         """sum over k of (1/k!) d^k/dh^k h^(n-k-1), computed literally in
@@ -355,9 +380,7 @@ class FibContext:
             raise ZeroH("the summation identity divides by h")
         if n < 1:
             raise IndexConstraintViolated("partial sums start at n = 1")
-        lhs = self.h * poly_sum(self.fib(k) for k in range(1, n + 1))
-        rhs = self.fib(n + 1) + self.fib(n) - 1
-        if lhs != rhs:
+        if self._h_partial_sum(n) != self.fib(n + 1) + self.fib(n) - 1:
             return Verdict(False, f"partial sum up to n={n}")
         return Verdict(True)
 

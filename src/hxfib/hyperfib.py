@@ -34,7 +34,10 @@ equal the left side when it does not.  Both sides are evaluated at
 x = 2^(8w) from the products G_u G_v that `FibContext.packing` memoizes
 for every table over one h.  The bound that picks w also covers M' and the
 right-side numerators, the vectors packed here.  The square part of
-Catalan, the sum over G_{n+i} G_{n+j}, is cached per n and w.
+Catalan, the sum over G_{n+i} G_{n+j}, is cached per n and w.  The
+second part of d'Ocagne at (n, r), the sum over G_{r+1+i} G_{n+j}, is
+its first part at (n-1, r+1): first parts are kept per (r, n+1, w) until
+read once as a second part.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -73,7 +76,6 @@ from .fibseq import (
     IndexConstraintViolated,
     Verdict,
     ZeroH,
-    denominator_times_series,
 )
 from .scalars import ONE, ZERO, Poly, _kronecker_pack, poly_combination
 
@@ -153,7 +155,8 @@ class HyperContext:
         #: M' = d^2 (h^2+4) as an integer vector
         self._cleared_modulus = (self.fib.modulus * den_pow(2)).num
         self._squares: dict[tuple[int, int], tuple] = {}  # Catalan's square parts by (n, w)
-        self._prefix_sums: list[AlgElement] = []  # Q_1 + ... + Q_p at p - 1
+        # d'Ocagne first parts by (a, b, w), each dropped once read as a second part
+        self._docagne_firsts: dict[tuple[int, int, int], tuple] = {}
         self._brackets: dict[tuple[int, int], _RightSides] = {}  # by (exponent, r % 2)
         self._docagne_rhs: dict[int, _RightSides] = {}  # by r - n
 
@@ -190,27 +193,29 @@ class HyperContext:
     # -- verifiers ---------------------------------------------------------
 
     def recurrence_check(self, n: int) -> Verdict:
-        """Q_{n+2} == h Q_{n+1} + Q_n, coordinatewise."""
-        lhs = self.q(n + 2)
-        rhs = self.q(n + 1) * self.h + self.q(n)
-        if lhs != rhs:
-            return Verdict(False, self._first_diff(lhs, rhs, f"n={n}"))
+        """Q_{n+2} == h Q_{n+1} + Q_n, coordinatewise.  Coordinate k is the
+        scalar residual F_m - h F_{m-1} - F_{m-2} at m = n + k + 2, built
+        once per `FibContext` and shared by every table."""
+        if n < 0:
+            raise IndexConstraintViolated("negative indices are undefined here")
+        for k in range(self.dim):
+            if self.fib._residual(n + k + 2):
+                return Verdict(False, f"coordinate {k} at n={n}")
         return Verdict(True)
 
     def partial_sum_check(self, p: int) -> Verdict:
-        """h * sum(Q_1..Q_p) == Q_{p+1} + Q_p - Q_0 - Q_1, cleared."""
+        """h * sum(Q_1..Q_p) == Q_{p+1} + Q_p - Q_0 - Q_1, cleared.
+        Coordinate k is h (S_{p+k} - S_k) == F_{p+k+1} + F_{p+k} - F_{k+1}
+        - F_k with S_j = F_1 + ... + F_j, and h S_j is built once per
+        `FibContext`."""
         if not self.h:
             raise ZeroH("the partial-sum identity divides by h")
         if p < 1:
             raise IndexConstraintViolated("partial sums start at p = 1")
-        sums = self._prefix_sums
-        while len(sums) < p:
-            q = self.q(len(sums) + 1)
-            sums.append(sums[-1] + q if sums else q)
-        lhs = sums[p - 1] * self.h
-        rhs = self.q(p + 1) + self.q(p) - self.q(0) - self.q(1)
-        if lhs != rhs:
-            return Verdict(False, self._first_diff(lhs, rhs, f"p={p}"))
+        fib, h_sum = self.fib.fib, self.fib._h_partial_sum
+        for k in range(self.dim):
+            if h_sum(p + k) - h_sum(k) != fib(p + k + 1) + fib(p + k) - fib(k + 1) - fib(k):
+                return Verdict(False, f"coordinate {k} at p={p}")
         return Verdict(True)
 
     def binet_check(self, n: int) -> Verdict:
@@ -240,17 +245,17 @@ class HyperContext:
         truncation order, with the numerator of `genfun_numerator`.
         Coefficient j of the left side is the convolution
         Q_j - h Q_{j-1} - Q_{j-2}, whose coordinate k for j >= 2 is the
-        scalar residual F_m - h F_{m-1} - F_{m-2} at m = j + k, so each
-        residual is built once."""
-        h, dim = self.h, self.dim
-        terms = [self.fib.fib(m) for m in range(trunc + dim)]
+        scalar residual F_m - h F_{m-1} - F_{m-2} at m = j + k, built once
+        per `FibContext`, as in `recurrence_check`."""
+        h, dim, fib = self.h, self.dim, self.fib
+        terms = [fib.fib(m) for m in range(dim + 1)]
         for j, expected in enumerate(self.genfun_numerator()[:trunc + 1]):
             got = terms[:dim] if j == 0 else [terms[k + 1] - h * terms[k] for k in range(dim)]
             if tuple(got) != expected.coords:
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
         if trunc >= 2:
-            for m, residual in enumerate(denominator_times_series(h, terms)):
-                if m >= 2 and residual:
+            for m in range(2, trunc + dim):
+                if fib._residual(m):
                     return Verdict(False, f"t^{max(2, m - dim + 1)} coefficient "
                                           "of the multiplied series")
         return Verdict(True)
@@ -336,15 +341,19 @@ class HyperContext:
             return tuple(sum(weight * product(u + i, v + j) for i, j, weight in coord)
                          for coord in terms)
 
-        if a2 != b2:
-            seconds = pair_sum(a2, b2)
-        else:  # the square part of Catalan, shared by every r at one n
+        firsts = pair_sum(a, b)
+        if a2 == b2:  # the square part of Catalan, shared by every r at one n
             seconds = self._squares.get((a2, w))
             if seconds is None:
                 seconds = self._squares[a2, w] = pair_sum(a2, b2)
+        else:  # d'Ocagne, whose second part at (n, r) is the first at (n-1, r+1)
+            seconds = self._docagne_firsts.pop((a2, b2, w), None)
+            if seconds is None:
+                seconds = pair_sum(a2, b2)
+            self._docagne_firsts[a, b, w] = firsts
         factor, rights = sides.packed(w)
         sign = -1 if n % 2 else 1
-        pairs = zip(quotients, rights, pair_sum(a, b), seconds)
+        pairs = zip(quotients, rights, firsts, seconds)
         for k, (quotient, right, x, y) in enumerate(pairs):
             if not quotient or factor * (x - y) != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
@@ -392,10 +401,3 @@ class HyperContext:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
         return self._packed_check(self._docagne_quotients(r - n), (r, n + 1), (r + 1, n),
                                   r + n + 2 * self.dim - 3, n, f"n={n}, r={r}")
-
-    @staticmethod
-    def _first_diff(lhs: AlgElement, rhs: AlgElement, where: str) -> str:
-        for k, (a, b) in enumerate(zip(lhs.coords, rhs.coords)):
-            if a != b:
-                return f"coordinate {k} at {where}"
-        return where

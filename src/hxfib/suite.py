@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
 from unittest import mock
 
@@ -148,6 +149,12 @@ class CheckRecord:
         return (self.name, tuple(sorted(self.params.items())))
 
 
+#: The params of one record as the indent=2 encoder lays out their members
+#: (eight spaces deep), without the line breaks inside the braces; the C
+#: encoder, since no indent is set.
+_PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
+
+
 @dataclass
 class Report:
     seed: int
@@ -169,7 +176,52 @@ class Report:
         return {"seed": self.seed, "checks": [c.to_dict() for c in self.checks]}
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """`json.dumps(self.to_dict(), indent=indent, sort_keys=True)`.
+        With indent=2 the text is built from a per-record template, since
+        the indented stdlib encoder is pure Python; a report outside the
+        template's shape goes through `json.dumps`."""
+        text = self._template_json() if indent == 2 else None
+        if text is None:
+            text = json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return text
+
+    def _template_json(self) -> str | None:
+        """The indent=2 text of `to_json`, or None when a record is outside
+        the shape the template covers: a finite float `ms`, `str` name,
+        verdict and witness (or no witness), and a flat dict of params
+        whose keys are `str` and whose values are `str`, `int` or finite
+        `float`.  Params go through the C encoder with their braces
+        re-indented; every other value is quoted or repr'd as the stdlib
+        encoder does it."""
+        if type(self.seed) is not int:
+            return None
+        quote = encode_basestring_ascii
+        params_text = _PARAMS_ENCODER.encode
+        parts = []
+        for c in self.checks:
+            ms, params, witness = c.ms, c.params, c.witness
+            if (type(ms) is not float or not math.isfinite(ms) or type(c.name) is not str
+                    or type(c.verdict) is not str or type(params) is not dict):
+                return None
+            for key, value in params.items():
+                kind = type(value)
+                if type(key) is not str or not (
+                        kind is str or kind is int or kind is float and math.isfinite(value)):
+                    return None
+            inner = params_text(params)
+            if params:
+                inner = "{\n        " + inner[1:-1] + "\n      }"
+            if witness is None:
+                tail = "\n    }"
+            elif type(witness) is str:
+                tail = f',\n      "witness": {quote(witness)}\n    }}'
+            else:
+                return None
+            # ms is an exact float, so !r is float.__repr__, as in the encoder
+            parts.append(f'{{\n      "ms": {ms!r},\n      "name": {quote(c.name)},\n'
+                         f'      "params": {inner},\n      "verdict": {quote(c.verdict)}{tail}')
+        checks = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
+        return f'{{\n  "checks": {checks},\n  "seed": {self.seed!r}\n}}'
 
     def comparable(self) -> dict:
         """The report without its timing fields, for determinism tests."""

@@ -611,6 +611,17 @@ def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_unwritable_report_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "missing" / "report.json"
+    monkeypatch.setattr(cli, "run_all", lambda corpus: pytest.fail("the run started"))
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--nmax", "1",
+                             "--report", str(path))
+    assert code == 2
+    assert err.startswith("hxfib: error: cannot write report ") and "Traceback" not in err
+    assert "checks:" not in out and "checks:" not in err  # no summary: no check ran
+    assert not path.exists()
+
+
 def test_verify_bad_nmax_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--nmax", "0")
     assert code == 2

@@ -11,6 +11,7 @@ from hxfib import fibseq, hyperfib, scalars, suite
 from hxfib.algebra import (
     AlgebraTable,
     builtin,
+    builtin_names,
     complex_table,
     dual_table,
     octonion_table,
@@ -467,6 +468,49 @@ def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
     for check in checks:
         with pytest.raises(AssertionError):
             check()
+
+
+def _ref_recurrence(ctx, n):
+    lhs, rhs = ctx.q(n + 2), ctx.q(n + 1) * ctx.h + ctx.q(n)
+    return (True, None) if lhs == rhs else (False, _ref_first_diff(lhs, rhs, f"n={n}"))
+
+
+def _ref_partial_sum(ctx, p):
+    total = ctx.q(1)
+    for i in range(2, p + 1):
+        total = total + ctx.q(i)
+    lhs, rhs = total * ctx.h, ctx.q(p + 1) + ctx.q(p) - ctx.q(0) - ctx.q(1)
+    return (True, None) if lhs == rhs else (False, _ref_first_diff(lhs, rhs, f"p={p}"))
+
+
+@pytest.mark.parametrize("fault", ["exact", "f5_plus_x"])
+def test_shared_scalar_facts_match_the_element_route(fault, monkeypatch):
+    # one FibContext serves every table, as in a battery run, so each table
+    # after the first reads residuals, h-scaled partial sums and closed
+    # forms cached by another
+    if fault == "f5_plus_x":
+        monkeypatch.setattr(FibContext, "fib", lambda self, n: _fib(self, n) + (X if n == 5 else 0))
+    tables = [builtin(name) for name in builtin_names()] + [scalar_table(), THREEFOLD]
+    witnesses = set()
+    for h in (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(2, 3), F(-5, 4)])):
+        shared = FibContext(h)
+        for table in tables:
+            fast, ref = HyperContext(shared, table), HyperContext(h, table)
+            for n in range(0, 9):
+                v = fast.recurrence_check(n)
+                assert (v.ok, v.witness) == _ref_recurrence(ref, n), (table.name, h, n)
+                witnesses.add(v.witness)
+                v = fast.binet_check(n)
+                assert (v.ok, v.witness) == _ref_binet(ref, n), (table.name, h, n)
+            for p in range(1, 9):
+                v = fast.partial_sum_check(p)
+                assert (v.ok, v.witness) == _ref_partial_sum(ref, p), (table.name, h, p)
+                witnesses.add(v.witness)
+    if fault == "exact":
+        assert witnesses == {None}
+    else:
+        assert {"coordinate 0 at n=3", "coordinate 3 at n=0", "coordinate 0 at p=5",
+                "coordinate 3 at p=1"} <= witnesses
 
 
 def _ref_genfun(ctx, trunc):

@@ -2,6 +2,7 @@
 counterexample shrinking."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -337,3 +338,88 @@ def test_report_summary_counts():
     ])
     assert not report.ok
     assert "1 failed" in report.summary() and "1 flagged" in report.summary()
+
+
+# -- the report writer against the stdlib encoder ----------------------------------
+
+def _stdlib_text(report, indent=2):
+    return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
+
+
+def _assert_same_text(got, expected):
+    # a bare == would have pytest diff two megabyte strings on a failure
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"texts differ at offset {at}: {got[at - 60:at + 60]!r} "
+                    f"against {expected[at - 60:at + 60]!r}")
+
+
+ODD_TEXT = 'q"uote \\back\\slash \x00\x1f\t\n\x7f ctl \u2028\u2029 sep caf\u00e9 \u03b1\u2192\u03b2 \U0001d49c'
+
+HAND_BUILT = [
+    CheckRecord("plain", {"h": "x+1", "n": 3}, "pass", None, 0.125),
+    CheckRecord(ODD_TEXT, {ODD_TEXT: ODD_TEXT, "kéy": "v\\"}, "fail", ODD_TEXT, 1e-07),
+    CheckRecord("empty", {}, "flag", "", 12345.678),
+    CheckRecord("ratio_limit", {"h": "1", "x0": 2.0, "n": 40}, "pass", None, 0.0),
+    CheckRecord("ints", {"a": -7, "b": 10 ** 40, "c": -(10 ** 30), "d": 0}, "pass", None, 3.5e12),
+    CheckRecord("floats", {"y": -0.0, "z": 1e300, "w": 5e-324}, "fail", "w", -0.0),
+]
+
+
+@pytest.fixture(scope="module")
+def battery_reports():
+    small = run_all(default_corpus(42, n_max=6, r_max=6, p_max=6, trunc_n=6))
+    mutated = run_with_mutation("catalan_sign_exponent")
+    assert mutated.failures and all(c.witness for c in mutated.failures)
+    return small, mutated
+
+
+def test_report_writer_matches_the_stdlib_encoder_on_battery_reports(battery_reports):
+    for report in battery_reports:
+        _assert_same_text(report.to_json(indent=2), _stdlib_text(report))
+
+
+@pytest.mark.parametrize("records", [HAND_BUILT, HAND_BUILT[:1], HAND_BUILT[2:3], []],
+                         ids=["all", "one", "empty_params", "no_checks"])
+def test_report_writer_matches_the_stdlib_encoder_on_hand_built_records(records):
+    for seed in (0, -3, 42):
+        report = Report(seed, list(records))
+        assert report._template_json() is not None
+        assert report.to_json(indent=2) == _stdlib_text(report)
+
+
+@pytest.mark.parametrize("record", [
+    CheckRecord("nested", {"h": "1", "inner": {"n": 1}}, "pass", None, 0.5),
+    CheckRecord("listed", {"h": "1", "ns": [1, 2]}, "pass", None, 0.5),
+    CheckRecord("flag_param", {"h": "1", "exact": True}, "pass", None, 0.5),
+    CheckRecord("none_param", {"h": "1", "x": None}, "pass", None, 0.5),
+    CheckRecord("nan_param", {"x0": float("nan")}, "pass", None, 0.5),
+    CheckRecord("nan_ms", {"h": "1"}, "pass", None, float("nan")),
+    CheckRecord("inf_ms", {"h": "1"}, "fail", "w", float("inf")),
+    CheckRecord("int_ms", {"h": "1"}, "pass", None, 2),
+    CheckRecord("int_key", {1: "one"}, "pass", None, 0.5),
+    CheckRecord("int_witness", {"h": "1"}, "fail", 3, 0.5),
+], ids=lambda r: r.name)
+def test_records_outside_the_template_fall_back_to_the_stdlib_encoder(record):
+    report = Report(1, HAND_BUILT + [record])
+    assert report._template_json() is None
+    assert report.to_json(indent=2) == _stdlib_text(report)
+
+
+@pytest.mark.parametrize("indent", [None, 0, 4])
+def test_other_indents_go_through_the_stdlib_encoder(indent, monkeypatch):
+    report = Report(1, list(HAND_BUILT))
+    expected = _stdlib_text(report, indent)
+    monkeypatch.setattr(Report, "_template_json", lambda self: pytest.fail("template used"))
+    assert report.to_json(indent=indent) == expected
+
+
+def test_report_writer_takes_the_template_on_an_ordinary_report(battery_reports, monkeypatch):
+    expected = [_stdlib_text(report) for report in battery_reports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report went through json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for report, text in zip(battery_reports, expected):
+        _assert_same_text(report.to_json(indent=2), text)
