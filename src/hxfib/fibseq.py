@@ -22,6 +22,12 @@ polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
 check bounds every coefficient of its left side minus its right side by
 the 1-norms of the G involved, and `FibContext.packing` picks w from that
 bound and raises `AssertionError` if w does not cover it.
+
+The binomial, halving and differential closed forms are evaluated the
+same way by `FibContext._packed_form`: each is an integer combination of
+h^i (h^2+4)^j over a denominator, which times d^(n-1) is an integer
+polynomial in H and M' = H^2 + 4d^2, evaluated at one packed point from
+cached powers of H(2^(8w)) by Horner in M'(2^(8w)) and unpacked once.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .scalars import (
     Poly,
     QuadExt,
     _kronecker_pack,
+    _kronecker_unpack,
     as_poly,
     binomial,
     poly_sum,
@@ -99,6 +106,14 @@ def _pack_width(bound: int) -> int:
     return 1 << (need - 1).bit_length()
 
 
+def _checked_width(bound: int) -> int:
+    """`_pack_width(bound)`, asserted to hold every value up to `bound`."""
+    w = _pack_width(bound)
+    if bound.bit_length() >= 8 * w:
+        raise AssertionError(f"{w}-byte slots cannot hold coefficients up to {bound}")
+    return w
+
+
 def _eval_float(p: Poly, x: float) -> float:
     acc = 0.0
     for c in reversed(p.coeffs):
@@ -131,8 +146,10 @@ class FibContext:
         self._norms: list[int] = []
         self._den_pows = [1]
         self._packed_products: dict[int, Callable[[int, int], int]] = {}
-        self._h_pows = [ONE]
-        self._disc_pows = [ONE]
+        # per slot width w, the powers of H(2^(8w)) that the packed closed
+        # forms read, and the k-th derivatives of y^(n-k-1) at row n
+        self._form_pows: dict[int, list[int]] = {}
+        self._derivatives: list[list[Poly]] = [[]]
         self._alpha_pows: list[QuadExt] | None = None
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
@@ -213,10 +230,7 @@ class FibContext:
         check on this context.  A product with a zero factor is 0 without
         packing the other one, which the bound need not cover."""
         self._scale_to(top)
-        limit = bound(self._norms)
-        w = _pack_width(limit)
-        if limit.bit_length() >= 8 * w:
-            raise AssertionError(f"{w}-byte slots cannot hold coefficients up to {limit}")
+        w = _checked_width(bound(self._norms))
         product = self._packed_products.get(w)
         if product is None:
             product = self._packed_products[w] = self._memoized_products(w)
@@ -281,37 +295,56 @@ class FibContext:
 
     # -- closed forms ----------------------------------------------------
 
-    def _h_pow(self, k: int) -> Poly:
-        pows = self._h_pows
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.h)
-        return pows[k]
+    def _packed_form(self, terms, den: int, n: int) -> Poly:
+        """F_n from a closed form in h and h^2 + 4, evaluated at one packed
+        point (see the module docstring).
 
-    def _disc_pow(self, k: int) -> Poly:
-        pows = self._disc_pows
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.modulus)
-        return pows[k]
+        With h = H/d and M' = H^2 + 4d^2 = d^2 (h^2 + 4), each
+        (weight, i, j) in `terms`, i + 2j <= n - 1, stands for
+        weight H^i M'^j d^(n-1-i-2j), and the form is their sum G over
+        den d^(n-1).  Every coefficient of G is bounded by the sum of
+        |weight| N_H^i N_M'^j d^(n-1-i-2j), with N_H = ||H||_1 and
+        N_M' = N_H^2 + 4d^2, and every coefficient of H by N_H; w is picked
+        from the larger of the two and asserted.
+        H is packed at x = 2^(8w), its powers cached per width, G(2^(8w))
+        is summed by Horner in M'(2^(8w)), so that every product of two
+        large integers has the short M'(2^(8w)) as a factor, and unpacked
+        once."""
+        if n < 1:
+            raise IndexConstraintViolated("closed forms start at n = 1")
+        num, d = self.h.num, self.h.den
+        terms = [(c * self.den_pow(n - 1 - i - 2 * j), i, j) for c, i, j in terms]
+        norm_h = sum(map(abs, num))
+        norm_m = norm_h * norm_h + 4 * d * d
+        w = _checked_width(max(norm_h, sum(abs(c) * norm_h ** i * norm_m ** j
+                                           for c, i, j in terms)))
+        powers = self._form_pows.get(w)
+        if powers is None:
+            powers = self._form_pows[w] = [1, _kronecker_pack(num, w)]
+        top = max((i for _, i, _ in terms), default=0)
+        while len(powers) <= top:
+            powers.append(powers[-1] * powers[1])
+        parts = [0] * (max((j for *_, j in terms), default=0) + 1)
+        for c, i, j in terms:
+            parts[j] += c * powers[i]
+        m, value = powers[1] * powers[1] + 4 * d * d, 0
+        for part in reversed(parts):
+            value = value * m + part
+        count = max((i + 2 * j for _, i, j in terms), default=0) * max(len(num) - 1, 0) + 1
+        return Poly._rational(_kronecker_unpack(value, count, w), den * self.den_pow(n - 1))
 
     def explicit_binomial(self, n: int) -> Poly:
         """Binomial closed form: sum of C(n-k-1, k) h^(n-2k-1)."""
-        if n < 1:
-            raise IndexConstraintViolated("closed forms start at n = 1")
-        return poly_sum(
-            self._h_pow(n - 2 * k - 1) * binomial(n - k - 1, k)
-            for k in range(0, (n - 1) // 2 + 1)
-        )
+        return self._packed_form(
+            [(binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range(0, (n - 1) // 2 + 1)],
+            1, n)
 
     def explicit_halving(self, n: int) -> Poly:
         """Halving closed form:
         2^(1-n) * sum of C(n, 2k+1) h^(n-2k-1) (h^2+4)^k, exact."""
-        if n < 1:
-            raise IndexConstraintViolated("closed forms start at n = 1")
-        total = poly_sum(
-            (self._h_pow(n - 2 * k - 1) * self._disc_pow(k)) * binomial(n, 2 * k + 1)
-            for k in range(0, (n - 1) // 2 + 1)
-        )
-        return total * Fraction(1, 2 ** (n - 1))
+        return self._packed_form(
+            [(binomial(n, 2 * k + 1), n - 2 * k - 1, k) for k in range(0, (n - 1) // 2 + 1)],
+            2 ** (n - 1), n)
 
     def _chebyshev_u(self, m: int) -> QuadExt:
         if self._cheb is None:
@@ -348,17 +381,18 @@ class FibContext:
         return got
 
     def differential_form(self, n: int) -> Poly:
-        """sum over k of (1/k!) d^k/dh^k h^(n-k-1), computed literally in
-        the formal ring Q[h] and then composed with the concrete h."""
+        """sum over k of (1/k!) d^k/dy^k y^(n-k-1), computed literally in
+        the formal ring Q[y] and then evaluated at y = h by `_packed_form`.
+        Each k-th derivative of y^(n-k-1) is one derivative of the memoized
+        (k-1)-th one, from row n - 1."""
         if n < 1:
             raise IndexConstraintViolated("closed forms start at n = 1")
-        terms = []
-        for k in range(0, (n - 1) // 2 + 1):
-            mono = Poly.monomial(n - k - 1)
-            for _ in range(k):
-                mono = mono.derivative()
-            terms.append(mono * Fraction(1, math.factorial(k)))
-        return poly_sum(terms).compose(self.h)
+        rows = self._derivatives
+        while len(rows) <= n:
+            m = len(rows)
+            rows.append([Poly.monomial(m - 1)] + [q.derivative() for q in rows[-1][:(m - 1) // 2]])
+        p = poly_sum(q * Fraction(1, math.factorial(k)) for k, q in enumerate(rows[n]))
+        return self._packed_form([(c, j, 0) for j, c in enumerate(p.num) if c], p.den, n)
 
     # -- identity verifiers ----------------------------------------------
 

@@ -331,19 +331,6 @@ class Poly:
             out = _schoolbook_mul(a, b)
         return Poly._rational(out, self.den * other.den)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def eval(self, t):
         """Horner evaluation at `t`; `t` may belong to an extension ring."""
         cs = self.coeffs
@@ -353,13 +340,6 @@ class Poly:
         for c in reversed(cs[:-1]):
             acc = acc * t + c
         return acc
-
-    def compose(self, other: "Poly") -> "Poly":
-        """self(other(x)), via Horner over polynomials."""
-        value = self.eval(other)
-        if isinstance(value, Poly):
-            return value
-        return Poly((value,))
 
     def derivative(self) -> "Poly":
         return Poly._rational([self.num[i] * i for i in range(1, len(self.num))], self.den)
@@ -417,15 +397,14 @@ class Poly:
 
 
 #: Shorter-operand length from which `Poly` products use Kronecker
-#: substitution.  Chosen by recording every rational product of one pass
-#: of the benchmark's scalar_deep and verify workloads at seed 42 and
-#: timing a sample of 2,500 of each with both kernels (CPython 3.11,
-#: 2 cores): the estimated multiply time per pass was lowest, within 1%,
-#: for thresholds of 8-12, and within 3% of an oracle choosing per product
-#: (at 12: scalar_deep 0.84 s against 1.53 s all-schoolbook, verify 1.99 s
-#: against 2.51 s); 16 costs 3% more and 32 costs 16-28% more.  At 12 the
-#: fault-injection corpus, whose operands have at most 8 coefficients,
-#: stays on the schoolbook loop, where Kronecker is up to 4x slower.
+#: substitution.  Chosen by timing a sample of the rational products the
+#: check battery made when the closed forms multiplied `Poly` powers of h
+#: and h^2 + 4 (h of degree <= 4), with both kernels (CPython 3.11,
+#: 2 cores): thresholds of 8-12 were best within 1%, 16 cost 3% more and 32
+#: cost 16-28% more, and below 12 Kronecker was up to 4x slower on operands
+#: of at most 8 coefficients.  The battery's corpora now reach no product
+#: this long; `seq` and `genfun` do, in the recurrence products h F_(n-1)
+#: for an h of degree 11 or more.
 KRONECKER_MIN_LEN = 12
 
 
@@ -622,19 +601,6 @@ class QuadExt:
         if isinstance(other, (int, Fraction, Poly)):
             return QuadExt(self.a * other, self.b * other, self.modulus)
         return NotImplemented
-
-    def __pow__(self, n: int) -> "QuadExt":
-        if n < 0:
-            raise ValueError("negative power in quadratic extension")
-        result = QuadExt.one(self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def conjugate(self) -> "QuadExt":
         """The s -> -s conjugate (a ring automorphism)."""

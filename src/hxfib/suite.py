@@ -655,23 +655,18 @@ def corrupt_unit_row(table: AlgebraTable) -> AlgebraTable:
 
 
 def _faulty_binomial_form(self, n):
-    if n < 1:
-        raise IndexConstraintViolated("closed forms start at n = 1")
     # off by one: the top summand is dropped
-    return poly_sum(
-        self._h_pow(n - 2 * k - 1) * fibseq_mod.binomial(n - k - 1, k)
-        for k in range(0, (n - 1) // 2)
-    )
+    return self._packed_form(
+        [(fibseq_mod.binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range(0, (n - 1) // 2)],
+        1, n)
 
 
 def _faulty_halving_form(self, n):
-    if n < 1:
-        raise IndexConstraintViolated("closed forms start at n = 1")
     # the 2^(1-n) factor is dropped
-    return poly_sum(
-        (self._h_pow(n - 2 * k - 1) * self._disc_pow(k)) * fibseq_mod.binomial(n, 2 * k + 1)
-        for k in range(0, (n - 1) // 2 + 1)
-    )
+    return self._packed_form(
+        [(fibseq_mod.binomial(n, 2 * k + 1), n - 2 * k - 1, k)
+         for k in range(0, (n - 1) // 2 + 1)],
+        1, n)
 
 
 def _faulty_roots(self):

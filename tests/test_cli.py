@@ -296,6 +296,17 @@ def test_genfun_with_algebra(capsys):
     assert any(line.startswith("numerator t^1,") for line in lines)
 
 
+def test_genfun_with_wide_h_coefficients(capsys):
+    # the numerator's first term is F_1 from the packed binomial form,
+    # which packs h whatever its size
+    for h_text in ("200", "-300x", "1/3+150x"):
+        code, out, _ = run_cli(
+            capsys, "genfun", f"--h={h_text}", "--N", "2", "--algebra", "quaternion"
+        )
+        assert code == 0, h_text
+        assert out.strip().splitlines()[-1] == "verified", h_text
+
+
 def two_branch_genfun_text(h_text, trunc, algebra):
     """The text `genfun` wrote when its scalar case had a branch of its own
     instead of running over the one-dimensional table."""

@@ -9,7 +9,7 @@ import pytest
 
 from fractions import Fraction
 
-from hxfib import hyperfib, scalars
+from hxfib import fibseq, hyperfib, scalars
 from hxfib.algebra import (AlgebraTable, builtin, complex_table, quaternion_table,
                            scalar_table)
 from hxfib.fibseq import FibContext
@@ -126,35 +126,37 @@ def _unpack_without_borrow(value, count, w):
 
 
 def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
-    # closed_form_halving multiplies h^(n-2k-1) by (h^2+4)^k; for a degree-4 h
-    # they have 4(n-2k-1) + 1 and 8k + 1 coefficients, so from n = 8 on
-    # (k = 2) both operands reach the Kronecker crossover, while the
-    # recurrence multiplies by the 5-coefficient h alone (the quadratic
-    # identities compare packed integers and multiply no polynomials)
+    # the binomial, halving and differential forms each unpack one packed
+    # value G(2^(8w)) per n; at n = 1 G is a constant in one slot, so only
+    # from n = 2 on, where G has the shape of h^(n-1), can a slot be read
+    # wrong (the recurrence multiplies by the 5-coefficient h alone, below
+    # the crossover of the Poly kernel)
     h = Poly([-2, Fraction(1, 3), 0, -1, Fraction(5, 2)])
+    forms = {"closed_form_binomial", "closed_form_halving", "closed_form_differential"}
     corpus = Corpus(seed=0, h_polys=(h,), algebras=(complex_table(),), n_max=20)
-    assert run_all(corpus, include={"closed_form_halving"}).ok
+    assert run_all(corpus, include=forms).ok
     calls = []
 
     def broken(value, count, w):
         calls.append(count)
         return _unpack_without_borrow(value, count, w)
 
-    monkeypatch.setattr(scalars, "_kronecker_unpack", broken)
-    report = run_all(corpus, include={"closed_form_halving"})
+    monkeypatch.setattr(fibseq, "_kronecker_unpack", broken)
+    report = run_all(corpus, include=forms)
     assert calls
-    assert report.failures
-    # below n = 8 every product stays on the schoolbook loop
-    assert all(c.params["n"] >= 8 for c in report.failures)
+    assert {c.name for c in report.failures} == forms
+    assert all(c.params["n"] >= 2 for c in report.failures)
 
 
 def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
     # G_n = d^(n-1) F_n turns each quadratic identity into one with a factor
-    # d^(2r) (Catalan: d^(2(n-r))) on its right side; dropping it is
-    # invisible on the integer h of mutation_corpus(), so this fault is
-    # not one of the MUTATIONS
+    # d^(2r) (Catalan: d^(2(n-r))) on its right side, and the binomial,
+    # halving and differential forms are read as G_n over d^(n-1); dropping
+    # the power is invisible on the integer h of mutation_corpus(), so this
+    # fault is not one of the MUTATIONS
     monkeypatch.setattr(FibContext, "den_pow", lambda self, k: 1)
-    include = {"index_shift", "catalan_real"}
+    include = {"index_shift", "catalan_real", "closed_form_binomial", "closed_form_halving",
+               "closed_form_differential"}
     assert run_all(mutation_corpus(), include=include).ok
     h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
     report = run_all(Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8), include=include)
