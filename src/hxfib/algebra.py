@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polytext import parse_rational
 from .scalars import Poly, QuadExt
 
 
@@ -324,9 +325,9 @@ def builtin(kind: str, *params) -> AlgebraTable:
     if ":" in kind and not args:
         name, _, tail = kind.partition(":")
         try:
-            args = [Fraction(t) for t in tail.split(",") if t]
-        except (ValueError, ZeroDivisionError):
-            raise UnknownKind(f"bad parameters in algebra kind {kind!r}")
+            args = [parse_rational(t) for t in tail.split(",") if t]
+        except ValueError as exc:
+            raise UnknownKind(f"bad parameters in algebra kind {kind!r}: {exc}")
     factory = _BUILTINS.get(name)
     if factory is None:
         raise UnknownKind(f"unknown builtin algebra {kind!r}")
@@ -350,10 +351,7 @@ def _constant_to_json(c):
 def _constant_from_json(v):
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"structure constant must be an int or 'p/q', got {v!r}")
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational {v!r}")
+    return Fraction(v) if isinstance(v, int) else parse_rational(v)
 
 
 def table_to_spec(table: AlgebraTable) -> dict:

@@ -36,16 +36,29 @@ class PolyParseError(ValueError):
         self.token = token
 
 
+_COEFF = r"\d+(?:/\d+)?"  # the coeff rule of the grammar above
+
 _TERM = re.compile(
-    r"""
+    rf"""
     (?P<sign>[+-]?)
     (?:
-        (?P<coeff>\d+(?:/\d+)?)(?P<var1>x(?:\^(?P<exp1>\d+))?)?
+        (?P<coeff>{_COEFF})(?P<var1>x(?:\^(?P<exp1>\d+))?)?
       | (?P<var2>x(?:\^(?P<exp2>\d+))?)
     )
     """,
     re.VERBOSE,
 )
+
+
+def parse_rational(text: str) -> Fraction:
+    """A coeff of the grammar above with an optional sign, such as "-3" or
+    "1/2"; `ValueError` on any other text or a zero denominator."""
+    if re.fullmatch(rf"[+-]?{_COEFF}", text) is None:
+        raise ValueError(f"{text!r} is not an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_poly(text: str) -> Poly:
@@ -77,8 +90,8 @@ def parse_poly(text: str) -> Poly:
         else:
             exp = 1 if m.group("var1") or m.group("var2") else 0
         try:
-            c = Fraction(m.group("coeff") or 1)
-        except (ValueError, ZeroDivisionError) as exc:
+            c = parse_rational(m.group("coeff") or "1")
+        except ValueError as exc:
             raise PolyParseError(f"bad coefficient: {exc}", m.group("coeff")[:16]) from None
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * c
         pos = m.end()

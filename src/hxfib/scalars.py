@@ -213,10 +213,6 @@ class Poly:
         return obj
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
         return cls((0,) * k + (c,))
 
@@ -330,16 +326,6 @@ class Poly:
         else:
             out = _schoolbook_mul(a, b)
         return Poly._rational(out, self.den * other.den)
-
-    def eval(self, t):
-        """Horner evaluation at `t`; `t` may belong to an extension ring."""
-        cs = self.coeffs
-        if not cs:
-            return t * 0
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * t + c
-        return acc
 
     def derivative(self) -> "Poly":
         return Poly._rational([self.num[i] * i for i in range(1, len(self.num))], self.den)

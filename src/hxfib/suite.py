@@ -9,14 +9,16 @@ printed-form diagnostic of the quadratic identity, which is recorded as
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Optional
 from unittest import mock
 
@@ -155,6 +157,54 @@ class CheckRecord:
 _PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
 
 
+def _template_record(c: CheckRecord) -> str | None:
+    """One record of an indent=2 report, four spaces deep, without the
+    indented stdlib encoder, which is pure Python; None outside the shape
+    covered: a finite float `ms`, `str` name, verdict and witness (or none),
+    and flat params with `str` keys and `str`, `int` or finite `float` values."""
+    ms, params, witness = c.ms, c.params, c.witness
+    if (type(ms) is not float or not math.isfinite(ms) or type(c.name) is not str
+            or type(c.verdict) is not str or type(params) is not dict
+            or witness is not None and type(witness) is not str):
+        return None
+    for key, value in params.items():
+        kind = type(value)
+        if type(key) is not str or not (
+                kind is str or kind is int or kind is float and math.isfinite(value)):
+            return None
+    inner = _PARAMS_ENCODER.encode(params)
+    if params:
+        inner = "{\n        " + inner[1:-1] + "\n      }"
+    tail = "\n    }" if witness is None else f',\n      "witness": {_quote(witness)}\n    }}'
+    # ms is an exact float, so !r is float.__repr__, as in the encoder
+    return (f'{{\n      "ms": {ms!r},\n      "name": {_quote(c.name)},\n'
+            f'      "params": {inner},\n      "verdict": {_quote(c.verdict)}{tail}')
+
+
+def write_report(out, seed: int, records: Iterable[CheckRecord]) -> Counter:
+    """Write `json.dumps({"seed": seed, "checks": [r.to_dict() for r in
+    records]}, indent=2, sort_keys=True)` to the text stream `out`, each
+    record as soon as it is made, and return the count of each verdict.
+    A run that stops early leaves a prefix that is not valid JSON."""
+    counts: Counter = Counter()
+    out.write('{\n  "checks": [')
+    for c in records:
+        text = (_template_record(c)
+                or json.dumps(c.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
+        out.write((",\n    " if counts else "\n    ") + text)
+        counts[c.verdict] += 1
+    seed_text = (repr(seed) if type(seed) is int
+                 else json.dumps(seed, indent=2, sort_keys=True).replace("\n", "\n  "))
+    out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed_text}\n}}')
+    return counts
+
+
+def summary_line(counts: Counter) -> str:
+    """The summary of a run from its count of each verdict."""
+    n, failed, flagged = sum(counts.values()), counts["fail"], counts["flag"]
+    return f"{n} checks: {n - failed - flagged} passed, {failed} failed, {flagged} flagged"
+
+
 @dataclass
 class Report:
     seed: int
@@ -176,52 +226,12 @@ class Report:
         return {"seed": self.seed, "checks": [c.to_dict() for c in self.checks]}
 
     def to_json(self, indent: int | None = None) -> str:
-        """`json.dumps(self.to_dict(), indent=indent, sort_keys=True)`.
-        With indent=2 the text is built from a per-record template, since
-        the indented stdlib encoder is pure Python; a report outside the
-        template's shape goes through `json.dumps`."""
-        text = self._template_json() if indent == 2 else None
-        if text is None:
-            text = json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        return text
-
-    def _template_json(self) -> str | None:
-        """The indent=2 text of `to_json`, or None when a record is outside
-        the shape the template covers: a finite float `ms`, `str` name,
-        verdict and witness (or no witness), and a flat dict of params
-        whose keys are `str` and whose values are `str`, `int` or finite
-        `float`.  Params go through the C encoder with their braces
-        re-indented; every other value is quoted or repr'd as the stdlib
-        encoder does it."""
-        if type(self.seed) is not int:
-            return None
-        quote = encode_basestring_ascii
-        params_text = _PARAMS_ENCODER.encode
-        parts = []
-        for c in self.checks:
-            ms, params, witness = c.ms, c.params, c.witness
-            if (type(ms) is not float or not math.isfinite(ms) or type(c.name) is not str
-                    or type(c.verdict) is not str or type(params) is not dict):
-                return None
-            for key, value in params.items():
-                kind = type(value)
-                if type(key) is not str or not (
-                        kind is str or kind is int or kind is float and math.isfinite(value)):
-                    return None
-            inner = params_text(params)
-            if params:
-                inner = "{\n        " + inner[1:-1] + "\n      }"
-            if witness is None:
-                tail = "\n    }"
-            elif type(witness) is str:
-                tail = f',\n      "witness": {quote(witness)}\n    }}'
-            else:
-                return None
-            # ms is an exact float, so !r is float.__repr__, as in the encoder
-            parts.append(f'{{\n      "ms": {ms!r},\n      "name": {quote(c.name)},\n'
-                         f'      "params": {inner},\n      "verdict": {quote(c.verdict)}{tail}')
-        checks = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
-        return f'{{\n  "checks": {checks},\n  "seed": {self.seed!r}\n}}'
+        """`json.dumps(self.to_dict(), indent=indent, sort_keys=True)`."""
+        if indent != 2:
+            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        out = io.StringIO()
+        write_report(out, self.seed, self.checks)
+        return out.getvalue()
 
     def comparable(self) -> dict:
         """The report without its timing fields, for determinism tests."""
@@ -231,11 +241,7 @@ class Report:
         return doc
 
     def summary(self) -> str:
-        n = len(self.checks)
-        return (
-            f"{n} checks: {n - len(self.failures) - len(self.flags)} passed, "
-            f"{len(self.failures)} failed, {len(self.flags)} flagged"
-        )
+        return summary_line(Counter(c.verdict for c in self.checks))
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +617,21 @@ def _schedule(corpus: Corpus, include: set[str] | None = None) -> Iterator[tuple
         yield "ratio_limit", {"h": "x", "x0": 2.0, "n": 40}
 
 
-def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
-    """Execute the scheduled cross-product of checks over the corpus."""
+def iter_records(corpus: Corpus, include: set[str] | None = None) -> Iterator[CheckRecord]:
+    """Run the scheduled checks over the corpus, yielding each record as made."""
     runtime = Runtime(_tables_by_name(corpus.algebras))
-    records: list[CheckRecord] = []
     current_h: str | None = None
     for name, params in _schedule(corpus, include):
         h = params.get("h")
         if h is not None and h != current_h:
             runtime.clear()  # bound the product caches to one h at a time
             current_h = h
-        records.append(_execute(runtime, name, params))
-    return Report(corpus.seed, records)
+        yield _execute(runtime, name, params)
+
+
+def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
+    """The report of `iter_records` over the corpus, every record kept."""
+    return Report(corpus.seed, list(iter_records(corpus, include)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 their exit codes, and JSON/CSV emitter agreement."""
 
 import csv
+import errno
 import io
 import json
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hxfib import cli
+from hxfib import cli, suite
 from hxfib.algebra import builtin_names
 from hxfib.cli import (
     MAX_GENFUN_N,
@@ -19,9 +20,15 @@ from hxfib.cli import (
     MAX_VERIFY_NMAX,
     main,
 )
-from hxfib.polytext import MAX_EXPONENT, PolyParseError, format_poly, parse_poly
+from hxfib.polytext import (
+    MAX_EXPONENT,
+    PolyParseError,
+    format_poly,
+    parse_poly,
+    parse_rational,
+)
 from hxfib.scalars import ONE, X, ZERO, Poly
-from hxfib.suite import random_h_polys
+from hxfib.suite import default_corpus, random_h_polys, run_all
 
 F = Fraction
 
@@ -359,7 +366,7 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
         raise AssertionError("a rejected option must not start any work")
 
     monkeypatch.setattr(cli.FibContext, "fib", no_work)
-    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "iter_records", no_work)
     assert 7 * 143 == 13 * 77 == MAX_N_TIMES_DEGREE + 1 == MAX_N_TIMES_BITS + 1
     for argv, option in (
         (("seq", "--h", "1", "--n", str(MAX_SEQ_N + 1)), "--n"),
@@ -513,6 +520,41 @@ def test_algebra_malformed_json_exits_two(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_rational_constants_follow_the_coefficient_grammar():
+    for text, value in (("-3", -3), ("+2", 2), ("1/2", F(1, 2)), ("-4/6", F(-2, 3))):
+        assert parse_rational(text) == value
+    for text in ("1e3", "1.5", "1_0", " 1", "1/", "/2", "--1", "1/-2", "0x10", "1/0", ""):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+BIG = "1" + "0" * 4999  # above the interpreter's 4,300-digit limit
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "t\xff", "dim": 1, "table": [[[1]]]}', "can't decode byte 0xff"),
+    (b'{"name": "t", "dim": 1, "table": [[[' + BIG.encode() + b']]]}', "malformed JSON"),
+    (json.dumps({"name": "t", "dim": 1, "table": [[[BIG]]]}).encode(), "bad algebra spec"),
+    *((json.dumps({"name": "t", "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [c, 0]]]})
+       .encode(), "is not an integer or p/q") for c in ("1e3000000", "1.5", "1_0")),
+], ids=["non_utf8", "5000_digit_int", "5000_digit_string", "exponent", "decimal",
+        "underscore"])
+def test_hostile_algebra_files_exit_two(tmp_path, capsys, content, message):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "algebra", str(path))
+    assert code == 2 and not out
+    assert err.startswith("hxfib: error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", ["1e3000000", "1.5", "1_0", "2, 3", BIG])
+def test_hostile_builtin_parameters_exit_two(capsys, params):
+    for command in (("algebra",), ("seq", "--h", "1", "--n", "2", "--algebra")):
+        code, out, err = run_cli(capsys, *command, f"quaternion:{params}")
+        assert code == 2 and not out
+        assert err.startswith("hxfib: error: bad parameters in algebra kind ")
+
+
 @pytest.mark.parametrize("table", [5, [5], [[5]], {"0": [[1]]}])
 def test_algebra_malformed_table_exits_two(tmp_path, capsys, table):
     path = tmp_path / "shape.json"
@@ -610,7 +652,7 @@ def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
     spec["name"] = "scalar"
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(spec))
-    monkeypatch.setattr(cli, "run_all", lambda corpus: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "iter_records", lambda corpus: pytest.fail("the run started"))
     code, _, err = run_cli(capsys, "verify", "--nmax", "2", "--algebra", str(path))
     assert code == 2
     assert "'scalar'" in err and "reserved" in err
@@ -624,13 +666,65 @@ def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
 
 def test_verify_unwritable_report_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
     path = tmp_path / "missing" / "report.json"
-    monkeypatch.setattr(cli, "run_all", lambda corpus: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "iter_records", lambda corpus: pytest.fail("the run started"))
     code, out, err = run_cli(capsys, "verify", "--seed", "1", "--nmax", "1",
                              "--report", str(path))
     assert code == 2
     assert err.startswith("hxfib: error: cannot write report ") and "Traceback" not in err
     assert "checks:" not in out and "checks:" not in err  # no summary: no check ran
     assert not path.exists()
+
+
+def test_verify_streams_the_records_without_building_a_report(tmp_path, capsys, monkeypatch):
+    expected = run_all(default_corpus(1, n_max=2, r_max=2, p_max=2, trunc_n=2))
+    monkeypatch.setattr(suite.Report, "__init__",
+                        lambda *args, **kwargs: pytest.fail("a Report was built"))
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--nmax", "2",
+                           "--report", str(path))
+    assert code == 0
+    assert out == expected.summary() + "\n"
+    doc = json.loads(path.read_text())
+    for check in doc["checks"]:
+        del check["ms"]
+    assert doc == expected.comparable()
+
+
+def test_verify_crash_leaves_the_records_so_far_in_a_report_that_is_not_json(
+        tmp_path, monkeypatch):
+    execute, made = suite._execute, []
+
+    def crash_after_seven(runtime, name, params):
+        if len(made) == 7:
+            raise RuntimeError("check crashed")
+        made.append(execute(runtime, name, params))
+        return made[-1]
+
+    monkeypatch.setattr(suite, "_execute", crash_after_seven)
+    path = tmp_path / "report.json"
+    with pytest.raises(RuntimeError, match="check crashed"):
+        main(["verify", "--seed", "1", "--nmax", "2", "--report", str(path)])
+    text = path.read_text()
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
+    closed = json.loads(text + '\n  ],\n  "seed": 1\n}')
+    assert closed == {"seed": 1, "checks": [record.to_dict() for record in made]}
+
+
+def test_verify_report_write_error_exits_two(tmp_path, capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell():  # the first write succeeds, the run is under way
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Full(), raising=False)
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--nmax", "1",
+                             "--report", str(tmp_path / "report.json"))
+    assert code == 2
+    assert err.startswith("hxfib: error: cannot write report ")
+    assert "No space left on device" in err and "Traceback" not in err
+    assert "checks:" not in out and "checks:" not in err
 
 
 def test_verify_bad_nmax_exits_two(capsys):

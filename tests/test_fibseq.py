@@ -21,7 +21,6 @@ from hxfib.scalars import (
     ZERO,
     Poly,
     QuadExt,
-    as_poly,
     poly_sum,
     quad_from_alpha,
     quad_from_beta,
@@ -151,7 +150,9 @@ def poly_route(h, n_max):
             for _ in range(k):
                 mono = mono.derivative()
             terms.append(mono * F(1, math.factorial(k)))
-        differential = as_poly(poly_sum(terms).eval(h))
+        differential = ZERO  # the sum in Q[y] composed with h, by Horner
+        for c in reversed(poly_sum(terms).coeffs):
+            differential = differential * h + c
         yield n, dict(zip(PACKED_FORMS, (binomial, halving, differential)))
 
 

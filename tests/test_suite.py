@@ -1,15 +1,17 @@
 """The check battery: scheduling, determinism, fault injection, and
 counterexample shrinking."""
 
+import io
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from fractions import Fraction
 
-from hxfib import fibseq, hyperfib, scalars
+from hxfib import fibseq, hyperfib, scalars, suite
 from hxfib.algebra import (AlgebraTable, builtin, complex_table, quaternion_table,
                            scalar_table)
 from hxfib.fibseq import FibContext
@@ -21,6 +23,7 @@ from hxfib.suite import (
     Corpus,
     Report,
     Runtime,
+    _template_record,
     corrupt_table_entry,
     corrupt_unit_row,
     default_corpus,
@@ -29,6 +32,8 @@ from hxfib.suite import (
     run_all,
     run_with_mutation,
     shrink,
+    summary_line,
+    write_report,
 )
 
 
@@ -384,9 +389,9 @@ def test_report_writer_matches_the_stdlib_encoder_on_battery_reports(battery_rep
 @pytest.mark.parametrize("records", [HAND_BUILT, HAND_BUILT[:1], HAND_BUILT[2:3], []],
                          ids=["all", "one", "empty_params", "no_checks"])
 def test_report_writer_matches_the_stdlib_encoder_on_hand_built_records(records):
-    for seed in (0, -3, 42):
+    assert all(_template_record(c) is not None for c in records)
+    for seed in (0, -3, 42, 2.5, {"nested": [1, "s"]}):
         report = Report(seed, list(records))
-        assert report._template_json() is not None
         assert report.to_json(indent=2) == _stdlib_text(report)
 
 
@@ -404,15 +409,30 @@ def test_report_writer_matches_the_stdlib_encoder_on_hand_built_records(records)
 ], ids=lambda r: r.name)
 def test_records_outside_the_template_fall_back_to_the_stdlib_encoder(record):
     report = Report(1, HAND_BUILT + [record])
-    assert report._template_json() is None
+    assert _template_record(record) is None
     assert report.to_json(indent=2) == _stdlib_text(report)
+
+
+def test_a_fallback_record_between_two_ordinary_ones_streams_like_json_dumps():
+    odd = CheckRecord("odd", {"h": "1", "inner": {"n": [1, 2], "x0": 2.0}}, "pass", None,
+                      float("nan"))
+    records = [HAND_BUILT[0], odd, HAND_BUILT[1]]
+    assert [_template_record(c) is None for c in records] == [False, True, False]
+    out = io.StringIO()
+    counts = write_report(out, 5, iter(records))
+    expected = json.dumps({"seed": 5, "checks": [c.to_dict() for c in records]},
+                          indent=2, sort_keys=True)
+    _assert_same_text(out.getvalue(), expected)
+    assert counts == Counter({"pass": 2, "fail": 1})
+    assert summary_line(counts) == Report(5, records).summary() == (
+        "3 checks: 2 passed, 1 failed, 0 flagged")
 
 
 @pytest.mark.parametrize("indent", [None, 0, 4])
 def test_other_indents_go_through_the_stdlib_encoder(indent, monkeypatch):
     report = Report(1, list(HAND_BUILT))
     expected = _stdlib_text(report, indent)
-    monkeypatch.setattr(Report, "_template_json", lambda self: pytest.fail("template used"))
+    monkeypatch.setattr(suite, "write_report", lambda *args: pytest.fail("template used"))
     assert report.to_json(indent=indent) == expected
 
 
