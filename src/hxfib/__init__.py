@@ -26,7 +26,7 @@ from .fibseq import (
     Verdict,
     ZeroH,
 )
-from .hyperfib import CatalanVerdict, HyperContext
+from .hyperfib import HyperContext
 from .polytext import PolyParseError, format_poly, parse_poly
 from .scalars import (
     GaussRational,

@@ -28,6 +28,10 @@ same way by `FibContext._packed_form`: each is an integer combination of
 h^i (h^2+4)^j over a denominator, which times d^(n-1) is an integer
 polynomial in H and M' = H^2 + 4d^2, evaluated at one packed point from
 cached powers of H(2^(8w)) by Horner in M'(2^(8w)) and unpacked once.
+
+The generating-function and summation checks read the memoized facts
+`residual(m)` = F_m - h F_(m-1) - F_(m-2) and `h_partial_sum(j)`, which
+the recurrence, partial-sum and genfun checks of `hyperfib` share.
 """
 
 from __future__ import annotations
@@ -83,19 +87,6 @@ _INITIAL_TERMS = (0, 1)
 
 #: 1, i, -1, -i in Q[x][i], the quadratic extension with modulus -1.
 _I_POWERS = tuple(QuadExt(a, b, -1) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1)))
-
-
-def denominator_times_series(h: Poly, terms: list):
-    """The coefficients of (1 - h t - t^2) * sum S_j t^j for j < len(terms):
-    S_j - h S_{j-1} - S_{j-2}, with the terms at negative indices left out.
-    The S_j may be polynomials or algebra elements with polynomial
-    coordinates."""
-    for j, got in enumerate(terms):
-        if j >= 1:
-            got = got - h * terms[j - 1]
-        if j >= 2:
-            got = got - terms[j - 2]
-        yield got
 
 
 def _pack_width(bound: int) -> int:
@@ -166,7 +157,7 @@ class FibContext:
             cache.append(self.h * cache[-1] + cache[-2])
         return cache[n]
 
-    def _residual(self, m: int) -> Poly:
+    def residual(self, m: int) -> Poly:
         """F_m - h F_(m-1) - F_(m-2) for m >= 2, memoized: zero unless the
         cached terms break the recurrence."""
         residuals = self._residuals
@@ -175,7 +166,7 @@ class FibContext:
             residuals.append(self.fib(k) - self.h * self.fib(k - 1) - self.fib(k - 2))
         return residuals[m - 2]
 
-    def _h_partial_sum(self, j: int) -> Poly:
+    def h_partial_sum(self, j: int) -> Poly:
         """h (F_1 + ... + F_j), memoized."""
         sums = self._h_partial_sums
         while len(sums) <= j:
@@ -399,12 +390,13 @@ class FibContext:
     def genfun_check(self, trunc: int) -> Verdict:
         """Truncated check of the generating function t / (1 - h t - t^2):
         multiplying the series by the denominator must leave exactly t.
-        Coefficient j of that product is the explicit convolution
-        F_j - h F_{j-1} - F_{j-2}, compared for j <= trunc."""
-        terms = [self.fib(i) for i in range(trunc + 1)]
-        for j, got in enumerate(denominator_times_series(self.h, terms)):
-            expected = ONE if j == 1 else ZERO
-            if got != expected:
+        Coefficient j of that product is the convolution
+        F_j - h F_{j-1} - F_{j-2}, with the terms at negative indices left
+        out, compared for j <= trunc; from j = 2 on it is `residual(j)`."""
+        heads = (self.fib(0), self.fib(1) - self.h * self.fib(0))
+        for j in range(trunc + 1):
+            got = heads[j] if j < 2 else self.residual(j)
+            if got != (ONE if j == 1 else ZERO):
                 return Verdict(False, f"t^{j} coefficient of (1-ht-t^2)*series")
         return Verdict(True)
 
@@ -414,7 +406,7 @@ class FibContext:
             raise ZeroH("the summation identity divides by h")
         if n < 1:
             raise IndexConstraintViolated("partial sums start at n = 1")
-        if self._h_partial_sum(n) != self.fib(n + 1) + self.fib(n) - 1:
+        if self.h_partial_sum(n) != self.fib(n + 1) + self.fib(n) - 1:
             return Verdict(False, f"partial sum up to n={n}")
         return Verdict(True)
 

@@ -54,21 +54,22 @@ built once per context:
 
 - Catalan at r, Cassini at r = 1: sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)],
   rational like (h^2+4) times the left side;
-- the printed bracket times (-1)^(r+1): the same with 2r replaced by 2;
+- the printed bracket times (-1)^(r+1), for `printed_matches`: the same
+  with 2r replaced by 2;
 - d'Ocagne at d = r - n: sum c_ijk Y(i + d, j).
 
 This holds only for roots with alpha + beta = h and alpha beta = -1.
 `FibContext.require_root_relations` checks both once, and the Catalan,
 Cassini, printed and d'Ocagne comparisons raise if either fails.
-Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`.
+Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`,
+and the recurrence, partial-sum and genfun checks read the scalar facts
+`FibContext.residual` and `FibContext.h_partial_sum`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraTable, AlgElement
 from .fibseq import (
@@ -85,16 +86,6 @@ def _root_product(u: int, v: int) -> tuple[int, int]:
     sign beta^-m for m < 0: alpha beta = -1 cancels min(u, v) factors of
     each root."""
     return (-1 if min(u, v) % 2 else 1), u - v
-
-
-@dataclass(frozen=True)
-class CatalanVerdict(Verdict):
-    """Catalan verdict plus the diagnostic comparison of the printed
-    right-hand side (which fixes the root exponent at 2) against the
-    derived one (exponent 2r); None when r = 0 makes the diagnostic
-    meaningless."""
-
-    printed_matches: Optional[bool] = None
 
 
 class _RightSides:
@@ -194,25 +185,25 @@ class HyperContext:
 
     def recurrence_check(self, n: int) -> Verdict:
         """Q_{n+2} == h Q_{n+1} + Q_n, coordinatewise.  Coordinate k is the
-        scalar residual F_m - h F_{m-1} - F_{m-2} at m = n + k + 2, built
-        once per `FibContext` and shared by every table."""
+        scalar residual F_m - h F_{m-1} - F_{m-2} at m = n + k + 2,
+        `FibContext.residual`, shared by every table."""
         if n < 0:
             raise IndexConstraintViolated("negative indices are undefined here")
         for k in range(self.dim):
-            if self.fib._residual(n + k + 2):
+            if self.fib.residual(n + k + 2):
                 return Verdict(False, f"coordinate {k} at n={n}")
         return Verdict(True)
 
     def partial_sum_check(self, p: int) -> Verdict:
         """h * sum(Q_1..Q_p) == Q_{p+1} + Q_p - Q_0 - Q_1, cleared.
         Coordinate k is h (S_{p+k} - S_k) == F_{p+k+1} + F_{p+k} - F_{k+1}
-        - F_k with S_j = F_1 + ... + F_j, and h S_j is built once per
-        `FibContext`."""
+        - F_k with S_j = F_1 + ... + F_j, and h S_j is
+        `FibContext.h_partial_sum`."""
         if not self.h:
             raise ZeroH("the partial-sum identity divides by h")
         if p < 1:
             raise IndexConstraintViolated("partial sums start at p = 1")
-        fib, h_sum = self.fib.fib, self.fib._h_partial_sum
+        fib, h_sum = self.fib.fib, self.fib.h_partial_sum
         for k in range(self.dim):
             if h_sum(p + k) - h_sum(k) != fib(p + k + 1) + fib(p + k) - fib(k + 1) - fib(k):
                 return Verdict(False, f"coordinate {k} at p={p}")
@@ -245,8 +236,8 @@ class HyperContext:
         truncation order, with the numerator of `genfun_numerator`.
         Coefficient j of the left side is the convolution
         Q_j - h Q_{j-1} - Q_{j-2}, whose coordinate k for j >= 2 is the
-        scalar residual F_m - h F_{m-1} - F_{m-2} at m = j + k, built once
-        per `FibContext`, as in `recurrence_check`."""
+        scalar residual `FibContext.residual(j + k)`, as in
+        `recurrence_check`."""
         h, dim, fib = self.h, self.dim, self.fib
         terms = [fib.fib(m) for m in range(dim + 1)]
         for j, expected in enumerate(self.genfun_numerator()[:trunc + 1]):
@@ -255,7 +246,7 @@ class HyperContext:
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
         if trunc >= 2:
             for m in range(2, trunc + dim):
-                if fib._residual(m):
+                if fib.residual(m):
                     return Verdict(False, f"t^{max(2, m - dim + 1)} coefficient "
                                           "of the multiplied series")
         return Verdict(True)
@@ -368,15 +359,13 @@ class HyperContext:
             raise IndexConstraintViolated("need 0 <= r <= n")
         return self._bracket(2, r).values == self._bracket(2 * r, r).values
 
-    def catalan_check(self, n: int, r: int) -> CatalanVerdict:
+    def catalan_check(self, n: int, r: int) -> Verdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the derived bracket
         (-1)^n [a*b* (1 - (-1)^r a^2r) + b*a* (1 - (-1)^r b^2r)];
-        the printed variant with a^2, b^2 is evaluated as a diagnostic."""
+        `printed_matches` compares the printed variant with a^2, b^2."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        verdict = self._catalan_cleared_check(n, r, f"n={n}, r={r}")
-        printed = None if r == 0 else self.printed_matches(n, r)
-        return CatalanVerdict(verdict.ok, verdict.witness, printed)
+        return self._catalan_cleared_check(n, r, f"n={n}, r={r}")
 
     def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket

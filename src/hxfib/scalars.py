@@ -383,14 +383,13 @@ class Poly:
 
 
 #: Shorter-operand length from which `Poly` products use Kronecker
-#: substitution.  Chosen by timing a sample of the rational products the
-#: check battery made when the closed forms multiplied `Poly` powers of h
-#: and h^2 + 4 (h of degree <= 4), with both kernels (CPython 3.11,
-#: 2 cores): thresholds of 8-12 were best within 1%, 16 cost 3% more and 32
-#: cost 16-28% more, and below 12 Kronecker was up to 4x slower on operands
-#: of at most 8 coefficients.  The battery's corpora now reach no product
-#: this long; `seq` and `genfun` do, in the recurrence products h F_(n-1)
-#: for an h of degree 11 or more.
+#: substitution.  Timed on `seq --n 1000 // deg h` against schoolbook-only
+#: products (CPython 3.11, 2 cores, best of 5): on a dense h the two are
+#: even at 12 coefficients (deg 11: 0.15-0.19 s either way), and from there
+#: Kronecker wins, 1.05-1.4x at deg 12, 1.3x at deg 16, 3.4x at deg 50 and
+#: 6-7x at deg 100 and 1000.  On a sparse h (x^k + x + 1, k = 11, 20, 100) it
+#: is 25-35% slower, as the schoolbook loop skips zero coefficients.  The
+#: battery reaches no product this long; `seq` and `genfun` do, in h F_(n-1).
 KRONECKER_MIN_LEN = 12
 
 
@@ -528,17 +527,8 @@ class QuadExt:
         raise AttributeError("QuadExt is immutable")
 
     @classmethod
-    def zero(cls, modulus) -> "QuadExt":
-        return cls(_ZERO, _ZERO, modulus)
-
-    @classmethod
     def one(cls, modulus) -> "QuadExt":
         return cls(_ONE, _ZERO, modulus)
-
-    @classmethod
-    def radical(cls, modulus) -> "QuadExt":
-        """The element s itself."""
-        return cls(_ZERO, _ONE, modulus)
 
     @classmethod
     def from_poly(cls, p, modulus) -> "QuadExt":

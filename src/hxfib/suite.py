@@ -147,9 +147,6 @@ class CheckRecord:
             doc["witness"] = self.witness
         return doc
 
-    def key(self) -> tuple:
-        return (self.name, tuple(sorted(self.params.items())))
-
 
 #: The params of one record as the indent=2 encoder lays out their members
 #: (eight spaces deep), without the line breaks inside the braces; the C
@@ -315,6 +312,24 @@ def _closed_form_check(method: str) -> Callable[[Runtime, dict], Verdict]:
     return run
 
 
+def _fib_check(method: str, *keys: str) -> Callable[[Runtime, dict], Verdict]:
+    """The family that calls `FibContext.<method>` on the params named by
+    `keys`, looked up on the run's context at call time, so that a method
+    patched on the class is the one called."""
+    def run(rt: Runtime, p: dict) -> Verdict:
+        return getattr(rt.fib_ctx(p["h"]), method)(*map(p.__getitem__, keys))
+
+    return run
+
+
+def _hyper_check(method: str, *keys: str) -> Callable[[Runtime, dict], Verdict]:
+    """`_fib_check` for a `HyperContext` method."""
+    def run(rt: Runtime, p: dict) -> Verdict:
+        return getattr(rt.hyper_ctx(p["h"], p["algebra"]), method)(*map(p.__getitem__, keys))
+
+    return run
+
+
 def _ck_fib_degree(rt: Runtime, p: dict) -> Verdict:
     ctx = rt.fib_ctx(p["h"])
     n = p["n"]
@@ -322,22 +337,6 @@ def _ck_fib_degree(rt: Runtime, p: dict) -> Verdict:
     if ctx.fib(n).degree != expected:
         return Verdict(False, f"deg F_{n} is {ctx.fib(n).degree}, expected {expected}")
     return Verdict(True)
-
-
-def _ck_genfun_real(rt: Runtime, p: dict) -> Verdict:
-    return rt.fib_ctx(p["h"]).genfun_check(p["N"])
-
-
-def _ck_sum_identity(rt: Runtime, p: dict) -> Verdict:
-    return rt.fib_ctx(p["h"]).sum_identity_check(p["n"])
-
-
-def _ck_catalan_real(rt: Runtime, p: dict) -> Verdict:
-    return rt.fib_ctx(p["h"]).catalan_check(p["n"], p["r"])
-
-
-def _ck_index_shift(rt: Runtime, p: dict) -> Verdict:
-    return rt.fib_ctx(p["h"]).index_shift_check(p["a"], p["b"], p["c"], p["d"], p["r"])
 
 
 def _ck_ratio_limit(rt: Runtime, p: dict) -> Verdict:
@@ -413,39 +412,10 @@ def _ck_bilinearity(rt: Runtime, p: dict) -> Verdict:
     return Verdict(True)
 
 
-def _ck_hyper_recurrence(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).recurrence_check(p["n"])
-
-
-def _ck_hyper_partial_sum(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).partial_sum_check(p["p"])
-
-
-def _ck_hyper_binet(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).binet_check(p["n"])
-
-
-def _ck_hyper_genfun(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).genfun_check(p["N"])
-
-
-def _ck_hyper_catalan(rt: Runtime, p: dict) -> Verdict:
-    v = rt.hyper_ctx(p["h"], p["algebra"]).catalan_check(p["n"], p["r"])
-    return Verdict(v.ok, v.witness)
-
-
 def _ck_hyper_catalan_printed(rt: Runtime, p: dict) -> Verdict:
     if rt.hyper_ctx(p["h"], p["algebra"]).printed_matches(p["n"], p["r"]):
         return Verdict(True, "printed right-hand side matches the derived form")
     return Verdict(False, "printed right-hand side (square exponent) differs from the derived form (2r exponent)")
-
-
-def _ck_hyper_cassini(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).cassini_check(p["n"])
-
-
-def _ck_hyper_docagne(rt: Runtime, p: dict) -> Verdict:
-    return rt.hyper_ctx(p["h"], p["algebra"]).docagne_check(p["n"], p["r"])
 
 
 def _ck_dim1(rt: Runtime, p: dict) -> Verdict:
@@ -467,24 +437,24 @@ CHECKS: dict[str, Callable[[Runtime, dict], Verdict]] = {
     "closed_form_binet": _closed_form_check("binet"),
     "closed_form_differential": _closed_form_check("differential_form"),
     "fib_degree": _ck_fib_degree,
-    "genfun_real": _ck_genfun_real,
-    "sum_identity": _ck_sum_identity,
-    "catalan_real": _ck_catalan_real,
-    "index_shift": _ck_index_shift,
+    "genfun_real": _fib_check("genfun_check", "N"),
+    "sum_identity": _fib_check("sum_identity_check", "n"),
+    "catalan_real": _fib_check("catalan_check", "n", "r"),
+    "index_shift": _fib_check("index_shift_check", "a", "b", "c", "d", "r"),
     "ratio_limit": _ck_ratio_limit,
     "algebra_validate": _ck_algebra_validate,
     "hamilton_relations": _ck_hamilton,
     "alternative_laws": _ck_alternative,
     "unit_law": _ck_unit_law,
     "bilinearity": _ck_bilinearity,
-    "hyper_recurrence": _ck_hyper_recurrence,
-    "hyper_partial_sum": _ck_hyper_partial_sum,
-    "hyper_binet": _ck_hyper_binet,
-    "hyper_genfun": _ck_hyper_genfun,
-    "hyper_catalan": _ck_hyper_catalan,
+    "hyper_recurrence": _hyper_check("recurrence_check", "n"),
+    "hyper_partial_sum": _hyper_check("partial_sum_check", "p"),
+    "hyper_binet": _hyper_check("binet_check", "n"),
+    "hyper_genfun": _hyper_check("genfun_check", "N"),
+    "hyper_catalan": _hyper_check("catalan_check", "n", "r"),
     "hyper_catalan_printed": _ck_hyper_catalan_printed,
-    "hyper_cassini": _ck_hyper_cassini,
-    "hyper_docagne": _ck_hyper_docagne,
+    "hyper_cassini": _hyper_check("cassini_check", "n"),
+    "hyper_docagne": _hyper_check("docagne_check", "n", "r"),
     "dim1_specialization": _ck_dim1,
 }
 

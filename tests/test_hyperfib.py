@@ -19,8 +19,7 @@ from hxfib.algebra import (
     scalar_table,
     split_complex_table,
 )
-from hxfib.fibseq import (FibContext, IndexConstraintViolated, Verdict, ZeroH,
-                          denominator_times_series)
+from hxfib.fibseq import FibContext, IndexConstraintViolated, Verdict, ZeroH
 from hxfib.hyperfib import HyperContext
 from hxfib.scalars import (ONE, X, ZERO, NonRealResult, NotDivisible, Poly, QuadExt,
                            quad_from_alpha, quad_from_beta)
@@ -163,6 +162,29 @@ def f5_off_by_one(fib, prefill):
 GENFUN_HS = (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), ZERO)
 
 
+def denominator_times_series(h, terms):
+    """The coefficients of (1 - h t - t^2) * sum S_j t^j for j < len(terms):
+    S_j - h S_{j-1} - S_{j-2}, with the terms at negative indices left out.
+    The S_j may be polynomials or algebra elements with polynomial
+    coordinates."""
+    for j, got in enumerate(terms):
+        if j >= 1:
+            got = got - h * terms[j - 1]
+        if j >= 2:
+            got = got - terms[j - 2]
+        yield got
+
+
+def _ref_scalar_genfun(ctx, trunc):
+    """Coefficient j of (1 - h t - t^2) sum F_n t^n as the convolution of
+    the terms, against t."""
+    terms = [ctx.fib(i) for i in range(trunc + 1)]
+    for j, got in enumerate(denominator_times_series(ctx.h, terms)):
+        if got != (ONE if j == 1 else ZERO):
+            return Verdict(False, f"t^{j} coefficient of (1-ht-t^2)*series")
+    return Verdict(True)
+
+
 def genfun_expected(first_bad, trunc, text):
     """The verdict when t^first_bad is the first wrong coefficient, as the
     series-multiplication route gave it before the convolution replaced
@@ -186,6 +208,8 @@ def test_scalar_genfun_convolution_keeps_verdicts_and_witnesses(monkeypatch):
             assert wrong_start.genfun_check(trunc) == genfun_expected(1, trunc, text)
             assert late.genfun_check(trunc) == genfun_expected(5, trunc, text)
             assert early.genfun_check(trunc) == genfun_expected(5, trunc, text)
+            for ctx in (wrong_start, late, early):
+                assert ctx.genfun_check(trunc) == _ref_scalar_genfun(ctx, trunc)
 
 
 @pytest.mark.parametrize("table", [quaternion_table(), octonion_table(), THREEFOLD],
@@ -226,17 +250,19 @@ def test_genfun_convolution_keeps_verdicts_and_witnesses(table, first_bad, monke
 
 def test_catalan_r_zero_both_sides_vanish():
     verdict = HyperContext(1, quaternion_table()).catalan_check(4, 0)
-    assert verdict.ok and verdict.printed_matches is None
+    assert type(verdict) is Verdict and verdict == Verdict(True)
 
 
 def test_catalan_printed_form_agrees_at_r_one():
-    verdict = HyperContext(1, quaternion_table()).catalan_check(2, 1)
-    assert verdict.ok and verdict.printed_matches is True
+    ctx = HyperContext(1, quaternion_table())
+    assert ctx.catalan_check(2, 1) == Verdict(True)
+    assert ctx.printed_matches(2, 1) is True
 
 
 def test_catalan_printed_form_differs_at_r_two():
-    verdict = HyperContext(1, quaternion_table()).catalan_check(3, 2)
-    assert verdict.ok and verdict.printed_matches is False
+    ctx = HyperContext(1, quaternion_table())
+    assert ctx.catalan_check(3, 2) == Verdict(True)
+    assert ctx.printed_matches(3, 2) is False
 
 
 @pytest.mark.parametrize("table", ALGEBRAS, ids=lambda t: t.name)
@@ -245,10 +271,9 @@ def test_catalan_derived_form_across_corpus(table):
         ctx = HyperContext(h, table)
         for n in range(0, 11):
             for r in range(0, n + 1):
-                verdict = ctx.catalan_check(n, r)
-                assert verdict.ok, (table.name, h, n, r)
+                assert ctx.catalan_check(n, r).ok, (table.name, h, n, r)
                 if r == 1:
-                    assert verdict.printed_matches is True
+                    assert ctx.printed_matches(n, r) is True
 
 
 def test_cassini_equals_catalan_at_r_one():
@@ -424,9 +449,10 @@ def test_cached_identities_match_the_straightforward_route(table, fault, monkeyp
             witnesses.add(v.witness)
             for r in range(0, n + 1):
                 v = fast.catalan_check(n, r)
-                assert (v.ok, v.witness, v.printed_matches) == _ref_catalan(ref, n, r)
+                ok, witness, printed = _ref_catalan(ref, n, r)
+                assert (v.ok, v.witness) == (ok, witness)
                 if r:
-                    assert fast.printed_matches(n, r) == v.printed_matches
+                    assert fast.printed_matches(n, r) == printed
                 witnesses.add(v.witness)
             if n >= 1:
                 v = fast.cassini_check(n)

@@ -6,6 +6,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_flags_appear_only_for_the_printed_form():
 
 def test_every_scheduled_check_appears_exactly_once():
     report = run_all(small_corpus())
-    keys = [c.key() for c in report.checks]
+    keys = [(c.name, tuple(sorted(c.params.items()))) for c in report.checks]
     assert len(keys) == len(set(keys))
 
 
@@ -113,6 +114,21 @@ def test_each_mutation_is_detected(name):
 def test_clean_run_between_mutations():
     run_with_mutation("roots_swapped")
     assert run_all(small_corpus()).ok  # patching fully unwound
+
+
+def test_families_call_the_context_methods_patched_at_call_time():
+    # each family looks its method up on the run's context, so a method
+    # patched on the class after import is the one that runs
+    failing = mock.Mock(return_value=fibseq.Verdict(False, "patched"))
+    include = {"hyper_docagne", "hyper_cassini", "index_shift", "catalan_real"}
+    with mock.patch.object(hyperfib.HyperContext, "docagne_check", failing), \
+            mock.patch.object(FibContext, "index_shift_check", failing):
+        report = run_all(mutation_corpus(), include=include)
+    assert {c.name for c in report.checks} == include
+    assert {c.name for c in report.failures} == {"hyper_docagne", "index_shift"}
+    assert all(c.verdict == "fail" and c.witness == "patched" for c in report.checks
+               if c.name in ("hyper_docagne", "index_shift"))
+    assert failing.call_count == len(report.failures)
 
 
 def test_corrupted_table_fails_with_witness():
