@@ -31,7 +31,9 @@ cached powers of H(2^(8w)) by Horner in M'(2^(8w)) and unpacked once.
 
 The generating-function and summation checks read the memoized facts
 `residual(m)` = F_m - h F_(m-1) - F_(m-2) and `h_partial_sum(j)`, which
-the recurrence, partial-sum and genfun checks of `hyperfib` share.
+the recurrence and genfun checks of `hyperfib` share.  Its partial-sum
+check reads `sum_residual(j)` = h (F_1 + ... + F_j) - F_(j+1) - F_j + 1,
+built once per j from `h_partial_sum(j)` for every table over one h.
 """
 
 from __future__ import annotations
@@ -126,10 +128,12 @@ class FibContext:
         f0, f1 = _INITIAL_TERMS
         self._fib = [as_poly(f0), as_poly(f1)]
         self._products: dict[tuple[int, int], Poly] = {}
-        # F_m - h F_(m-1) - F_(m-2) at m - 2, h (F_1 + ... + F_j) at j, and
-        # the closed form by index, shared by every table over this h
+        # F_m - h F_(m-1) - F_(m-2) at m - 2, h (F_1 + ... + F_j) and
+        # h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 at j, and the closed form
+        # by index, shared by every table over this h
         self._residuals: list[Poly] = []
         self._h_partial_sums = [ZERO]
+        self._sum_residuals: list[Poly] = []
         self._binets: dict[int, Poly] = {}
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
         # slot width w the memoized products G_u(2^(8w)) G_v(2^(8w))
@@ -172,6 +176,15 @@ class FibContext:
         while len(sums) <= j:
             sums.append(sums[-1] + self.h * self.fib(len(sums)))
         return sums[j]
+
+    def sum_residual(self, j: int) -> Poly:
+        """h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 for j >= 0, memoized:
+        zero unless the cached terms are wrong."""
+        rhos = self._sum_residuals
+        while len(rhos) <= j:
+            k = len(rhos)
+            rhos.append(self.h_partial_sum(k) - self.fib(k + 1) - self.fib(k) + 1)
+        return rhos[j]
 
     def fib_product(self, u: int, v: int) -> Poly:
         """F_u * F_v, memoized; the quadratic identities reuse a small set

@@ -33,11 +33,19 @@ num/den in lowest terms, is one too when den divides e d^t, and cannot
 equal the left side when it does not.  Both sides are evaluated at
 x = 2^(8w) from the products G_u G_v that `FibContext.packing` memoizes
 for every table over one h.  The bound that picks w also covers M' and the
-right-side numerators, the vectors packed here.  The square part of
-Catalan, the sum over G_{n+i} G_{n+j}, is cached per n and w.  The
-second part of d'Ocagne at (n, r), the sum over G_{r+1+i} G_{n+j}, is
-its first part at (n-1, r+1): first parts are kept per (r, n+1, w) until
-read once as a second part.
+right-side numerators, the vectors packed here.  M' is divided out of
+the right side once rather than multiplied into every left side: each
+packed numerator num_k(2^(8w)) is divided by M'(2^(8w)), which is nonzero,
+once per width, and where the division is exact coordinate k compares the
+left side without M' against e d^t / den_k times the quotient, the same
+equation divided by M'(2^(8w)).  Where it leaves a remainder the left side
+is multiplied by M'(2^(8w)) as written, because e d^t / den_k can share
+factors with it.  d'Ocagne's factor is 1, so it always divides.
+
+The square part of Catalan, the sum over G_{n+i} G_{n+j}, is cached per n
+and w.  The second part of d'Ocagne at (n, r), the sum over
+G_{r+1+i} G_{n+j}, is its first part at (n-1, r+1): first parts are kept
+per (r, n+1, w) until read once as a second part.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -62,8 +70,8 @@ This holds only for roots with alpha + beta = h and alpha beta = -1.
 `FibContext.require_root_relations` checks both once, and the Catalan,
 Cassini, printed and d'Ocagne comparisons raise if either fails.
 Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`,
-and the recurrence, partial-sum and genfun checks read the scalar facts
-`FibContext.residual` and `FibContext.h_partial_sum`.
+the recurrence and genfun checks read the scalar fact
+`FibContext.residual`, and the partial-sum check `FibContext.sum_residual`.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ class _RightSides:
     """The right sides num_k / den_k of one identity, one per coordinate,
     against a left side that carries the integer polynomial factor M:
     ||M||_1 and the ||num_k||_1 for the coefficient bound and, per slot
-    width, the packed M(2^(8w)) and num_k(2^(8w))."""
+    width, the packed M(2^(8w)) and per coordinate (True, num_k(2^(8w)) //
+    M(2^(8w))) where the division is exact, else (False, num_k(2^(8w)))."""
 
     __slots__ = ("values", "factor", "factor_norm", "norms", "_packed")
 
@@ -106,10 +115,13 @@ class _RightSides:
     def packed(self, w: int) -> tuple:
         got = self._packed.get(w)
         if got is None:
-            got = self._packed[w] = (
-                _kronecker_pack(self.factor, w),
-                tuple(_kronecker_pack(v.num, w) for v in self.values),
-            )
+            factor = _kronecker_pack(self.factor, w)
+            rights = []
+            for v in self.values:
+                right = _kronecker_pack(v.num, w)
+                quotient, remainder = divmod(right, factor)
+                rights.append((False, right) if remainder else (True, quotient))
+            got = self._packed[w] = (factor, tuple(rights))
         return got
 
 
@@ -197,15 +209,16 @@ class HyperContext:
     def partial_sum_check(self, p: int) -> Verdict:
         """h * sum(Q_1..Q_p) == Q_{p+1} + Q_p - Q_0 - Q_1, cleared.
         Coordinate k is h (S_{p+k} - S_k) == F_{p+k+1} + F_{p+k} - F_{k+1}
-        - F_k with S_j = F_1 + ... + F_j, and h S_j is
-        `FibContext.h_partial_sum`."""
+        - F_k with S_j = F_1 + ... + F_j, that is rho_{p+k} == rho_k for
+        the scalar fact rho_j = h S_j - F_{j+1} - F_j + 1,
+        `FibContext.sum_residual`."""
         if not self.h:
             raise ZeroH("the partial-sum identity divides by h")
         if p < 1:
             raise IndexConstraintViolated("partial sums start at p = 1")
-        fib, h_sum = self.fib.fib, self.fib.h_partial_sum
+        rho = self.fib.sum_residual
         for k in range(self.dim):
-            if h_sum(p + k) - h_sum(k) != fib(p + k + 1) + fib(p + k) - fib(k + 1) - fib(k):
+            if rho(p + k) != rho(k):
                 return Verdict(False, f"coordinate {k} at p={p}")
         return Verdict(True)
 
@@ -309,7 +322,8 @@ class HyperContext:
         between packed integers, with (a, b) = first, (a2, b2) = second and
         num_k / den_k and M from `sides`.  The left side is an integer
         polynomial, and num_k / den_k is in lowest terms, so the sides
-        differ wherever den_k does not divide e d^t."""
+        differ wherever den_k does not divide e d^t.  Where M(2^(8w))
+        divides num_k(2^(8w)), both sides are compared divided by it."""
         (a, b), (a2, b2) = first, second
         terms = self._cleared_terms
         scale = self._right_scale(t)
@@ -345,8 +359,9 @@ class HyperContext:
         factor, rights = sides.packed(w)
         sign = -1 if n % 2 else 1
         pairs = zip(quotients, rights, firsts, seconds)
-        for k, (quotient, right, x, y) in enumerate(pairs):
-            if not quotient or factor * (x - y) != sign * quotient * right:
+        for k, (quotient, (divided, right), x, y) in enumerate(pairs):
+            left = x - y if divided else factor * (x - y)
+            if not quotient or left != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
         return Verdict(True)
 

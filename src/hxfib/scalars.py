@@ -10,7 +10,7 @@ all operations are pure, so instances can be shared freely.
 `Poly` has one representation, an integer coefficient vector over a
 positive denominator.  Polynomial products switch from the schoolbook loop
 to Kronecker substitution (one big-integer multiply) once the shorter
-operand reaches `KRONECKER_MIN_LEN` coefficients.  Sums and linear
+operand has `KRONECKER_MIN_LEN` nonzero coefficients.  Sums and linear
 combinations of many polynomials go through `poly_combination`, one pass
 over the integer vectors.  `GaussRational` backs no computation in the
 package and has no ties to `Poly`; it is kept only because the benchmark
@@ -165,10 +165,10 @@ class Poly:
     integer arithmetic, and the public face is the `coeffs` tuple.
 
     Products scale the other vector when one operand is a constant, use the
-    schoolbook loop below `KRONECKER_MIN_LEN` coefficients in the shorter
-    operand and Kronecker substitution from there on; subtraction of two
-    polynomials over the same denominator works on the integer vectors
-    directly.  Coefficients must be ints or `Fraction`s; anything else
+    schoolbook loop below `KRONECKER_MIN_LEN` nonzero coefficients in the
+    shorter operand and Kronecker substitution from there on; subtraction
+    of two polynomials over the same denominator works on the integer
+    vectors directly.  Coefficients must be ints or `Fraction`s; anything else
     raises `TypeError`.
     """
 
@@ -321,7 +321,7 @@ class Poly:
         if len(a) == 1:
             c = a[0]
             out = [v * c for v in b]
-        elif len(a) >= KRONECKER_MIN_LEN:
+        elif len(a) >= KRONECKER_MIN_LEN and len(a) - a.count(0) >= KRONECKER_MIN_LEN:
             out = _kronecker_mul(a, b)
         else:
             out = _schoolbook_mul(a, b)
@@ -382,13 +382,18 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-#: Shorter-operand length from which `Poly` products use Kronecker
-#: substitution.  Timed on `seq --n 1000 // deg h` against schoolbook-only
-#: products (CPython 3.11, 2 cores, best of 5): on a dense h the two are
-#: even at 12 coefficients (deg 11: 0.15-0.19 s either way), and from there
-#: Kronecker wins, 1.05-1.4x at deg 12, 1.3x at deg 16, 3.4x at deg 50 and
-#: 6-7x at deg 100 and 1000.  On a sparse h (x^k + x + 1, k = 11, 20, 100) it
-#: is 25-35% slower, as the schoolbook loop skips zero coefficients.  The
+#: Nonzero coefficients in the shorter operand from which `Poly` products
+#: use Kronecker substitution; the schoolbook loop skips zero coefficients,
+#: so its cost grows with their count, not the length.  Timed on
+#: `seq --n 1000 // deg h` against schoolbook-only products (CPython 3.11,
+#: 2 cores, best of 5): on a dense h the two are even at 12 coefficients
+#: (deg 11: 0.15-0.19 s either way), and from there Kronecker wins, 1.05-1.4x
+#: at deg 12, 1.3x at deg 16, 3.4x at deg 50 and 6-7x at deg 100 and 1000.
+#: On a sparse h (x^k + x + 1), where the length alone picked Kronecker,
+#: counting nonzeros took `seq` at k = 11, n = 90 from 0.098-0.116 to
+#: 0.047-0.074 s, at k = 20, n = 50 from 0.042-0.056 to 0.022-0.036 s and at
+#: k = 100, n = 10 from 0.005-0.009 to 0.003-0.005 s; dense h of degree 11 to
+#: 50 did not move beyond noise (three alternating rounds, best of 5).  The
 #: battery reaches no product this long; `seq` and `genfun` do, in h F_(n-1).
 KRONECKER_MIN_LEN = 12
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Optional
-from unittest import mock
 
 from . import fibseq as fibseq_mod
 from .algebra import (
@@ -684,20 +683,17 @@ def _faulty_chebyshev_form(self, n):
     return scaled.a
 
 
-def _method_mutation(attr: str, value):
+def _patched(owner, attr: str, value):
+    """A mutation that sets `owner.attr` to `value` while it is active and
+    then puts back exactly what `vars(owner)` held, wrapper or not."""
     @contextmanager
     def apply(corpus: Corpus):
-        with mock.patch.object(FibContext, attr, value):
+        saved = vars(owner)[attr]
+        setattr(owner, attr, value)
+        try:
             yield corpus
-
-    return apply
-
-
-def _module_mutation(attr: str, value):
-    @contextmanager
-    def apply(corpus: Corpus):
-        with mock.patch.object(fibseq_mod, attr, value):
-            yield corpus
+        finally:
+            setattr(owner, attr, saved)
 
     return apply
 
@@ -716,14 +712,14 @@ def _table_mutation(transform):
 #: The prescribed single-site faults; each must be caught by at least one
 #: failing check over `mutation_corpus()`.
 MUTATIONS: dict[str, Callable] = {
-    "wrong_initial_value": _module_mutation("_INITIAL_TERMS", (0, 2)),
+    "wrong_initial_value": _patched(fibseq_mod, "_INITIAL_TERMS", (0, 2)),
     "table_entry_sign": _table_mutation(lambda t: corrupt_table_entry(t, 1, 2, -1)),
-    "binomial_bound_off_by_one": _method_mutation("explicit_binomial", _faulty_binomial_form),
-    "halving_scale_dropped": _method_mutation("explicit_halving", _faulty_halving_form),
-    "roots_swapped": _method_mutation("roots", _faulty_roots),
-    "catalan_sign_exponent": _method_mutation("catalan_check", _faulty_catalan_check),
-    "sum_clearing_dropped": _method_mutation("sum_identity_check", _faulty_sum_identity_check),
-    "chebyshev_seed": _method_mutation("chebyshev_form", _faulty_chebyshev_form),
+    "binomial_bound_off_by_one": _patched(FibContext, "explicit_binomial", _faulty_binomial_form),
+    "halving_scale_dropped": _patched(FibContext, "explicit_halving", _faulty_halving_form),
+    "roots_swapped": _patched(FibContext, "roots", _faulty_roots),
+    "catalan_sign_exponent": _patched(FibContext, "catalan_check", _faulty_catalan_check),
+    "sum_clearing_dropped": _patched(FibContext, "sum_identity_check", _faulty_sum_identity_check),
+    "chebyshev_seed": _patched(FibContext, "chebyshev_form", _faulty_chebyshev_form),
     "unit_row_corrupted": _table_mutation(corrupt_unit_row),
     "table_transposed": _table_mutation(transpose_table),
 }

@@ -455,3 +455,17 @@ def test_binet_never_fails_on_corpus():
         ctx = FibContext(h)
         for n in range(0, 31):
             ctx.binet(n)  # would raise NotDivisible / NonRealResult on a fault
+
+
+@pytest.mark.parametrize("initial", [(0, 1), (0, 2)], ids=["exact", "wrong_initial_value"])
+def test_sum_residual_matches_the_direct_expression(initial, monkeypatch):
+    # rho_j = h (F_1 + ... + F_j) - F_(j+1) - F_j + 1; a doubled seed
+    # doubles every term, so rho_j = 2 (0 - 1) + 1 = -1 at every j
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", initial)
+    for h in (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(2, 3), F(-5, 4)])):
+        ctx = FibContext(h)
+        for j in (7, 0, 3, 11, 1):  # out of order: the memo fills up to j
+            direct = (h * poly_sum(ctx.fib(k) for k in range(1, j + 1))
+                      - ctx.fib(j + 1) - ctx.fib(j) + 1)
+            assert ctx.sum_residual(j) == direct, (h, j)
+            assert ctx.sum_residual(j) == (ZERO if initial == (0, 1) else -ONE)

@@ -496,6 +496,56 @@ def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
             check()
 
 
+_packed = hyperfib._RightSides.packed
+
+
+def _full_multiply(self, w):
+    """`_RightSides.packed` with every right side on the remainder route,
+    where the left side is multiplied by the packed factor."""
+    factor, rights = _packed(self, w)
+    return factor, tuple((False, right * factor if divided else right)
+                         for divided, right in rights)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("corpus", [
+    suite.mutation_corpus(),
+    suite.default_corpus(5, random_count=2, n_max=7, r_max=5),
+], ids=["mutation_corpus", "default_corpus"])
+def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch):
+    if FAULTS[fault]:
+        monkeypatch.setattr(FibContext, *FAULTS[fault])
+    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+    routes = []
+
+    def recorded(self, w):
+        got = _packed(self, w)
+        routes.extend(divided for divided, _ in got[1])
+        return got
+
+    monkeypatch.setattr(hyperfib._RightSides, "packed", recorded)
+    divided = suite.run_all(corpus, include=include)
+    assert routes and all(routes)
+    monkeypatch.setattr(hyperfib._RightSides, "packed", _full_multiply)
+    full = suite.run_all(corpus, include=include)
+    assert full.comparable() == divided.comparable()
+    assert bool(divided.failures) == (fault != "exact")
+
+
+def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch):
+    def shifted(self, w):
+        factor, ((divided, right), *rest) = _packed(self, w)
+        assert divided
+        return factor, ((divided, right + 1), *rest)
+
+    corpus = suite.mutation_corpus()
+    assert suite.run_all(corpus, include={"hyper_catalan"}).ok
+    monkeypatch.setattr(hyperfib._RightSides, "packed", shifted)
+    report = suite.run_all(corpus, include={"hyper_catalan"})
+    assert report.checks and all(c.verdict == "fail" for c in report.checks)
+    assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 0"}
+
+
 def _ref_recurrence(ctx, n):
     lhs, rhs = ctx.q(n + 2), ctx.q(n + 1) * ctx.h + ctx.q(n)
     return (True, None) if lhs == rhs else (False, _ref_first_diff(lhs, rhs, f"n={n}"))

@@ -321,6 +321,22 @@ def test_kronecker_only_above_crossover(monkeypatch):
     assert calls == [KRONECKER_MIN_LEN, KRONECKER_MIN_LEN]
 
 
+def test_sparse_operands_take_the_schoolbook_route(monkeypatch):
+    # the schoolbook loop skips zero coefficients, so the branch counts the
+    # shorter operand's nonzero coefficients, not its length
+    real = scalars._kronecker_mul
+    sparse = Poly.monomial(KRONECKER_MIN_LEN - 1) + X + 1
+    dense = Poly(range(1, 2 * KRONECKER_MIN_LEN))
+    want = tuple(real(sparse.num, dense.num))
+    calls = []
+    monkeypatch.setattr(scalars, "_kronecker_mul", lambda a, b: calls.append(len(a)) or real(a, b))
+    assert (sparse * dense).num == want
+    assert (dense * sparse).num == want
+    assert calls == []
+    dense * Poly(range(1, KRONECKER_MIN_LEN + 1))
+    assert calls == [KRONECKER_MIN_LEN]
+
+
 def test_poly_rejects_non_rational_coefficients():
     with pytest.raises(TypeError):
         Poly([1, GaussRational(0, 1)])

@@ -4,6 +4,8 @@ counterexample shrinking."""
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -114,6 +116,47 @@ def test_each_mutation_is_detected(name):
 def test_clean_run_between_mutations():
     run_with_mutation("roots_swapped")
     assert run_all(small_corpus()).ok  # patching fully unwound
+
+
+def test_importing_the_package_loads_no_mock_or_asyncio():
+    # the mutations patch by hand, so a process that never injects a fault
+    # does not pay for unittest.mock and the asyncio stack behind it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(suite.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import hxfib, hxfib.cli; "
+         "print(sorted({'unittest.mock', 'asyncio'} & (set(sys.modules) - before)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_each_mutation_puts_back_what_it_patched(name):
+    before = dict(vars(FibContext)), fibseq._INITIAL_TERMS
+    with MUTATIONS[name](mutation_corpus()):
+        pass
+    assert (dict(vars(FibContext)), fibseq._INITIAL_TERMS) == before
+
+
+def test_patched_puts_back_a_wrapper_when_the_body_raises(monkeypatch):
+    # whatever sits on the class, a tracer's wrapper included, comes back
+    real = FibContext.roots
+
+    def wrapper(self):
+        return real(self)
+
+    monkeypatch.setattr(FibContext, "roots", wrapper)
+    with pytest.raises(RuntimeError, match="body failed"):
+        with MUTATIONS["roots_swapped"](mutation_corpus()):
+            assert vars(FibContext)["roots"] is suite._faulty_roots
+            raise RuntimeError("body failed")
+    assert vars(FibContext)["roots"] is wrapper
+    with pytest.raises(RuntimeError, match="body failed"):
+        with suite._patched(fibseq, "_INITIAL_TERMS", (0, 2))(mutation_corpus()):
+            assert fibseq._INITIAL_TERMS == (0, 2)
+            raise RuntimeError("body failed")
+    assert fibseq._INITIAL_TERMS == (0, 1)
 
 
 def test_families_call_the_context_methods_patched_at_call_time():
