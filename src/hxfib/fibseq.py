@@ -148,7 +148,6 @@ class FibContext:
         self._alpha_pows: list[QuadExt] | None = None
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
-        self._cheb_step: QuadExt | None = None
 
     # -- the recurrence ------------------------------------------------
 
@@ -352,13 +351,12 @@ class FibContext:
 
     def _chebyshev_u(self, m: int) -> QuadExt:
         if self._cheb is None:
-            # 2t at t = h/(2i) is -i*h; all arithmetic over Q[x][i]
-            step = QuadExt(0, -self.h, -1)
-            self._cheb = [QuadExt.one(-1), step]
-            self._cheb_step = step
+            # U_1 = 2t at t = h/(2i) is -i*h, and 2t steps U_(m+1) = 2t U_m - U_(m-1);
+            # all arithmetic over Q[x][i]
+            self._cheb = [QuadExt.one(-1), QuadExt(0, -self.h, -1)]
         us = self._cheb
         while len(us) <= m:
-            us.append(us[-1] * self._cheb_step - us[-2])
+            us.append(us[-1] * us[1] - us[-2])
         return us[m]
 
     def chebyshev_form(self, n: int) -> Poly:

@@ -34,13 +34,16 @@ equal the left side when it does not.  Both sides are evaluated at
 x = 2^(8w) from the products G_u G_v that `FibContext.packing` memoizes
 for every table over one h.  The bound that picks w also covers M' and the
 right-side numerators, the vectors packed here.  M' is divided out of
-the right side once rather than multiplied into every left side: each
-packed numerator num_k(2^(8w)) is divided by M'(2^(8w)), which is nonzero,
-once per width, and where the division is exact coordinate k compares the
-left side without M' against e d^t / den_k times the quotient, the same
-equation divided by M'(2^(8w)).  Where it leaves a remainder the left side
-is multiplied by M'(2^(8w)) as written, because e d^t / den_k can share
-factors with it.  d'Ocagne's factor is 1, so it always divides.
+the right side once rather than multiplied into every left side.  With
+M' = c P, c its content and P primitive, each packed numerator
+num_k(2^(8w)) is divided by P(2^(8w)), which is nonzero, once per width,
+and coordinate k compares c times the left side without M' against
+e d^t / den_k times the quotient: multiplied through by P(2^(8w)), that is
+the packed equation with M', which the bound makes exact.  A remainder
+fails the coordinate: where the identity holds, P divides the integer
+multiple e d^t / den_k of num_k in Z[x], so by Gauss's lemma it divides
+num_k, P being primitive, and P(2^(8w)) divides num_k(2^(8w)).
+d'Ocagne's factor is 1, so it always divides.
 
 The square part of Catalan, the sum over G_{n+i} G_{n+j}, is cached per n
 and w.  The second part of d'Ocagne at (n, r), the sum over
@@ -98,16 +101,18 @@ def _root_product(u: int, v: int) -> tuple[int, int]:
 
 class _RightSides:
     """The right sides num_k / den_k of one identity, one per coordinate,
-    against a left side that carries the integer polynomial factor M:
-    ||M||_1 and the ||num_k||_1 for the coefficient bound and, per slot
-    width, the packed M(2^(8w)) and per coordinate (True, num_k(2^(8w)) //
-    M(2^(8w))) where the division is exact, else (False, num_k(2^(8w)))."""
+    against a left side that carries the integer polynomial factor
+    M = c P, with c its content and P primitive: ||M||_1 and the
+    ||num_k||_1 for the coefficient bound, c, and per slot width, per
+    coordinate, num_k(2^(8w)) // P(2^(8w)), or None where the division
+    leaves a remainder."""
 
-    __slots__ = ("values", "factor", "factor_norm", "norms", "_packed")
+    __slots__ = ("values", "content", "primitive", "factor_norm", "norms", "_packed")
 
     def __init__(self, values: tuple, factor: tuple):
         self.values = values
-        self.factor = factor
+        self.content = math.gcd(*factor)
+        self.primitive = tuple(c // self.content for c in factor)
         self.factor_norm = sum(map(abs, factor))
         self.norms = tuple(sum(map(abs, v.num)) for v in values)
         self._packed: dict[int, tuple] = {}
@@ -115,13 +120,12 @@ class _RightSides:
     def packed(self, w: int) -> tuple:
         got = self._packed.get(w)
         if got is None:
-            factor = _kronecker_pack(self.factor, w)
-            rights = []
+            divisor = _kronecker_pack(self.primitive, w)
+            quotients = []
             for v in self.values:
-                right = _kronecker_pack(v.num, w)
-                quotient, remainder = divmod(right, factor)
-                rights.append((False, right) if remainder else (True, quotient))
-            got = self._packed[w] = (factor, tuple(rights))
+                quotient, remainder = divmod(_kronecker_pack(v.num, w), divisor)
+                quotients.append(None if remainder else quotient)
+            got = self._packed[w] = tuple(quotients)
         return got
 
 
@@ -322,8 +326,9 @@ class HyperContext:
         between packed integers, with (a, b) = first, (a2, b2) = second and
         num_k / den_k and M from `sides`.  The left side is an integer
         polynomial, and num_k / den_k is in lowest terms, so the sides
-        differ wherever den_k does not divide e d^t.  Where M(2^(8w))
-        divides num_k(2^(8w)), both sides are compared divided by it."""
+        differ wherever den_k does not divide e d^t.  Both sides are
+        compared divided by P(2^(8w)), with P the primitive part of M, and
+        differ wherever it does not divide num_k(2^(8w))."""
         (a, b), (a2, b2) = first, second
         terms = self._cleared_terms
         scale = self._right_scale(t)
@@ -356,12 +361,10 @@ class HyperContext:
             if seconds is None:
                 seconds = pair_sum(a2, b2)
             self._docagne_firsts[a, b, w] = firsts
-        factor, rights = sides.packed(w)
-        sign = -1 if n % 2 else 1
-        pairs = zip(quotients, rights, firsts, seconds)
-        for k, (quotient, (divided, right), x, y) in enumerate(pairs):
-            left = x - y if divided else factor * (x - y)
-            if not quotient or left != sign * quotient * right:
+        content, sign = sides.content, -1 if n % 2 else 1
+        pairs = zip(quotients, sides.packed(w), firsts, seconds)
+        for k, (quotient, right, x, y) in enumerate(pairs):
+            if not quotient or right is None or content * (x - y) != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
         return Verdict(True)
 

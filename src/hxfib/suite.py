@@ -260,13 +260,18 @@ def _tables_by_name(tables: Iterable[AlgebraTable]) -> dict[str, AlgebraTable]:
 
 
 class Runtime:
-    """Per-run cache of contexts; single-threaded, cleared between h values
-    to bound memory."""
+    """The contexts of a run, one of each kind: the `FibContext` of the
+    current h and the `HyperContext` of the current (h, algebra) pair.  A
+    check on another h builds a new `FibContext` and drops the
+    `HyperContext`, which holds the old one; a check on another pair builds
+    a new `HyperContext`.  The schedule groups checks by h and by pair, so
+    a run holds one h's caches at a time, and shrink candidates on one h
+    share warm contexts.  Single-threaded."""
 
     def __init__(self, tables: dict[str, AlgebraTable]):
         self.tables = _tables_by_name(tables.values())
-        self._fib: dict[str, FibContext] = {}
-        self._hyper: dict[tuple[str, str], HyperContext] = {}
+        self._fib: tuple[str, FibContext] | None = None
+        self._hyper: tuple[tuple[str, str], HyperContext] | None = None
 
     def table(self, name: str) -> AlgebraTable:
         try:
@@ -275,21 +280,16 @@ class Runtime:
             raise UnknownKind(f"algebra {name!r} is not part of this run")
 
     def fib_ctx(self, h_text: str) -> FibContext:
-        ctx = self._fib.get(h_text)
-        if ctx is None:
-            ctx = self._fib[h_text] = FibContext(parse_poly(h_text))
-        return ctx
+        if self._fib is None or self._fib[0] != h_text:
+            self._hyper = None
+            self._fib = (h_text, FibContext(parse_poly(h_text)))
+        return self._fib[1]
 
     def hyper_ctx(self, h_text: str, algebra: str) -> HyperContext:
         key = (h_text, algebra)
-        ctx = self._hyper.get(key)
-        if ctx is None:
-            ctx = self._hyper[key] = HyperContext(self.fib_ctx(h_text), self.table(algebra))
-        return ctx
-
-    def clear(self):
-        self._fib.clear()
-        self._hyper.clear()
+        if self._hyper is None or self._hyper[0] != key:
+            self._hyper = (key, HyperContext(self.fib_ctx(h_text), self.table(algebra)))
+        return self._hyper[1]
 
 
 def _rng(params: dict, label: str) -> random.Random:
@@ -332,6 +332,10 @@ def _hyper_check(method: str, *keys: str) -> Callable[[Runtime, dict], Verdict]:
 def _ck_fib_degree(rt: Runtime, p: dict) -> Verdict:
     ctx = rt.fib_ctx(p["h"])
     n = p["n"]
+    if n < 1:
+        raise IndexConstraintViolated("the degree formula starts at n = 1")
+    if not ctx.h:
+        raise ZeroH("the degree formula needs h != 0")
     expected = (n - 1) * ctx.h.degree
     if ctx.fib(n).degree != expected:
         return Verdict(False, f"deg F_{n} is {ctx.fib(n).degree}, expected {expected}")
@@ -589,12 +593,7 @@ def _schedule(corpus: Corpus, include: set[str] | None = None) -> Iterator[tuple
 def iter_records(corpus: Corpus, include: set[str] | None = None) -> Iterator[CheckRecord]:
     """Run the scheduled checks over the corpus, yielding each record as made."""
     runtime = Runtime(_tables_by_name(corpus.algebras))
-    current_h: str | None = None
     for name, params in _schedule(corpus, include):
-        h = params.get("h")
-        if h is not None and h != current_h:
-            runtime.clear()  # bound the product caches to one h at a time
-            current_h = h
         yield _execute(runtime, name, params)
 
 
@@ -751,36 +750,6 @@ def run_with_mutation(name: str, corpus: Corpus | None = None) -> Report:
 
 _INT_KEYS = ("n", "r", "p", "N", "a", "b", "c", "d")
 
-_N_AT_LEAST_ONE = {
-    "closed_form_binomial",
-    "closed_form_halving",
-    "closed_form_chebyshev",
-    "closed_form_differential",
-    "fib_degree",
-    "sum_identity",
-    "hyper_cassini",
-    "ratio_limit",
-}
-
-
-def _valid_params(name: str, p: dict) -> bool:
-    if name in ("catalan_real", "hyper_catalan", "hyper_catalan_printed"):
-        return 0 <= p["r"] <= p["n"]
-    if name == "hyper_docagne":
-        return 0 <= p["n"] < p["r"]
-    if name == "index_shift":
-        lo = min(p["a"], p["b"], p["c"], p["d"])
-        return p["a"] + p["b"] == p["c"] + p["d"] and 0 <= p["r"] <= lo
-    if name == "hyper_partial_sum":
-        return p["p"] >= 1
-    if name in ("genfun_real", "hyper_genfun"):
-        return p["N"] >= 1
-    if name in _N_AT_LEAST_ONE:
-        return p["n"] >= 1
-    if "n" in p:
-        return p["n"] >= 0
-    return True
-
 
 def _h_candidates(p: Poly) -> Iterator[Poly]:
     coeffs = list(p.coeffs)
@@ -840,17 +809,22 @@ def shrink(record: CheckRecord, tables: dict[str, AlgebraTable] | None = None) -
     """Greedily reduce indices, then the degree and coefficients of h,
     while the check keeps failing the same way (the same exception, or a
     plain failed verdict); returns the smallest such record found (or the
-    record unchanged if it does not fail)."""
+    record unchanged if it does not fail, or cannot be rerun).  A candidate
+    outside its family's domain raises `IndexConstraintViolated` (or
+    `ZeroH` at h = 0), which fails differently from any failure inside it,
+    so each check's own guard keeps the search inside the domain."""
     if record.verdict != "fail":
         return record
     runtime = Runtime(dict(tables) if tables else {})
     alg = record.params.get("algebra")
     if alg and alg not in runtime.tables:
-        runtime.tables[alg] = builtin(alg)
+        try:
+            runtime.tables[alg] = builtin(alg)
+        except UnknownKind:
+            return record  # its table is not at hand, so it cannot be rerun
     kind = _failure_kind(record.witness)
 
     def fails(params: dict) -> CheckRecord | None:
-        runtime.clear()
         rec = _execute(runtime, record.name, params)
         if rec.verdict == "fail" and _failure_kind(rec.witness) == kind:
             return rec
@@ -864,8 +838,6 @@ def shrink(record: CheckRecord, tables: dict[str, AlgebraTable] | None = None) -
     while improved:
         improved = False
         for cand in _shrink_candidates(record.name, best.params):
-            if not _valid_params(record.name, cand):
-                continue
             rec = fails(cand)
             if rec is not None:
                 best = rec

@@ -499,34 +499,61 @@ def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
 _packed = hyperfib._RightSides.packed
 
 
-def _full_multiply(self, w):
-    """`_RightSides.packed` with every right side on the remainder route,
-    where the left side is multiplied by the packed factor."""
-    factor, rights = _packed(self, w)
-    return factor, tuple((False, right * factor if divided else right)
-                         for divided, right in rights)
+def _full_multiply_check(self, sides, first, second, t, n, where):
+    """`HyperContext._packed_check` multiplied out as polynomials, with no
+    packing and no division: per coordinate k, M' sum c'_ijk d^(2dim-2-i-j)
+    [G_{a+i} G_{b+j} - G_{a2+i} G_{b2+j}] against (-1)^n e d^t num_k / den_k,
+    with M' = d^2 (h^2+4) for Catalan and Cassini, where a2 == b2, and 1
+    for d'Ocagne."""
+    (a, b), (a2, b2) = first, second
+    fib, d = self.fib, F(self.h.den)
+    factor = fib.modulus * d ** 2 if a2 == b2 else ONE
+
+    def g_product(u, v):  # G_u G_v with G_m = d^(m-1) F_m
+        return fib.fib(u) * fib.fib(v) * d ** (u + v - 2)
+
+    right_scale = self._right_scale(t) * (-1 if n % 2 else 1)
+    for k, (coord, right) in enumerate(zip(self._cleared_terms, sides.values)):
+        left = scalars.poly_sum(weight * (g_product(a + i, b + j) - g_product(a2 + i, b2 + j))
+                                for i, j, weight in coord)
+        if factor * left != right * right_scale:
+            return Verdict(False, f"coordinate {k} at {where}")
+    return Verdict(True)
+
+
+#: tables with fractional constants over h whose M' has content 4, 20 or
+#: 8, where e d^t / den_k shares factors with M'(2^(8w)): divided by the
+#: whole M'(2^(8w)), 112 of the 5,340 packed right sides leave a remainder
+FRACTIONAL_TABLE_CORPUS = suite.Corpus(
+    seed=1,
+    h_polys=(Poly([2, 2]), Poly([0, 2]), Poly([3, 0, 6]), Poly([4]), Poly([2])),
+    algebras=(quaternion_table(F(1, 2), -1), octonion_table(F(1, 2), F(-3, 4))),
+    r_max=8,
+)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("corpus", [
     suite.mutation_corpus(),
     suite.default_corpus(5, random_count=2, n_max=7, r_max=5),
-], ids=["mutation_corpus", "default_corpus"])
+    FRACTIONAL_TABLE_CORPUS,
+], ids=["mutation_corpus", "default_corpus", "fractional_tables"])
 def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch):
     if FAULTS[fault]:
         monkeypatch.setattr(FibContext, *FAULTS[fault])
     include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-    routes = []
+    stored = []
 
     def recorded(self, w):
         got = _packed(self, w)
-        routes.extend(divided for divided, _ in got[1])
+        stored.extend(got)
         return got
 
     monkeypatch.setattr(hyperfib._RightSides, "packed", recorded)
     divided = suite.run_all(corpus, include=include)
-    assert routes and all(routes)
-    monkeypatch.setattr(hyperfib._RightSides, "packed", _full_multiply)
+    # where every identity holds, P divides every right side (Gauss's lemma)
+    assert stored and (fault != "exact" or None not in stored)
+    monkeypatch.setattr(HyperContext, "_packed_check", _full_multiply_check)
     full = suite.run_all(corpus, include=include)
     assert full.comparable() == divided.comparable()
     assert bool(divided.failures) == (fault != "exact")
@@ -534,9 +561,9 @@ def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch
 
 def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch):
     def shifted(self, w):
-        factor, ((divided, right), *rest) = _packed(self, w)
-        assert divided
-        return factor, ((divided, right + 1), *rest)
+        first, *rest = _packed(self, w)
+        assert first is not None
+        return (first + 1, *rest)
 
     corpus = suite.mutation_corpus()
     assert suite.run_all(corpus, include={"hyper_catalan"}).ok
@@ -544,6 +571,21 @@ def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch):
     report = suite.run_all(corpus, include={"hyper_catalan"})
     assert report.checks and all(c.verdict == "fail" for c in report.checks)
     assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 0"}
+
+
+def test_a_stored_remainder_fails_its_coordinate(monkeypatch):
+    def remainder_at_1(self, w):
+        first, _, *rest = _packed(self, w)
+        return (first, None, *rest)
+
+    corpus = suite.mutation_corpus()
+    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+    assert suite.run_all(corpus, include=include).ok
+    monkeypatch.setattr(hyperfib._RightSides, "packed", remainder_at_1)
+    report = suite.run_all(corpus, include=include)
+    assert {c.name for c in report.checks} == include
+    assert report.checks and all(c.verdict == "fail" for c in report.checks)
+    assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 1"}
 
 
 def _ref_recurrence(ctx, n):

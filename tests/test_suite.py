@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -283,6 +284,26 @@ def test_runtime_reserves_the_scalar_name():
     assert Runtime({}).table("scalar") == scalar_table()
 
 
+def test_runtime_keeps_one_context_of_each_kind():
+    rt = Runtime({"quaternion": quaternion_table()})
+    hyper = rt.hyper_ctx("x", "quaternion")
+    assert rt.hyper_ctx("x", "quaternion") is hyper
+    assert rt.fib_ctx("x") is hyper.fib
+    assert hyper.catalan_check(4, 2).ok
+    # another algebra over the same h shares the FibContext and replaces
+    # the HyperContext
+    old_hyper = weakref.ref(hyper)
+    scalar = rt.hyper_ctx("x", "scalar")
+    assert scalar.fib is hyper.fib
+    del hyper
+    assert old_hyper() is None
+    # another h drops both, since the HyperContext holds the old FibContext
+    old_fib, old_hyper = weakref.ref(scalar.fib), weakref.ref(scalar)
+    del scalar
+    rt.fib_ctx("x+1")
+    assert old_fib() is None and old_hyper() is None
+
+
 @pytest.mark.parametrize("bad_first", [True, False], ids=["corrupt_first", "corrupt_second"])
 def test_run_all_rejects_two_tables_of_one_name(bad_first):
     good = quaternion_table()
@@ -348,6 +369,34 @@ def test_shrink_uses_supplied_tables():
     small = shrink(report.failures[0], tables={"quaternion": bad})
     assert small.verdict == "fail"
     assert small.params == report.failures[0].params
+
+
+def test_shrink_returns_a_record_whose_table_it_cannot_build():
+    record = CheckRecord("hyper_recurrence", {"h": "x", "algebra": "mine", "n": 3},
+                         "fail", "coordinate 0 at n=3", 0.0)
+    assert shrink(record) is record
+    assert shrink(record, tables={"quaternion": quaternion_table()}) is record
+
+
+def test_fib_degree_failure_shrinks_to_n_1(monkeypatch):
+    # deg F_n is 100 for every n >= 1, which fails the formula at each n;
+    # on the correct terms the formula fails at h = 0 (F_1 = F_3 = 1) and
+    # has nothing to predict at n = 0 (F_0 = 0), so the check raises there
+    # and the shrink stays out
+    fib = FibContext.fib
+    monkeypatch.setattr(FibContext, "fib",
+                        lambda self, n: fib(self, n) + (Poly.monomial(100) if n >= 1 else 0))
+    report = run_all(mutation_corpus(), include={"fib_degree"})
+    assert report.checks and not any(c.verdict == "pass" for c in report.checks)
+    worst = max(report.failures, key=lambda c: c.params["n"])
+    small = shrink(worst)
+    assert (small.name, small.params, small.witness) == (
+        "fib_degree", {"h": "x", "n": 1}, "deg F_1 is 100, expected 0")
+    monkeypatch.undo()
+    with pytest.raises(fibseq.IndexConstraintViolated):
+        CHECKS["fib_degree"](Runtime({}), {"h": "x", "n": 0})
+    with pytest.raises(fibseq.ZeroH):
+        CHECKS["fib_degree"](Runtime({}), {"h": "0", "n": 3})
 
 
 def test_shrink_respects_index_constraints():
