@@ -21,7 +21,10 @@ comparison is exact because evaluation at 2^(8w) is injective on integer
 polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
 check bounds every coefficient of its left side minus its right side by
 the 1-norms of the G involved, and `FibContext.packing` picks w from that
-bound and raises `AssertionError` if w does not cover it.
+bound and raises `AssertionError` if w does not cover it.  The scalar
+instances of the algebra identities, `catalan_instance` and
+`docagne_instance`, are such comparisons too, memoized here so that every
+table over one h shares them (see the `hyperfib` docstring).
 
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
@@ -107,6 +110,27 @@ def _checked_width(bound: int) -> int:
     return w
 
 
+def _vajda_terms(m: int, r: int, delta: int) -> tuple:
+    """The right side of the Catalan instance E(m, r, delta) as two
+    (sign, e, k) terms sign d^e A_k: (-1)^(m+min(0,delta)) d^(2 min(m,
+    m+delta)) A_|delta| and -(-1)^(m+r+min(2r,delta)) d^(2m+delta-|2r-delta|)
+    A_|2r-delta|."""
+    far = abs(2 * r - delta)
+    return ((-1 if (m + min(0, delta)) % 2 else 1, 2 * min(m, m + delta), abs(delta)),
+            (1 if (m + r + min(2 * r, delta)) % 2 else -1, 2 * m + delta - far, far))
+
+
+def _docagne_terms(u: int, v: int) -> tuple:
+    """The right side of the d'Ocagne instance E'(u, v) as (sign, e, k)
+    terms sign d^e B_k: (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|, and
+    none at u = v."""
+    if u == v:
+        return ()
+    low = min(u, v)
+    sign = (-1 if low % 2 else 1) * (1 if u > v else -1)
+    return ((sign, 2 * low, abs(u - v)),)
+
+
 def _eval_float(p: Poly, x: float) -> float:
     acc = 0.0
     for c in reversed(p.coeffs):
@@ -146,6 +170,13 @@ class FibContext:
         self._form_pows: dict[int, list[int]] = {}
         self._derivatives: list[list[Poly]] = [[]]
         self._alpha_pows: list[QuadExt] | None = None
+        # M' = d^2 (h^2+4) as an integer vector, the vectors A_k and B_k by
+        # (k, odd), and the instance flags: Catalan chains by (r, delta)
+        # from their base m, d'Ocagne flags by (u, v)
+        self._cleared_modulus = (self.modulus * self.h.den ** 2).num
+        self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
+        self._catalan_chains: dict[tuple[int, int], list[bool]] = {}
+        self._docagne_flags: dict[tuple[int, int], bool] = {}
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
 
@@ -232,7 +263,8 @@ class FibContext:
         G_u(2^(8w)) * G_v(2^(8w)), memoized per width and shared by every
         check on this context.  A product with a zero factor is 0 without
         packing the other one, which the bound need not cover."""
-        self._scale_to(top)
+        if top >= len(self._scaled):
+            self._scale_to(top)
         w = _checked_width(bound(self._norms))
         product = self._packed_products.get(w)
         if product is None:
@@ -447,15 +479,109 @@ class FibContext:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
+        if not self._shift_holds(a, b, c, d, r):
+            return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
+        return Verdict(True)
+
+    def _shift_holds(self, a: int, b: int, c: int, d: int, r: int) -> bool:
+        """The packed comparison of `index_shift_check`, unguarded."""
         scale = self.den_pow(2 * r)
         _, product = self.packing(max(a, b, c, d), lambda N: (
             N[a] * N[b] + N[c] * N[d]
             + scale * (N[a - r] * N[b - r] + N[c - r] * N[d - r])))
         lhs = product(a, b) - product(c, d)
         rhs = scale * (product(a - r, b - r) - product(c - r, d - r))
-        if lhs != (-rhs if r % 2 else rhs):
-            return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
-        return Verdict(True)
+        return lhs == (-rhs if r % 2 else rhs)
+
+    # -- scalar instances of the algebra identities ------------------------
+
+    def _root_vector(self, k: int, odd: bool) -> tuple | None:
+        """(A_k, ||A_k||_1) with A_k = 2 d^k a_k, or with `odd`
+        (B_k, ||B_k||_1) with B_k = 2 d^(k-1) b_k for k >= 1, where
+        alpha^k = a_k + b_k s; None where the vector is not integral."""
+        key = (k, odd)
+        if key not in self._root_vectors:
+            power = self.alpha_pow(k)
+            p = power.b if odd else power.a
+            scale = 2 * self.den_pow(k - 1 if odd else k)
+            if scale % p.den:
+                self._root_vectors[key] = None
+            else:
+                vec = tuple(c * (scale // p.den) for c in p.num)
+                self._root_vectors[key] = vec, sum(map(abs, vec))
+        return self._root_vectors[key]
+
+    def _right_side(self, terms, odd: bool) -> list | None:
+        """(sign d^e, vector, 1-norm) for each (sign, e, k) term of an
+        instance's right side, the vector A_k, or B_k with `odd`; None
+        where one of them is not integral."""
+        out = []
+        for sign, e, k in terms:
+            got = self._root_vector(k, odd)
+            if got is None:
+                return None
+            out.append((sign * self.den_pow(e), *got))
+        return out
+
+    def catalan_instance(self, m: int, r: int, delta: int) -> bool:
+        """Whether the Catalan instance E(m, r, delta),
+        M' D(m) == sum of sign d^e A_k over `_vajda_terms(m, r, delta)`
+        with D(m) = G_{m+r} G_{m-r+delta} - G_m G_{m+delta}, is proven to
+        hold; memoized for every table over this h (see the `hyperfib`
+        docstring).
+
+        E is compared once, at the base: the smallest m whose four indices
+        are nonnegative.  Above it, E(m) holds if E(m-1) does and
+        D(m) == -d^2 D(m-1), the index shift by one, since the right side
+        of E(m) is -d^2 times that of E(m-1).  The chain of (r, delta) is
+        extended iteratively from its last flag."""
+        base = max(0, -delta, r - delta)
+        if r < 0 or m < base:
+            raise IndexConstraintViolated("the instance reaches a negative index")
+        chain = self._catalan_chains.get((r, delta))
+        if chain is None:
+            chain = self._catalan_chains[r, delta] = [self._catalan_base(base, r, delta)]
+        while len(chain) <= m - base:
+            k = base + len(chain)
+            chain.append(chain[-1] and self._shift_holds(k + r, k - r + delta, k, k + delta, 1))
+        return chain[m - base]
+
+    def _catalan_base(self, m: int, r: int, delta: int) -> bool:
+        """E(m, r, delta) compared directly between packed integers."""
+        a, b, c, e = m + r, m - r + delta, m, m + delta
+        terms = self._right_side(_vajda_terms(m, r, delta), False)
+        if terms is None:
+            return False
+        modulus = self._cleared_modulus
+        norm = sum(map(abs, modulus))
+        w, product = self.packing(max(a, e), lambda N: (
+            norm * (N[a] * N[b] + N[c] * N[e] + 1)
+            + sum((abs(scale) + 1) * vec_norm for scale, _, vec_norm in terms)))
+        lhs = _kronecker_pack(modulus, w) * (product(a, b) - product(c, e))
+        return lhs == sum(scale * _kronecker_pack(vec, w) for scale, vec, _ in terms)
+
+    def docagne_instance(self, u: int, v: int) -> bool:
+        """Whether the d'Ocagne instance E'(u, v),
+        G_u G_{v+1} - G_{u+1} G_v == sign d^e B_k over
+        `_docagne_terms(u, v)`, holds, compared between packed integers
+        and memoized for every table over this h."""
+        if min(u, v) < 0:
+            raise IndexConstraintViolated("negative indices are undefined here")
+        key = (u, v)
+        got = self._docagne_flags.get(key)
+        if got is None:
+            got = self._docagne_flags[key] = self._docagne_holds(u, v)
+        return got
+
+    def _docagne_holds(self, u: int, v: int) -> bool:
+        terms = self._right_side(_docagne_terms(u, v), True)
+        if terms is None:
+            return False
+        w, product = self.packing(max(u, v) + 1, lambda N: (
+            N[u] * N[v + 1] + N[u + 1] * N[v]
+            + sum((abs(scale) + 1) * norm for scale, _, norm in terms)))
+        return (product(u, v + 1) - product(u + 1, v)
+                == sum(scale * _kronecker_pack(vec, w) for scale, vec, _ in terms))
 
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.

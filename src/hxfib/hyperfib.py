@@ -16,39 +16,69 @@ faults are caught by the table checks of the battery
 (`hamilton_relations`, `unit_law`, `algebra_validate`); what these
 identities test is the sequence, its roots and the arithmetic.
 
-The Catalan, Cassini and d'Ocagne comparisons run on packed fraction-free
-integers, like the scalar quadratic identities of `fibseq`.  Coordinate k
-of Q_a Q_b sums c_ijk F_{a+i} F_{b+j}.  With h = H/d, G_n = d^(n-1) F_n,
-e the lcm of the denominators of the constants and c'_ijk = e c_ijk, each
-coordinate of an identity is multiplied through by e and a power of d:
+Each of them is checked first through scalar instances that name no
+table.  With h = H/d, G_n = d^(n-1) F_n, M' = d^2 (h^2+4) = H^2 + 4d^2
+and the cached root powers alpha^k = a_k + b_k s, the vectors
+A_k = 2 d^k a_k and B_k = 2 d^(k-1) b_k are integer polynomials.  Since
+(h^2+4) F_u F_v = alpha^(u+v) + beta^(u+v) - X(u, v) with X below, the
+pair (i, j) of each identity is, times a power of d, an instance of
+Vajda's identity:
+
+    Catalan at (n, r), with m = n + i and delta = j - i: E(m, r, delta),
+        M' D(m) == (-1)^(m+min(0,delta)) d^(2 min(m,m+delta)) A_|delta|
+                   - (-1)^(m+r+min(2r,delta)) d^(2m+delta-|2r-delta|) A_|2r-delta|
+        with D(m) = G_{m+r} G_{m-r+delta} - G_m G_{m+delta};
+    d'Ocagne at (n, r), with (u, v) = (r + i, n + j): E'(u, v),
+        G_u G_{v+1} - G_{u+1} G_v == (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|.
+
+Cassini is Catalan at r = 1.  `FibContext` memoizes one flag per
+instance for every table over one h.  E'(u, v) is compared directly.
+E(m, r, delta) is compared once, at the smallest m whose four indices
+are nonnegative; above it, E(m) holds if E(m-1) does and
+D(m) == -d^2 D(m-1), the index shift by one, with no M' in it, since the
+right side of E(m) is -d^2 times that of E(m-1).  So a flag of the chain
+holds only if every flag below it does, and the check at (n, r) reads,
+per delta, the instance at the largest n + i with some c_ijk != 0.
+
+Every flag comes from an exact packed comparison, and an A_k or B_k
+that is not integral makes it "non-zero".  Coordinate k of a cleared
+identity (below) is the sum of c_ijk e d^(2dim-2-i-j) times its
+instances, so where they all hold it holds exactly.  Where one of them
+is non-zero the check runs the per-table comparison whole, which gives
+the verdict and the witness.  A wrong "non-zero" therefore costs only
+time, and a flag says "zero" only with a proof; on a fault-free run no
+check takes the per-table route.  Errors come in its order: the index
+guards, `FibContext.require_root_relations`, then `NotDivisible` from
+scaling G up to the comparison's top index.
+
+The per-table comparison runs on packed fraction-free integers, like the
+scalar quadratic identities of `fibseq`.  Coordinate k of Q_a Q_b sums
+c_ijk F_{a+i} F_{b+j}.  With e the lcm of the denominators of the
+constants and c'_ijk = e c_ijk, each coordinate of an identity is
+multiplied through by e and a power of d:
 
     Catalan and Cassini: M' sum c'_ijk d^(2dim-2-i-j)
-        [G_{n+r+i} G_{n-r+j} - G_{n+i} G_{n+j}] == (-1)^n e d^(2n+2dim-2) B_k,
+        [G_{n+r+i} G_{n-r+j} - G_{n+i} G_{n+j}] == (-1)^n e d^(2n+2dim-2) R_k,
     d'Ocagne: sum c'_ijk d^(2dim-2-i-j)
         [G_{r+i} G_{n+1+j} - G_{r+1+i} G_{n+j}] == (-1)^n e d^(r+n+2dim-3) q_k,
 
-with M' = d^2 (h^2+4) = H^2 + 4d^2 and the right sides B_k and q_k below.
-Each left side is an integer polynomial.  A right side e d^t num/den, with
-num/den in lowest terms, is one too when den divides e d^t, and cannot
-equal the left side when it does not.  Both sides are evaluated at
-x = 2^(8w) from the products G_u G_v that `FibContext.packing` memoizes
-for every table over one h.  The bound that picks w also covers M' and the
-right-side numerators, the vectors packed here.  M' is divided out of
-the right side once rather than multiplied into every left side.  With
-M' = c P, c its content and P primitive, each packed numerator
-num_k(2^(8w)) is divided by P(2^(8w)), which is nonzero, once per width,
-and coordinate k compares c times the left side without M' against
-e d^t / den_k times the quotient: multiplied through by P(2^(8w)), that is
-the packed equation with M', which the bound makes exact.  A remainder
-fails the coordinate: where the identity holds, P divides the integer
-multiple e d^t / den_k of num_k in Z[x], so by Gauss's lemma it divides
-num_k, P being primitive, and P(2^(8w)) divides num_k(2^(8w)).
-d'Ocagne's factor is 1, so it always divides.
-
-The square part of Catalan, the sum over G_{n+i} G_{n+j}, is cached per n
-and w.  The second part of d'Ocagne at (n, r), the sum over
-G_{r+1+i} G_{n+j}, is its first part at (n-1, r+1): first parts are kept
-per (r, n+1, w) until read once as a second part.
+with the right sides R_k and q_k below.  Each left side is an integer
+polynomial.  A right side e d^t num/den, with num/den in lowest terms, is
+one too when den divides e d^t, and cannot equal the left side when it
+does not.  Both sides are evaluated at x = 2^(8w) from the products
+G_u G_v that `FibContext.packing` memoizes for every table over one h.
+The bound that picks w also covers M' and the right-side numerators, the
+vectors packed here.  M' is divided out of the right side once rather
+than multiplied into every left side.  With M' = c P, c its content and
+P primitive, each packed numerator num_k(2^(8w)) is divided by
+P(2^(8w)), which is nonzero, once per width, and coordinate k compares c
+times the left side without M' against e d^t / den_k times the quotient:
+multiplied through by P(2^(8w)), that is the packed equation with M',
+which the bound makes exact.  A remainder fails the coordinate: where
+the identity holds, P divides the integer multiple e d^t / den_k of
+num_k in Z[x], so by Gauss's lemma it divides num_k, P being primitive,
+and P(2^(8w)) divides num_k(2^(8w)).  d'Ocagne's factor is 1, so it
+always divides.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -60,14 +90,17 @@ the cached powers alpha^m = a_m + b_m s and beta^m their conjugates,
     Y(u, v) = (alpha^u beta^v - beta^u alpha^v) / s
             = (-1)^min(u,v) sgn(u-v) 2 b_|u-v|,
 
-so each right-side coordinate is one `poly_combination` of the a_m or b_m,
-built once per context:
+so each right-side coordinate is one `poly_combination` of the a_m or
+b_m, the multipliers of equal powers merged first, built on the
+per-table route only:
 
 - Catalan at r, Cassini at r = 1: sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)],
   rational like (h^2+4) times the left side;
-- the printed bracket times (-1)^(r+1), for `printed_matches`: the same
-  with 2r replaced by 2;
 - d'Ocagne at d = r - n: sum c_ijk Y(i + d, j).
+
+The printed Catalan bracket times (-1)^(r+1) is the derived one with 2r
+replaced by 2, so `printed_matches` asks, once per r, whether
+sum c_ijk [X(i+2r, j) - X(i+2, j)] vanishes in every coordinate.
 
 This holds only for roots with alpha + beta = h and alpha beta = -1.
 `FibContext.require_root_relations` checks both once, and the Catalan,
@@ -159,12 +192,12 @@ class HyperContext:
                   for i, j, c in terms)
             for terms in self._coord_terms
         )
-        #: M' = d^2 (h^2+4) as an integer vector
-        self._cleared_modulus = (self.fib.modulus * den_pow(2)).num
-        self._squares: dict[tuple[int, int], tuple] = {}  # Catalan's square parts by (n, w)
-        # d'Ocagne first parts by (a, b, w), each dropped once read as a second part
-        self._docagne_firsts: dict[tuple[int, int, int], tuple] = {}
-        self._brackets: dict[tuple[int, int], _RightSides] = {}  # by (exponent, r % 2)
+        #: the (i, j) with c_ijk != 0 for some k, whose scalar instances
+        #: the quadratic identities read, and per delta = j - i the largest i
+        self._pairs = tuple(sorted({(i, j) for terms in self._coord_terms for i, j, _ in terms}))
+        self._deltas = tuple({j - i: i for i, j in self._pairs}.items())
+        self._brackets: dict[int, _RightSides] = {}  # by r
+        self._printed: dict[int, bool] = {}  # `printed_matches` by r
         self._docagne_rhs: dict[int, _RightSides] = {}  # by r - n
 
     @property
@@ -270,34 +303,33 @@ class HyperContext:
 
     # -- right sides from the cached root powers, built once per context --
 
-    def _pair_terms(self, k: int, shift: int, weight, odd: bool = False) -> list:
-        """Coordinate k of weight * sum c_ijk X(i + shift, j), or of the
-        sum of Y with `odd` (see the module docstring), as (Poly,
-        multiplier) pairs."""
+    def _root_combination(self, k: int, parts, odd: bool = False) -> Poly:
+        """Coordinate k of the sum over (shift, weight) in `parts` of
+        weight * sum c_ijk X(i + shift, j), or of the sums of Y with `odd`
+        (see the module docstring): one `poly_combination` of the a_m or
+        b_m, the multipliers of equal powers merged first."""
+        merged: dict[int, Fraction] = {}
+        for shift, weight in parts:
+            for i, j, c in self._coord_terms[k]:
+                sign, m = _root_product(i + shift, j)
+                if odd and m < 0:
+                    sign = -sign
+                merged[abs(m)] = merged.get(abs(m), 0) + 2 * weight * c * sign
         alpha_pow = self.fib.alpha_pow
-        terms = []
-        for i, j, c in self._coord_terms[k]:
-            sign, m = _root_product(i + shift, j)
-            power = alpha_pow(abs(m))
-            if odd:
-                terms.append((power.b, 2 * weight * c * (sign if m >= 0 else -sign)))
-            else:
-                terms.append((power.a, 2 * weight * c * sign))
-        return terms
+        return poly_combination([(alpha_pow(m).b if odd else alpha_pow(m).a, c)
+                                 for m, c in merged.items() if c])
 
-    def _bracket(self, exponent: int, r: int) -> _RightSides:
-        """Per coordinate k, sum c_ijk [X(i, j) - (-1)^r X(i + exponent, j)]:
-        the derived Catalan bracket at exponent 2r, (-1)^(r+1) times the
-        printed one at exponent 2."""
-        key = (exponent, r % 2)
-        got = self._brackets.get(key)
+    def _bracket(self, r: int) -> _RightSides:
+        """Per coordinate k, the derived Catalan bracket
+        sum c_ijk [X(i, j) - (-1)^r X(i + 2r, j)]."""
+        got = self._brackets.get(r)
         if got is None:
             self.fib.require_root_relations()
             weight = 1 if r % 2 else -1  # -(-1)^r
-            got = self._brackets[key] = _RightSides(tuple(
-                poly_combination(self._pair_terms(k, 0, 1) + self._pair_terms(k, exponent, weight))
+            got = self._brackets[r] = _RightSides(tuple(
+                self._root_combination(k, ((0, 1), (2 * r, weight)))
                 for k in range(self.dim)
-            ), self._cleared_modulus)
+            ), self.fib._cleared_modulus)
         return got
 
     def _docagne_quotients(self, diff: int) -> _RightSides:
@@ -307,7 +339,7 @@ class HyperContext:
         if got is None:
             self.fib.require_root_relations()
             got = self._docagne_rhs[diff] = _RightSides(tuple(
-                poly_combination(self._pair_terms(k, diff, 1, odd=True))
+                self._root_combination(k, ((diff, 1),), odd=True)
                 for k in range(self.dim)
             ), (1,))
         return got
@@ -347,24 +379,12 @@ class HyperContext:
 
         w, product = self.fib.packing(max(a, b, a2, b2) + self.dim - 1, bound)
 
-        def pair_sum(u, v):
-            return tuple(sum(weight * product(u + i, v + j) for i, j, weight in coord)
-                         for coord in terms)
-
-        firsts = pair_sum(a, b)
-        if a2 == b2:  # the square part of Catalan, shared by every r at one n
-            seconds = self._squares.get((a2, w))
-            if seconds is None:
-                seconds = self._squares[a2, w] = pair_sum(a2, b2)
-        else:  # d'Ocagne, whose second part at (n, r) is the first at (n-1, r+1)
-            seconds = self._docagne_firsts.pop((a2, b2, w), None)
-            if seconds is None:
-                seconds = pair_sum(a2, b2)
-            self._docagne_firsts[a, b, w] = firsts
         content, sign = sides.content, -1 if n % 2 else 1
-        pairs = zip(quotients, sides.packed(w), firsts, seconds)
-        for k, (quotient, right, x, y) in enumerate(pairs):
-            if not quotient or right is None or content * (x - y) != sign * quotient * right:
+        pairs = zip(quotients, sides.packed(w), terms)
+        for k, (quotient, right, coord) in enumerate(pairs):
+            left = sum(weight * (product(a + i, b + j) - product(a2 + i, b2 + j))
+                       for i, j, weight in coord)
+            if not quotient or right is None or content * left != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
         return Verdict(True)
 
@@ -372,10 +392,18 @@ class HyperContext:
         """Whether the printed Catalan right-hand side (root exponent 2)
         equals the derived one (exponent 2r) at (n, r).  Both carry the
         sign (-1)^n, so the answer depends on r alone: whether
-        (-1)^(r+1) times the printed bracket is the derived bracket."""
+        (-1)^(r+1) times the printed bracket, the derived one with 2r
+        replaced by 2, is the derived bracket, that is whether
+        sum c_ijk [X(i + 2r, j) - X(i + 2, j)] vanishes in every
+        coordinate."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        return self._bracket(2, r).values == self._bracket(2 * r, r).values
+        got = self._printed.get(r)
+        if got is None:
+            self.fib.require_root_relations()
+            got = self._printed[r] = not any(self._root_combination(k, ((2 * r, 1), (2, -1)))
+                                             for k in range(self.dim))
+        return got
 
     def catalan_check(self, n: int, r: int) -> Verdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the derived bracket
@@ -387,8 +415,15 @@ class HyperContext:
 
     def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket
-        signed by (-1)^n, coordinate by coordinate."""
-        return self._packed_check(self._bracket(2 * r, r), (n + r, n - r), (n, n),
+        signed by (-1)^n, coordinate by coordinate: it holds where every
+        instance E(n+i, r, j-i) does, and otherwise is compared whole."""
+        fib = self.fib
+        fib.require_root_relations()
+        fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it
+        instance = fib.catalan_instance
+        if all(instance(n + i, r, delta) for delta, i in self._deltas):
+            return Verdict(True)
+        return self._packed_check(self._bracket(r), (n + r, n - r), (n, n),
                                   2 * n + 2 * self.dim - 2, n, where)
 
     def cassini_check(self, n: int) -> Verdict:
@@ -406,5 +441,11 @@ class HyperContext:
         quotient by s = alpha - beta taken from the root powers."""
         if n < 0 or r <= n:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
+        fib = self.fib
+        fib.require_root_relations()
+        fib._scale_to(r + self.dim)  # NotDivisible as the whole comparison raises it
+        instance = fib.docagne_instance
+        if all(instance(r + i, n + j) for i, j in self._pairs):
+            return Verdict(True)
         return self._packed_check(self._docagne_quotients(r - n), (r, n + 1), (r + 1, n),
                                   r + n + 2 * self.dim - 3, n, f"n={n}, r={r}")

@@ -1,0 +1,21 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from hxfib.fibseq import FibContext
+
+
+def _non_zero(self, *key):
+    return False
+
+
+@pytest.fixture
+def per_table_route(monkeypatch):
+    """A function that makes every scalar instance report non-zero, so that
+    from then on the algebra Catalan, Cassini and d'Ocagne checks take the
+    per-table comparison, as under a fault."""
+    def force():
+        monkeypatch.setattr(FibContext, "catalan_instance", _non_zero)
+        monkeypatch.setattr(FibContext, "docagne_instance", _non_zero)
+
+    return force

@@ -532,15 +532,23 @@ FRACTIONAL_TABLE_CORPUS = suite.Corpus(
 )
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("corpus", [
+#: integer h with integer constants, fractional h, and fractional constants
+CORPORA = [
     suite.mutation_corpus(),
     suite.default_corpus(5, random_count=2, n_max=7, r_max=5),
     FRACTIONAL_TABLE_CORPUS,
-], ids=["mutation_corpus", "default_corpus", "fractional_tables"])
-def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch):
+]
+CORPUS_IDS = ["mutation_corpus", "default_corpus", "fractional_tables"]
+QUADRATIC = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch,
+                                                      per_table_route):
     if FAULTS[fault]:
         monkeypatch.setattr(FibContext, *FAULTS[fault])
+    per_table_route()
     include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
     stored = []
 
@@ -559,7 +567,9 @@ def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch
     assert bool(divided.failures) == (fault != "exact")
 
 
-def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch):
+def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch, per_table_route):
+    per_table_route()
+
     def shifted(self, w):
         first, *rest = _packed(self, w)
         assert first is not None
@@ -573,7 +583,9 @@ def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch):
     assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 0"}
 
 
-def test_a_stored_remainder_fails_its_coordinate(monkeypatch):
+def test_a_stored_remainder_fails_its_coordinate(monkeypatch, per_table_route):
+    per_table_route()
+
     def remainder_at_1(self, w):
         first, _, *rest = _packed(self, w)
         return (first, None, *rest)
@@ -586,6 +598,104 @@ def test_a_stored_remainder_fails_its_coordinate(monkeypatch):
     assert {c.name for c in report.checks} == include
     assert report.checks and all(c.verdict == "fail" for c in report.checks)
     assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 1"}
+
+
+# -- the scalar instances against the per-table route -------------------------
+
+
+#: seeds (F_0, F_1) other than (0, 1): a doubled sequence, which keeps
+#: every chain step D(m) == -d^2 D(m-1) of the Catalan instances and breaks
+#: every base, and F_1 = 1/2, whose G_1 is not an integer, so that every
+#: check raises NotDivisible from scaling G
+SEEDS = {"double_seed": (0, 2), "half_seed": (0, F(1, 2))}
+INSTANCE_FAULTS = sorted(FAULTS) + sorted(SEEDS)
+
+#: fractional h over tables with fractional constants
+FRACTIONAL_BOTH_CORPUS = replace(FRACTIONAL_TABLE_CORPUS, h_polys=(
+    Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(1, 3)]), Poly([F(5, 6), 0, 0, -2, F(1, 4)])), r_max=6)
+
+
+def _inject(fault, monkeypatch):
+    if fault in SEEDS:
+        monkeypatch.setattr(fibseq, "_INITIAL_TERMS", SEEDS[fault])
+    elif FAULTS[fault]:
+        monkeypatch.setattr(FibContext, *FAULTS[fault])
+
+
+def _both_routes(corpus, per_table_route):
+    """The reports of the quadratic families on the instance route and on
+    the forced per-table route."""
+    instances = suite.run_all(corpus, include=QUADRATIC)
+    per_table_route()
+    return instances, suite.run_all(corpus, include=QUADRATIC)
+
+
+@pytest.mark.parametrize("fault", INSTANCE_FAULTS)
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_instance_route_matches_the_per_table_route(corpus, fault, monkeypatch, per_table_route):
+    _inject(fault, monkeypatch)
+    instances, per_table = _both_routes(corpus, per_table_route)
+    assert instances.comparable() == per_table.comparable()
+    assert bool(instances.failures) == (fault != "exact")
+    if fault == "half_seed":
+        assert {c.witness for c in instances.checks} == {
+            "NotDivisible: d^0 F_1 has a non-integer coefficient"}
+
+
+def test_the_routes_differ_when_a_catalan_base_is_forced_to_hold(monkeypatch, per_table_route):
+    # a doubled sequence passes every chain step, so only the bases see it
+    _inject("double_seed", monkeypatch)
+    monkeypatch.setattr(FibContext, "_catalan_base", lambda self, m, r, delta: True)
+    instances, per_table = _both_routes(CORPORA[1], per_table_route)
+    assert instances.comparable() != per_table.comparable()
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """The witness location of every per-table comparison from now on."""
+    fallbacks = []
+    real = HyperContext._packed_check
+
+    def counted(self, *args):
+        fallbacks.append(args[-1])
+        return real(self, *args)
+
+    monkeypatch.setattr(HyperContext, "_packed_check", counted)
+    return fallbacks
+
+
+@pytest.mark.parametrize("corpus", CORPORA + [FRACTIONAL_BOTH_CORPUS],
+                         ids=CORPUS_IDS + ["fractional_h_and_tables"])
+def test_fault_free_corpora_never_take_the_per_table_route(corpus, monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    report = suite.run_all(corpus, include=QUADRATIC)
+    assert report.ok and report.checks
+    assert fallbacks == []
+
+
+def _unsigned(terms):
+    return lambda *key: tuple((1, e, k) for _, e, k in terms(*key))
+
+
+def _undivided(terms):
+    return lambda *key: tuple((sign, 0, k) for sign, _, k in terms(*key))
+
+
+@pytest.mark.parametrize("broken", [_unsigned, _undivided],
+                         ids=["without_the_sign", "without_the_d_power"])
+@pytest.mark.parametrize("name", ["_vajda_terms", "_docagne_terms"])
+def test_a_broken_instance_right_side_only_sends_checks_to_the_per_table_route(
+        name, broken, monkeypatch):
+    monkeypatch.setattr(fibseq, name, broken(getattr(fibseq, name)))
+    fallbacks = _count_fallbacks(monkeypatch)
+    report = suite.run_all(CORPORA[1], include=QUADRATIC)
+    assert fallbacks
+    assert report.ok and report.checks
+
+
+def test_a_long_catalan_chain_is_built_without_recursion():
+    fib = FibContext(ONE)
+    assert fib.catalan_instance(2000, 3, 1)
+    assert len(fib._catalan_chains[3, 1]) == 2000 - 2 + 1  # from the base m = 2
 
 
 def _ref_recurrence(ctx, n):

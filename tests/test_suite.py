@@ -232,10 +232,12 @@ def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch
     lambda self, t: self._constants_lcm,
     lambda self, t: self.fib.den_pow(t),
 ], ids=["without_the_denominator_power", "without_the_constants_lcm"])
-def test_battery_notices_packed_algebra_checks_without_a_clearing_factor(scale, monkeypatch):
+def test_battery_notices_packed_algebra_checks_without_a_clearing_factor(scale, monkeypatch,
+                                                                         per_table_route):
     # the algebra right sides are cleared by e d^t, with e the lcm of the
     # denominators of the structure constants and d that of h; an integer h
     # and integer constants (mutation_corpus()) hide a missing factor
+    per_table_route()
     monkeypatch.setattr(hyperfib.HyperContext, "_right_scale", scale)
     include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
     assert run_all(mutation_corpus(), include=include).ok
@@ -246,7 +248,8 @@ def test_battery_notices_packed_algebra_checks_without_a_clearing_factor(scale, 
     assert {c.name for c in report.failures} == include
 
 
-def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch):
+def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch, per_table_route):
+    per_table_route()
     real = scalars.poly_combination
 
     def dropping(terms):
@@ -259,7 +262,8 @@ def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch):
     assert {"hyper_catalan", "hyper_cassini", "hyper_docagne"} <= failed
 
 
-def test_battery_notices_root_products_without_their_sign(monkeypatch):
+def test_battery_notices_root_products_without_their_sign(monkeypatch, per_table_route):
+    per_table_route()
     # alpha^u beta^v without the factor (-1)^min(u, v) from alpha beta = -1
     monkeypatch.setattr(hyperfib, "_root_product", lambda u, v: (1, u - v))
     report = run_all(mutation_corpus())
