@@ -24,7 +24,10 @@ the 1-norms of the G involved, and `FibContext.packing` picks w from that
 bound and raises `AssertionError` if w does not cover it.  The scalar
 instances of the algebra identities, `catalan_instance` and
 `docagne_instance`, are such comparisons too, memoized here so that every
-table over one h shares them (see the `hyperfib` docstring).
+table over one h shares them (see the `hyperfib` docstring).  A check
+reads its instances in one batched call, `catalan_instances` or
+`docagne_instances`, which reads the memoized flags directly and runs the
+comparison only for a flag not yet made.
 
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
@@ -85,6 +88,10 @@ class Verdict:
     ok: bool
     witness: Optional[str] = None
 
+
+#: The verdict of every check that holds: `Verdict` is frozen, so one
+#: instance serves them all.
+HOLDS = Verdict(True)
 
 # Seed of the recurrence, read at context construction.  The
 # fault-injection battery patches this to prove the checks notice.
@@ -441,7 +448,7 @@ class FibContext:
             got = heads[j] if j < 2 else self.residual(j)
             if got != (ONE if j == 1 else ZERO):
                 return Verdict(False, f"t^{j} coefficient of (1-ht-t^2)*series")
-        return Verdict(True)
+        return HOLDS
 
     def sum_identity_check(self, n: int) -> Verdict:
         """h * sum(F_1..F_n) == F_{n+1} + F_n - 1 (denominator cleared)."""
@@ -451,7 +458,7 @@ class FibContext:
             raise IndexConstraintViolated("partial sums start at n = 1")
         if self.h_partial_sum(n) != self.fib(n + 1) + self.fib(n) - 1:
             return Verdict(False, f"partial sum up to n={n}")
-        return Verdict(True)
+        return HOLDS
 
     def catalan_check(self, n: int, r: int) -> Verdict:
         """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2, checked as
@@ -466,7 +473,7 @@ class FibContext:
         rhs = scale * product(r, r)
         if lhs != (-rhs if (n - r - 1) % 2 else rhs):
             return Verdict(False, f"n={n}, r={r}")
-        return Verdict(True)
+        return HOLDS
 
     def index_shift_check(self, a: int, b: int, c: int, d: int, r: int) -> Verdict:
         """F_a F_b - F_c F_d == (-1)^r (F_{a-r} F_{b-r} - F_{c-r} F_{d-r})
@@ -481,7 +488,7 @@ class FibContext:
             raise IndexConstraintViolated("shift would reach a negative index")
         if not self._shift_holds(a, b, c, d, r):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
-        return Verdict(True)
+        return HOLDS
 
     def _shift_holds(self, a: int, b: int, c: int, d: int, r: int) -> bool:
         """The packed comparison of `index_shift_check`, unguarded."""
@@ -546,6 +553,21 @@ class FibContext:
             chain.append(chain[-1] and self._shift_holds(k + r, k - r + delta, k, k + delta, 1))
         return chain[m - base]
 
+    def catalan_instances(self, n: int, r: int, deltas) -> bool:
+        """`all(catalan_instance(n + i, r, delta) for delta, i in deltas)`,
+        in that order, read from the chains directly; `catalan_instance`
+        runs only for a flag not yet in its chain."""
+        chains = self._catalan_chains
+        for delta, i in deltas:
+            m, chain = n + i, chains.get((r, delta))
+            k = m - max(0, -delta, r - delta)
+            if chain is None or not 0 <= k < len(chain):
+                if not self.catalan_instance(m, r, delta):
+                    return False
+            elif not chain[k]:
+                return False
+        return True
+
     def _catalan_base(self, m: int, r: int, delta: int) -> bool:
         """E(m, r, delta) compared directly between packed integers."""
         a, b, c, e = m + r, m - r + delta, m, m + delta
@@ -572,6 +594,19 @@ class FibContext:
         if got is None:
             got = self._docagne_flags[key] = self._docagne_holds(u, v)
         return got
+
+    def docagne_instances(self, r: int, n: int, pairs) -> bool:
+        """`all(docagne_instance(r + i, n + j) for i, j in pairs)`, in that
+        order, read from the flags directly; `docagne_instance` runs only
+        for a flag not yet compared."""
+        flags = self._docagne_flags
+        for i, j in pairs:
+            got = flags.get((r + i, n + j))
+            if got is None:
+                got = self.docagne_instance(r + i, n + j)
+            if not got:
+                return False
+        return True
 
     def _docagne_holds(self, u: int, v: int) -> bool:
         terms = self._right_side(_docagne_terms(u, v), True)

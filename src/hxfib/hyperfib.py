@@ -38,7 +38,10 @@ are nonnegative; above it, E(m) holds if E(m-1) does and
 D(m) == -d^2 D(m-1), the index shift by one, with no M' in it, since the
 right side of E(m) is -d^2 times that of E(m-1).  So a flag of the chain
 holds only if every flag below it does, and the check at (n, r) reads,
-per delta, the instance at the largest n + i with some c_ijk != 0.
+per delta, the instance at the largest n + i with some c_ijk != 0.  Each
+check reads all of its flags in one call, `FibContext.catalan_instances`
+or `docagne_instances`, which looks them up in the chains and flags
+directly and compares only an instance not yet memoized.
 
 Every flag comes from an exact packed comparison, and an A_k or B_k
 that is not integral makes it "non-zero".  Coordinate k of a cleared
@@ -118,6 +121,7 @@ from fractions import Fraction
 from .algebra import AlgebraTable, AlgElement
 from .fibseq import (
     FibContext,
+    HOLDS,
     IndexConstraintViolated,
     Verdict,
     ZeroH,
@@ -241,7 +245,7 @@ class HyperContext:
         for k in range(self.dim):
             if self.fib.residual(n + k + 2):
                 return Verdict(False, f"coordinate {k} at n={n}")
-        return Verdict(True)
+        return HOLDS
 
     def partial_sum_check(self, p: int) -> Verdict:
         """h * sum(Q_1..Q_p) == Q_{p+1} + Q_p - Q_0 - Q_1, cleared.
@@ -257,7 +261,7 @@ class HyperContext:
         for k in range(self.dim):
             if rho(p + k) != rho(k):
                 return Verdict(False, f"coordinate {k} at p={p}")
-        return Verdict(True)
+        return HOLDS
 
     def binet_check(self, n: int) -> Verdict:
         """(alpha* alpha^n - beta* beta^n) / (alpha - beta) == Q_n.
@@ -267,7 +271,7 @@ class HyperContext:
         for k in range(self.dim):
             if fib.binet(n + k) != fib.fib(n + k):
                 return Verdict(False, f"coordinate {k} at n={n}")
-        return Verdict(True)
+        return HOLDS
 
     def genfun_numerator(self) -> tuple[AlgElement, AlgElement]:
         """(N_0, N_1) with sum Q_n t^n == (N_0 + N_1 t) / (1 - h t - t^2).
@@ -299,7 +303,7 @@ class HyperContext:
                 if fib.residual(m):
                     return Verdict(False, f"t^{max(2, m - dim + 1)} coefficient "
                                           "of the multiplied series")
-        return Verdict(True)
+        return HOLDS
 
     # -- right sides from the cached root powers, built once per context --
 
@@ -386,7 +390,7 @@ class HyperContext:
                        for i, j, weight in coord)
             if not quotient or right is None or content * left != sign * quotient * right:
                 return Verdict(False, f"coordinate {k} at {where}")
-        return Verdict(True)
+        return HOLDS
 
     def printed_matches(self, n: int, r: int) -> bool:
         """Whether the printed Catalan right-hand side (root exponent 2)
@@ -420,9 +424,8 @@ class HyperContext:
         fib = self.fib
         fib.require_root_relations()
         fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it
-        instance = fib.catalan_instance
-        if all(instance(n + i, r, delta) for delta, i in self._deltas):
-            return Verdict(True)
+        if fib.catalan_instances(n, r, self._deltas):
+            return HOLDS
         return self._packed_check(self._bracket(r), (n + r, n - r), (n, n),
                                   2 * n + 2 * self.dim - 2, n, where)
 
@@ -444,8 +447,7 @@ class HyperContext:
         fib = self.fib
         fib.require_root_relations()
         fib._scale_to(r + self.dim)  # NotDivisible as the whole comparison raises it
-        instance = fib.docagne_instance
-        if all(instance(r + i, n + j) for i, j in self._pairs):
-            return Verdict(True)
+        if fib.docagne_instances(r, n, self._pairs):
+            return HOLDS
         return self._packed_check(self._docagne_quotients(r - n), (r, n + 1), (r + 1, n),
                                   r + n + 2 * self.dim - 3, n, f"n={n}, r={r}")

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import fibseq as fibseq_mod
@@ -38,6 +39,7 @@ from .algebra import (
 from .fibseq import (
     DomainError,
     FibContext,
+    HOLDS,
     IndexConstraintViolated,
     Verdict,
     ZeroH,
@@ -127,7 +129,7 @@ def default_corpus(
 # report
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     name: str
     params: dict
@@ -147,52 +149,89 @@ class CheckRecord:
         return doc
 
 
-#: The params of one record as the indent=2 encoder lays out their members
-#: (eight spaces deep), without the line breaks inside the braces; the C
-#: encoder, since no indent is set.
-_PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
+def _record_shape(name, verdict, plain: bool, keys: tuple) -> tuple | None:
+    """The `%`-format template of an indent=2 record, four spaces deep, of
+    one shape, and the param keys in the order of its slots; None unless
+    the name, verdict and keys are `str`.  The slots are the `ms`, the
+    params by sorted key and, unless `plain`, the witness."""
+    if type(name) is not str or type(verdict) is not str or any(type(k) is not str for k in keys):
+        return None
+    order = tuple(sorted(keys))
+
+    def quote(text: str) -> str:
+        return _quote(text).replace("%", "%%")
+
+    params = ("{\n        " + ",\n        ".join(f"{quote(k)}: %s" for k in order) + "\n      }"
+              if keys else "{}")
+    tail = "\n    }" if plain else ',\n      "witness": %s\n    }'
+    return (f'{{\n      "ms": %r,\n      "name": {quote(name)},\n      "params": {params},\n'
+            f'      "verdict": {quote(verdict)}{tail}', order)
 
 
-def _template_record(c: CheckRecord) -> str | None:
+def _template_record(c: CheckRecord, shapes: dict | None = None,
+                     quoted: dict | None = None) -> str | None:
     """One record of an indent=2 report, four spaces deep, without the
     indented stdlib encoder, which is pure Python; None outside the shape
     covered: a finite float `ms`, `str` name, verdict and witness (or none),
-    and flat params with `str` keys and `str`, `int` or finite `float` values."""
+    and flat params with `str` keys and `str`, `int` or finite `float` values.
+
+    `shapes` caches the template of each (name, verdict, witness present,
+    param keys) and `quoted` each `str` param value as JSON; `write_report`
+    keeps both for one report.  Every value's type is checked on every
+    record, since records of one shape may hold values of other types."""
+    if shapes is None:
+        shapes, quoted = {}, {}
     ms, params, witness = c.ms, c.params, c.witness
-    if (type(ms) is not float or not math.isfinite(ms) or type(c.name) is not str
-            or type(c.verdict) is not str or type(params) is not dict
+    if (type(params) is not dict or type(ms) is not float or not isfinite(ms)
             or witness is not None and type(witness) is not str):
         return None
-    for key, value in params.items():
+    key = (c.name, c.verdict, witness is None, tuple(params))
+    try:
+        shape = shapes[key]
+    except KeyError:
+        shape = shapes[key] = _record_shape(*key)
+    except TypeError:  # an unhashable name or verdict
+        return None
+    if shape is None:
+        return None
+    template, order = shape
+    values = [ms]
+    for value in map(params.__getitem__, order):
         kind = type(value)
-        if type(key) is not str or not (
-                kind is str or kind is int or kind is float and math.isfinite(value)):
+        if kind is str:
+            text = quoted.get(value)
+            if text is None:
+                text = quoted[value] = _quote(value)
+            value = text
+        elif kind is not int and not (kind is float and isfinite(value)):
             return None
-    inner = _PARAMS_ENCODER.encode(params)
-    if params:
-        inner = "{\n        " + inner[1:-1] + "\n      }"
-    tail = "\n    }" if witness is None else f',\n      "witness": {_quote(witness)}\n    }}'
-    # ms is an exact float, so !r is float.__repr__, as in the encoder
-    return (f'{{\n      "ms": {ms!r},\n      "name": {_quote(c.name)},\n'
-            f'      "params": {inner},\n      "verdict": {_quote(c.verdict)}{tail}')
+        values.append(value)
+    if witness is not None:
+        values.append(_quote(witness))
+    # %r of an exact float and %s of an exact int or float are their
+    # __repr__, as in the encoder
+    return template % tuple(values)
 
 
 def write_report(out, seed: int, records: Iterable[CheckRecord]) -> Counter:
     """Write `json.dumps({"seed": seed, "checks": [r.to_dict() for r in
     records]}, indent=2, sort_keys=True)` to the text stream `out`, each
     record as soon as it is made, and return the count of each verdict.
-    A run that stops early leaves a prefix that is not valid JSON."""
-    counts: Counter = Counter()
+    A run that stops early leaves a prefix that is not valid JSON.  The
+    templates of `_template_record` are cached for this call only."""
+    counts: dict = {}
+    shapes: dict = {}
+    quoted: dict[str, str] = {}
     out.write('{\n  "checks": [')
     for c in records:
-        text = (_template_record(c)
+        text = (_template_record(c, shapes, quoted)
                 or json.dumps(c.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
         out.write((",\n    " if counts else "\n    ") + text)
-        counts[c.verdict] += 1
+        counts[c.verdict] = counts.get(c.verdict, 0) + 1
     seed_text = (repr(seed) if type(seed) is int
                  else json.dumps(seed, indent=2, sort_keys=True).replace("\n", "\n  "))
     out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed_text}\n}}')
-    return counts
+    return Counter(counts)
 
 
 def summary_line(counts: Counter) -> str:
@@ -306,7 +345,7 @@ def _closed_form_check(method: str) -> Callable[[Runtime, dict], Verdict]:
         n = p["n"]
         if getattr(ctx, method)(n) != ctx.fib(n):
             return Verdict(False, f"{method} disagrees with the recurrence at n={n}")
-        return Verdict(True)
+        return HOLDS
 
     return run
 
@@ -339,7 +378,7 @@ def _ck_fib_degree(rt: Runtime, p: dict) -> Verdict:
     expected = (n - 1) * ctx.h.degree
     if ctx.fib(n).degree != expected:
         return Verdict(False, f"deg F_{n} is {ctx.fib(n).degree}, expected {expected}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_ratio_limit(rt: Runtime, p: dict) -> Verdict:
@@ -350,12 +389,12 @@ def _ck_ratio_limit(rt: Runtime, p: dict) -> Verdict:
         return Verdict(False, f"residual {residual} is not finite")
     if residual >= tol:
         return Verdict(False, f"residual {residual:.3e} >= tolerance {tol:.3e}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_algebra_validate(rt: Runtime, p: dict) -> Verdict:
     rt.table(p["algebra"]).validate()
-    return Verdict(True)
+    return HOLDS
 
 
 # Hamilton's relations, written out by hand as an oracle independent of the
@@ -376,7 +415,7 @@ def _ck_hamilton(rt: Runtime, p: dict) -> Verdict:
         expected = tuple(sign if t == k else 0 for t in range(4))
         if tuple(table.basis_product(i, j)) != expected:
             return Verdict(False, f"e{i}*e{j} violates the Hamilton relations")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_alternative(rt: Runtime, p: dict) -> Verdict:
@@ -389,7 +428,7 @@ def _ck_alternative(rt: Runtime, p: dict) -> Verdict:
             return Verdict(False, f"left alternative law failed on trial {trial}")
         if (u * v) * v != u * (v * v):
             return Verdict(False, f"right alternative law failed on trial {trial}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_unit_law(rt: Runtime, p: dict) -> Verdict:
@@ -400,7 +439,7 @@ def _ck_unit_law(rt: Runtime, p: dict) -> Verdict:
         u = _random_element(table, rng)
         if e0 * u != u or u * e0 != u:
             return Verdict(False, f"unit law failed on trial {trial}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_bilinearity(rt: Runtime, p: dict) -> Verdict:
@@ -412,7 +451,7 @@ def _ck_bilinearity(rt: Runtime, p: dict) -> Verdict:
         w = _random_element(table, rng)
         if (u + v) * w != u * w + v * w or w * (u + v) != w * u + w * v:
             return Verdict(False, f"bilinearity failed on trial {trial}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _ck_hyper_catalan_printed(rt: Runtime, p: dict) -> Verdict:

@@ -11,11 +11,12 @@ def _non_zero(self, *key):
 
 @pytest.fixture
 def per_table_route(monkeypatch):
-    """A function that makes every scalar instance report non-zero, so that
-    from then on the algebra Catalan, Cassini and d'Ocagne checks take the
-    per-table comparison, as under a fault."""
+    """A function that makes every batched read of the scalar instances
+    report non-zero, so that from then on the algebra Catalan, Cassini and
+    d'Ocagne checks take the per-table comparison, as under a fault, even
+    on a context whose flags are already warm."""
     def force():
-        monkeypatch.setattr(FibContext, "catalan_instance", _non_zero)
-        monkeypatch.setattr(FibContext, "docagne_instance", _non_zero)
+        monkeypatch.setattr(FibContext, "catalan_instances", _non_zero)
+        monkeypatch.setattr(FibContext, "docagne_instances", _non_zero)
 
     return force

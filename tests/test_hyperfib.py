@@ -692,6 +692,55 @@ def test_a_broken_instance_right_side_only_sends_checks_to_the_per_table_route(
     assert report.ok and report.checks
 
 
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_batched_reads_match_one_read_per_instance(corpus, fault, monkeypatch):
+    # each h's two contexts serve every table in turn, so the batched
+    # reader meets cold, short and warm chains and flags
+    _inject(fault, monkeypatch)
+    outcomes = set()
+    for h in corpus.h_polys:
+        batched, single = FibContext(h), FibContext(h)
+        for table in corpus.algebras:
+            hyper = HyperContext(batched, table)
+            deltas, pairs = hyper._deltas, hyper._pairs
+            for n in range(corpus.r_max + 1):
+                for r in range(corpus.r_max + 1):
+                    where = f"{h!r} {table.name} n={n} r={r}"
+                    if r <= n:
+                        got = _outcome(lambda: batched.catalan_instances(n, r, deltas))
+                        assert got == _outcome(lambda: all(
+                            single.catalan_instance(n + i, r, delta) for delta, i in deltas)), where
+                    else:
+                        got = _outcome(lambda: batched.docagne_instances(r, n, pairs))
+                        assert got == _outcome(lambda: all(
+                            single.docagne_instance(r + i, n + j) for i, j in pairs)), where
+                    outcomes.add(got)
+        # the same instances were compared, in the same order
+        assert batched._catalan_chains == single._catalan_chains
+        assert batched._docagne_flags == single._docagne_flags
+    assert outcomes == ({True} if fault == "exact" else {True, False})
+
+
+def test_the_forced_route_reaches_the_per_table_comparison_on_a_warm_context(
+        monkeypatch, per_table_route):
+    ctx = HyperContext(X, quaternion_table())
+    checks = [(ctx.catalan_check, (4, 2)), (ctx.cassini_check, (3,)),
+              (ctx.docagne_check, (2, 4))]
+    assert all(check(*args).ok for check, args in checks)  # every flag read is warm now
+    fallbacks = _count_fallbacks(monkeypatch)
+    per_table_route()
+    assert all(check(*args).ok for check, args in checks)
+    assert fallbacks == ["n=4, r=2", "n=3", "n=2, r=4"]
+
+
 def test_a_long_catalan_chain_is_built_without_recursion():
     fib = FibContext(ONE)
     assert fib.catalan_instance(2000, 3, 1)

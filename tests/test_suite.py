@@ -557,3 +557,108 @@ def test_report_writer_takes_the_template_on_an_ordinary_report(battery_reports,
     monkeypatch.setattr(json, "dumps", refuse)
     for report, text in zip(battery_reports, expected):
         _assert_same_text(report.to_json(indent=2), text)
+
+
+# -- the per-shape templates of one report -------------------------------------
+
+
+def _assert_written_like_json_dumps(records, seed=3):
+    out = io.StringIO()
+    counts = write_report(out, seed, iter(records))
+    expected = json.dumps({"seed": seed, "checks": [c.to_dict() for c in records]},
+                          indent=2, sort_keys=True)
+    _assert_same_text(out.getvalue(), expected)
+    assert counts == Counter(c.verdict for c in records)
+
+
+def test_one_name_with_two_key_sets_takes_a_template_each():
+    records = [
+        CheckRecord("same", {"h": "x", "n": 1}, "pass", None, 0.5),
+        CheckRecord("same", {"h": "x", "n": 2, "r": 1}, "pass", None, 0.25),
+        CheckRecord("same", {"h": "x+1", "n": 3}, "fail", "n=3", 1.5),
+        CheckRecord("same", {"h": "x", "r": 4, "n": 4}, "pass", None, 2.0),
+        CheckRecord("same", {}, "pass", None, 3.0),
+    ]
+    shapes, quoted = {}, {}
+    assert all(_template_record(c, shapes, quoted) is not None for c in records)
+    assert len(shapes) == len(records)  # witness present and key order are shapes too
+    _assert_written_like_json_dumps(records)
+
+
+def test_a_key_whose_value_type_changes_is_checked_on_every_record():
+    values = [7, "7", 2.5, True, -(10 ** 30), "x", float("inf"), None, 8]
+    records = [CheckRecord("typed", {"h": "x", "v": v}, "pass", None, 0.5) for v in values]
+    shapes, quoted = {}, {}
+    fallbacks = [_template_record(c, shapes, quoted) is None for c in records]
+    assert fallbacks == [False, False, False, True, False, False, True, True, False]
+    assert len(shapes) == 1
+    _assert_written_like_json_dumps(records)
+
+
+SPECIAL = 'a % b %s %% {c} {{d}} "e" café → \U0001d49c'
+
+
+def test_format_and_quote_characters_in_every_field_are_written_as_json():
+    records = [
+        CheckRecord(SPECIAL, {"h": "x"}, "pass", None, 0.5),
+        CheckRecord("keys", {SPECIAL: 1, "%d": 2, "{0}": "%s"}, "pass", None, 0.5),
+        CheckRecord("values", {"h": SPECIAL, "n": 3}, "fail", SPECIAL, 0.5),
+        CheckRecord("values", {"h": SPECIAL, "n": 4}, "fail", "%(ms)r {}", 0.5),
+        CheckRecord("verdict", {"h": "x"}, SPECIAL, "w", 0.5),
+    ]
+    shapes, quoted = {}, {}
+    assert all(_template_record(c, shapes, quoted) is not None for c in records)
+    assert quoted == {"x": '"x"', "%s": '"%s"', SPECIAL: json.dumps(SPECIAL)}
+    _assert_written_like_json_dumps(records)
+
+
+def test_params_inserted_out_of_sorted_order_are_written_sorted():
+    records = [
+        CheckRecord("order", {"r": 2, "n": 5, "h": "x", "algebra": "quaternion"},
+                    "pass", None, 0.5),
+        CheckRecord("order", {"n": 6, "algebra": "octonion", "r": 1, "h": "1"},
+                    "pass", None, 0.75),
+        CheckRecord("order", {"r": 3, "n": 7, "h": "x", "algebra": "quaternion"},
+                    "fail", "coordinate 2 at n=7, r=3", 0.5),
+    ]
+    assert _template_record(records[0]).index('"algebra"') < _template_record(
+        records[0]).index('"r"')
+    _assert_written_like_json_dumps(records)
+
+
+def test_an_unhashable_name_or_verdict_falls_back_to_the_stdlib_encoder():
+    records = [
+        CheckRecord(["listed", "name"], {"h": "x"}, "pass", None, 0.5),
+        CheckRecord("plain", {"h": "x"}, "pass", None, 0.5),
+    ]
+    assert _template_record(records[0]) is None
+    out = io.StringIO()
+    write_report(out, 3, iter(records))
+    expected = json.dumps({"seed": 3, "checks": [c.to_dict() for c in records]},
+                          indent=2, sort_keys=True)
+    _assert_same_text(out.getvalue(), expected)
+
+
+def test_the_writer_keeps_no_template_across_reports(monkeypatch):
+    seen = []
+    real = suite._template_record
+
+    def recording(c, shapes, quoted):
+        seen.append((shapes, quoted))
+        return real(c, shapes, quoted)
+
+    monkeypatch.setattr(suite, "_template_record", recording)
+    record = CheckRecord("plain", {"h": "x+1", "n": 3}, "pass", None, 0.125)
+    for _ in range(2):
+        write_report(io.StringIO(), 1, [record, record])
+    first, second = seen[0], seen[2]
+    assert seen[1][0] is first[0] and seen[3][0] is second[0]
+    assert first[0] is not second[0] and first[1] is not second[1]
+
+
+def test_check_records_have_slots():
+    record = CheckRecord("plain", {"h": "x"}, "pass", None, 0.5)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert replace(record, ms=1.0).ms == 1.0
