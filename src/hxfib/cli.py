@@ -66,7 +66,8 @@ def _load_algebra(spec: str) -> AlgebraTable:
     except OSError as exc:
         raise UsageError(f"cannot read algebra file {spec!r} (builtins: "
                          f"{', '.join(builtin_names())}): {exc}")
-    except ValueError as exc:  # not UTF-8, bad syntax, or an integer above the digit limit
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, bad syntax, an integer above the digit limit, or nested too deeply
         raise UsageError(f"malformed JSON in {spec!r}: {exc}")
     try:
         return table_from_spec(doc)

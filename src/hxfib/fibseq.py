@@ -9,8 +9,9 @@ ring equality.  The single exception is `ratio_limit_check`, the only
 floating-point computation in the package.
 
 The two quadratic identities, `catalan_check` and `index_shift_check`,
-compare big integers instead of polynomials, and so do the algebra
-Catalan, Cassini and d'Ocagne checks of `hyperfib`.  With h = H/d and H
+compare big integers instead of polynomials, and so do the scalar
+instances that the algebra Catalan, Cassini and d'Ocagne checks of
+`hyperfib` read.  With h = H/d and H
 over Z, the terms G_n = d^(n-1) F_n have integer coefficients (the cache's
 denominators are checked to divide d^(n-1)), and each identity multiplied
 through by the same power of d becomes one among products G_u G_v and
@@ -21,9 +22,8 @@ comparison is exact because evaluation at 2^(8w) is injective on integer
 polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
 check bounds every coefficient of its left side minus its right side by
 the 1-norms of the G involved, and `FibContext.packing` picks w from that
-bound and raises `AssertionError` if w does not cover it.  The scalar
-instances of the algebra identities, `catalan_instance` and
-`docagne_instance`, are such comparisons too, memoized here so that every
+bound and raises `AssertionError` if w does not cover it.  The instances,
+`catalan_instance` and `docagne_instance`, are memoized here so that every
 table over one h shares them (see the `hyperfib` docstring).  A check
 reads its instances in one batched call, `catalan_instances` or
 `docagne_instances`, which reads the memoized flags directly and runs the

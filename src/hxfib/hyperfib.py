@@ -44,44 +44,22 @@ or `docagne_instances`, which looks them up in the chains and flags
 directly and compares only an instance not yet memoized.
 
 Every flag comes from an exact packed comparison, and an A_k or B_k
-that is not integral makes it "non-zero".  Coordinate k of a cleared
-identity (below) is the sum of c_ijk e d^(2dim-2-i-j) times its
-instances, so where they all hold it holds exactly.  Where one of them
-is non-zero the check runs the per-table comparison whole, which gives
-the verdict and the witness.  A wrong "non-zero" therefore costs only
-time, and a flag says "zero" only with a proof; on a fault-free run no
-check takes the per-table route.  Errors come in its order: the index
-guards, `FibContext.require_root_relations`, then `NotDivisible` from
-scaling G up to the comparison's top index.
+that is not integral makes it "non-zero".  Coordinate k of an identity,
+times d^(2n+2dim-2) for Catalan and Cassini or d^(r+n+2dim-3) for
+d'Ocagne, is the sum of c_ijk d^(2dim-2-i-j) times its instances, so
+where they all hold it holds exactly.  Where one of them is non-zero the
+check compares every coordinate whole in Q[x], which gives the verdict
+and the witness:
 
-The per-table comparison runs on packed fraction-free integers, like the
-scalar quadratic identities of `fibseq`.  Coordinate k of Q_a Q_b sums
-c_ijk F_{a+i} F_{b+j}.  With e the lcm of the denominators of the
-constants and c'_ijk = e c_ijk, each coordinate of an identity is
-multiplied through by e and a power of d:
+    Catalan and Cassini: (h^2+4) sum c_ijk
+        [F_{n+r+i} F_{n-r+j} - F_{n+i} F_{n+j}] == (-1)^n R_k,
+    d'Ocagne: sum c_ijk [F_{r+i} F_{n+1+j} - F_{r+1+i} F_{n+j}] == (-1)^n q_k,
 
-    Catalan and Cassini: M' sum c'_ijk d^(2dim-2-i-j)
-        [G_{n+r+i} G_{n-r+j} - G_{n+i} G_{n+j}] == (-1)^n e d^(2n+2dim-2) R_k,
-    d'Ocagne: sum c'_ijk d^(2dim-2-i-j)
-        [G_{r+i} G_{n+1+j} - G_{r+1+i} G_{n+j}] == (-1)^n e d^(r+n+2dim-3) q_k,
-
-with the right sides R_k and q_k below.  Each left side is an integer
-polynomial.  A right side e d^t num/den, with num/den in lowest terms, is
-one too when den divides e d^t, and cannot equal the left side when it
-does not.  Both sides are evaluated at x = 2^(8w) from the products
-G_u G_v that `FibContext.packing` memoizes for every table over one h.
-The bound that picks w also covers M' and the right-side numerators, the
-vectors packed here.  M' is divided out of the right side once rather
-than multiplied into every left side.  With M' = c P, c its content and
-P primitive, each packed numerator num_k(2^(8w)) is divided by
-P(2^(8w)), which is nonzero, once per width, and coordinate k compares c
-times the left side without M' against e d^t / den_k times the quotient:
-multiplied through by P(2^(8w)), that is the packed equation with M',
-which the bound makes exact.  A remainder fails the coordinate: where
-the identity holds, P divides the integer multiple e d^t / den_k of
-num_k in Z[x], so by Gauss's lemma it divides num_k, P being primitive,
-and P(2^(8w)) divides num_k(2^(8w)).  d'Ocagne's factor is 1, so it
-always divides.
+with the right sides R_k and q_k below.  A wrong "non-zero" therefore
+costs only time, and a flag says "zero" only with a proof; on a
+fault-free run no check takes this per-table route.  Errors come in its
+order: the index guards, `FibContext.require_root_relations`, then
+`NotDivisible` from scaling G up to the comparison's top index.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -94,12 +72,10 @@ the cached powers alpha^m = a_m + b_m s and beta^m their conjugates,
             = (-1)^min(u,v) sgn(u-v) 2 b_|u-v|,
 
 so each right-side coordinate is one `poly_combination` of the a_m or
-b_m, the multipliers of equal powers merged first, built on the
-per-table route only:
+b_m, the multipliers of equal powers merged first:
 
-- Catalan at r, Cassini at r = 1: sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)],
-  rational like (h^2+4) times the left side;
-- d'Ocagne at d = r - n: sum c_ijk Y(i + d, j).
+- Catalan at r, Cassini at r = 1: R_k = sum c_ijk [X(i, j) - (-1)^r X(i+2r, j)];
+- d'Ocagne: q_k = sum c_ijk Y(i + r - n, j).
 
 The printed Catalan bracket times (-1)^(r+1) is the derived one with 2r
 replaced by 2, so `printed_matches` asks, once per r, whether
@@ -115,7 +91,6 @@ the recurrence and genfun checks read the scalar fact
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .algebra import AlgebraTable, AlgElement
@@ -126,7 +101,7 @@ from .fibseq import (
     Verdict,
     ZeroH,
 )
-from .scalars import ONE, ZERO, Poly, _kronecker_pack, poly_combination
+from .scalars import ONE, ZERO, Poly, poly_combination
 
 
 def _root_product(u: int, v: int) -> tuple[int, int]:
@@ -134,36 +109,6 @@ def _root_product(u: int, v: int) -> tuple[int, int]:
     sign beta^-m for m < 0: alpha beta = -1 cancels min(u, v) factors of
     each root."""
     return (-1 if min(u, v) % 2 else 1), u - v
-
-
-class _RightSides:
-    """The right sides num_k / den_k of one identity, one per coordinate,
-    against a left side that carries the integer polynomial factor
-    M = c P, with c its content and P primitive: ||M||_1 and the
-    ||num_k||_1 for the coefficient bound, c, and per slot width, per
-    coordinate, num_k(2^(8w)) // P(2^(8w)), or None where the division
-    leaves a remainder."""
-
-    __slots__ = ("values", "content", "primitive", "factor_norm", "norms", "_packed")
-
-    def __init__(self, values: tuple, factor: tuple):
-        self.values = values
-        self.content = math.gcd(*factor)
-        self.primitive = tuple(c // self.content for c in factor)
-        self.factor_norm = sum(map(abs, factor))
-        self.norms = tuple(sum(map(abs, v.num)) for v in values)
-        self._packed: dict[int, tuple] = {}
-
-    def packed(self, w: int) -> tuple:
-        got = self._packed.get(w)
-        if got is None:
-            divisor = _kronecker_pack(self.primitive, w)
-            quotients = []
-            for v in self.values:
-                quotient, remainder = divmod(_kronecker_pack(v.num, w), divisor)
-                quotients.append(None if remainder else quotient)
-            got = self._packed[w] = tuple(quotients)
-        return got
 
 
 class HyperContext:
@@ -187,22 +132,11 @@ class HyperContext:
             )
             for k in range(dim)
         )
-        #: e, and per coordinate k the (i, j, e c_ijk d^(2dim-2-i-j))
-        self._constants_lcm = math.lcm(*(Fraction(c).denominator
-                                         for terms in self._coord_terms for _, _, c in terms))
-        den_pow = self.fib.den_pow
-        self._cleared_terms = tuple(
-            tuple((i, j, int(self._constants_lcm * c) * den_pow(2 * dim - 2 - i - j))
-                  for i, j, c in terms)
-            for terms in self._coord_terms
-        )
         #: the (i, j) with c_ijk != 0 for some k, whose scalar instances
         #: the quadratic identities read, and per delta = j - i the largest i
         self._pairs = tuple(sorted({(i, j) for terms in self._coord_terms for i, j, _ in terms}))
         self._deltas = tuple({j - i: i for i, j in self._pairs}.items())
-        self._brackets: dict[int, _RightSides] = {}  # by r
         self._printed: dict[int, bool] = {}  # `printed_matches` by r
-        self._docagne_rhs: dict[int, _RightSides] = {}  # by r - n
 
     @property
     def h(self) -> Poly:
@@ -305,7 +239,7 @@ class HyperContext:
                                           "of the multiplied series")
         return HOLDS
 
-    # -- right sides from the cached root powers, built once per context --
+    # -- right sides from the cached root powers ---------------------------
 
     def _root_combination(self, k: int, parts, odd: bool = False) -> Poly:
         """Coordinate k of the sum over (shift, weight) in `parts` of
@@ -323,72 +257,21 @@ class HyperContext:
         return poly_combination([(alpha_pow(m).b if odd else alpha_pow(m).a, c)
                                  for m, c in merged.items() if c])
 
-    def _bracket(self, r: int) -> _RightSides:
-        """Per coordinate k, the derived Catalan bracket
-        sum c_ijk [X(i, j) - (-1)^r X(i + 2r, j)]."""
-        got = self._brackets.get(r)
-        if got is None:
-            self.fib.require_root_relations()
-            weight = 1 if r % 2 else -1  # -(-1)^r
-            got = self._brackets[r] = _RightSides(tuple(
-                self._root_combination(k, ((0, 1), (2 * r, weight)))
-                for k in range(self.dim)
-            ), self.fib._cleared_modulus)
-        return got
-
-    def _docagne_quotients(self, diff: int) -> _RightSides:
-        """Per coordinate k, (a*b* a^diff - b*a* b^diff) / s =
-        sum c_ijk Y(i + diff, j)."""
-        got = self._docagne_rhs.get(diff)
-        if got is None:
-            self.fib.require_root_relations()
-            got = self._docagne_rhs[diff] = _RightSides(tuple(
-                self._root_combination(k, ((diff, 1),), odd=True)
-                for k in range(self.dim)
-            ), (1,))
-        return got
-
     # -- quadratic identities ---------------------------------------------
 
-    def _right_scale(self, t: int) -> int:
-        """e d^t, the factor that clears the right side against the
-        integer left side (see the module docstring)."""
-        return self._constants_lcm * self.fib.den_pow(t)
-
-    def _packed_check(self, sides: _RightSides, first: tuple, second: tuple,
-                      t: int, n: int, where: str) -> Verdict:
-        """Coordinate by coordinate, M sum c'_ijk d^(2dim-2-i-j)
-        [G_{a+i} G_{b+j} - G_{a2+i} G_{b2+j}] == (-1)^n e d^t num_k / den_k
-        between packed integers, with (a, b) = first, (a2, b2) = second and
-        num_k / den_k and M from `sides`.  The left side is an integer
-        polynomial, and num_k / den_k is in lowest terms, so the sides
-        differ wherever den_k does not divide e d^t.  Both sides are
-        compared divided by P(2^(8w)), with P the primitive part of M, and
-        differ wherever it does not divide num_k(2^(8w))."""
+    def _table_check(self, first: tuple, second: tuple, factor, parts, odd: bool,
+                     n: int, where: str) -> Verdict:
+        """Coordinate by coordinate, factor * sum c_ijk
+        [F_{a+i} F_{b+j} - F_{a2+i} F_{b2+j}] == (-1)^n times the
+        `_root_combination` of `parts`, in Q[x], with (a, b) = first and
+        (a2, b2) = second: the per-table route (see the module docstring)."""
         (a, b), (a2, b2) = first, second
-        terms = self._cleared_terms
-        scale = self._right_scale(t)
-        # per k, e d^t / den_k, or 0 where den_k does not divide e d^t
-        quotients = [0 if scale % v.den else scale // v.den for v in sides.values]
-
-        def bound(norms):
-            worst = 0
-            for k, coord in enumerate(terms):
-                total = 0
-                for i, j, weight in coord:
-                    total += abs(weight) * (norms[a + i] * norms[b + j]
-                                            + norms[a2 + i] * norms[b2 + j])
-                worst = max(worst, sides.factor_norm * total + quotients[k] * sides.norms[k])
-            return worst + sides.factor_norm + max(sides.norms)
-
-        w, product = self.fib.packing(max(a, b, a2, b2) + self.dim - 1, bound)
-
-        content, sign = sides.content, -1 if n % 2 else 1
-        pairs = zip(quotients, sides.packed(w), terms)
-        for k, (quotient, right, coord) in enumerate(pairs):
-            left = sum(weight * (product(a + i, b + j) - product(a2 + i, b2 + j))
-                       for i, j, weight in coord)
-            if not quotient or right is None or content * left != sign * quotient * right:
+        fib = self.fib.fib
+        for k, terms in enumerate(self._coord_terms):
+            left = poly_combination([(fib(a + i) * fib(b + j) - fib(a2 + i) * fib(b2 + j), c)
+                                     for i, j, c in terms])
+            right = self._root_combination(k, parts, odd)
+            if factor * left != (-right if n % 2 else right):
                 return Verdict(False, f"coordinate {k} at {where}")
         return HOLDS
 
@@ -426,8 +309,8 @@ class HyperContext:
         fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it
         if fib.catalan_instances(n, r, self._deltas):
             return HOLDS
-        return self._packed_check(self._bracket(r), (n + r, n - r), (n, n),
-                                  2 * n + 2 * self.dim - 2, n, where)
+        parts = ((0, 1), (2 * r, 1 if r % 2 else -1))  # X(i, j) - (-1)^r X(i + 2r, j)
+        return self._table_check((n + r, n - r), (n, n), fib.modulus, parts, False, n, where)
 
     def cassini_check(self, n: int) -> Verdict:
         """(h^2+4) [Q_{n+1} Q_{n-1} - Q_n^2] ==
@@ -449,5 +332,5 @@ class HyperContext:
         fib._scale_to(r + self.dim)  # NotDivisible as the whole comparison raises it
         if fib.docagne_instances(r, n, self._pairs):
             return HOLDS
-        return self._packed_check(self._docagne_quotients(r - n), (r, n + 1), (r + 1, n),
-                                  r + n + 2 * self.dim - 3, n, f"n={n}, r={r}")
+        return self._table_check((r, n + 1), (r + 1, n), 1, ((r - n, 1),), True, n,
+                                 f"n={n}, r={r}")

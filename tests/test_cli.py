@@ -547,6 +547,20 @@ def test_hostile_algebra_files_exit_two(tmp_path, capsys, content, message):
     assert err.startswith("hxfib: error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["arrays", "objects"])
+def test_algebra_files_nested_too_deeply_exit_two(tmp_path, capsys, opening, closing):
+    # the JSON decoder recurses once per level and gives up with RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text(opening * 100_000 + "0" + closing * 100_000)
+    for command in (("algebra",), ("seq", "--h", "1", "--n", "2", "--algebra"),
+                    ("genfun", "--h", "1", "--N", "2", "--algebra"),
+                    ("verify", "--nmax", "1", "--algebra")):
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert code == 2 and not out, command
+        assert err.startswith("hxfib: error: malformed JSON in ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("params", ["1e3000000", "1.5", "1_0", "2, 3", BIG])
 def test_hostile_builtin_parameters_exit_two(capsys, params):
     for command in (("algebra",), ("seq", "--h", "1", "--n", "2", "--algebra")):

@@ -435,9 +435,7 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
-def test_cached_identities_match_the_straightforward_route(table, fault, monkeypatch):
+def _match_the_straightforward_route(table, fault, monkeypatch):
     if FAULTS[fault]:
         monkeypatch.setattr(FibContext, *FAULTS[fault])
     witnesses = set()
@@ -469,6 +467,20 @@ def test_cached_identities_match_the_straightforward_route(table, fault, monkeyp
         assert any(w and not w.startswith("coordinate 0") for w in witnesses)
 
 
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
+def test_cached_identities_match_the_straightforward_route(table, fault, monkeypatch):
+    _match_the_straightforward_route(table, fault, monkeypatch)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
+def test_the_per_table_route_matches_the_straightforward_route(table, fault, monkeypatch,
+                                                               per_table_route):
+    per_table_route()
+    _match_the_straightforward_route(table, fault, monkeypatch)
+
+
 @pytest.mark.parametrize("table", DIFFERENTIAL_TABLES, ids=lambda t: t.name)
 def test_packed_checks_at_the_smallest_indices(table):
     # at n = r = 0 the products G_i G_j vanish or stay small, so the slot
@@ -496,34 +508,8 @@ def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
             check()
 
 
-_packed = hyperfib._RightSides.packed
-
-
-def _full_multiply_check(self, sides, first, second, t, n, where):
-    """`HyperContext._packed_check` multiplied out as polynomials, with no
-    packing and no division: per coordinate k, M' sum c'_ijk d^(2dim-2-i-j)
-    [G_{a+i} G_{b+j} - G_{a2+i} G_{b2+j}] against (-1)^n e d^t num_k / den_k,
-    with M' = d^2 (h^2+4) for Catalan and Cassini, where a2 == b2, and 1
-    for d'Ocagne."""
-    (a, b), (a2, b2) = first, second
-    fib, d = self.fib, F(self.h.den)
-    factor = fib.modulus * d ** 2 if a2 == b2 else ONE
-
-    def g_product(u, v):  # G_u G_v with G_m = d^(m-1) F_m
-        return fib.fib(u) * fib.fib(v) * d ** (u + v - 2)
-
-    right_scale = self._right_scale(t) * (-1 if n % 2 else 1)
-    for k, (coord, right) in enumerate(zip(self._cleared_terms, sides.values)):
-        left = scalars.poly_sum(weight * (g_product(a + i, b + j) - g_product(a2 + i, b2 + j))
-                                for i, j, weight in coord)
-        if factor * left != right * right_scale:
-            return Verdict(False, f"coordinate {k} at {where}")
-    return Verdict(True)
-
-
-#: tables with fractional constants over h whose M' has content 4, 20 or
-#: 8, where e d^t / den_k shares factors with M'(2^(8w)): divided by the
-#: whole M'(2^(8w)), 112 of the 5,340 packed right sides leave a remainder
+#: tables with fractional constants, whose right sides have denominators,
+#: over integer h
 FRACTIONAL_TABLE_CORPUS = suite.Corpus(
     seed=1,
     h_polys=(Poly([2, 2]), Poly([0, 2]), Poly([3, 0, 6]), Poly([4]), Poly([2])),
@@ -540,64 +526,6 @@ CORPORA = [
 ]
 CORPUS_IDS = ["mutation_corpus", "default_corpus", "fractional_tables"]
 QUADRATIC = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-
-
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
-def test_divided_comparison_matches_the_full_multiply(corpus, fault, monkeypatch,
-                                                      per_table_route):
-    if FAULTS[fault]:
-        monkeypatch.setattr(FibContext, *FAULTS[fault])
-    per_table_route()
-    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-    stored = []
-
-    def recorded(self, w):
-        got = _packed(self, w)
-        stored.extend(got)
-        return got
-
-    monkeypatch.setattr(hyperfib._RightSides, "packed", recorded)
-    divided = suite.run_all(corpus, include=include)
-    # where every identity holds, P divides every right side (Gauss's lemma)
-    assert stored and (fault != "exact" or None not in stored)
-    monkeypatch.setattr(HyperContext, "_packed_check", _full_multiply_check)
-    full = suite.run_all(corpus, include=include)
-    assert full.comparable() == divided.comparable()
-    assert bool(divided.failures) == (fault != "exact")
-
-
-def test_hyper_catalan_notices_a_stored_quotient_off_by_one(monkeypatch, per_table_route):
-    per_table_route()
-
-    def shifted(self, w):
-        first, *rest = _packed(self, w)
-        assert first is not None
-        return (first + 1, *rest)
-
-    corpus = suite.mutation_corpus()
-    assert suite.run_all(corpus, include={"hyper_catalan"}).ok
-    monkeypatch.setattr(hyperfib._RightSides, "packed", shifted)
-    report = suite.run_all(corpus, include={"hyper_catalan"})
-    assert report.checks and all(c.verdict == "fail" for c in report.checks)
-    assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 0"}
-
-
-def test_a_stored_remainder_fails_its_coordinate(monkeypatch, per_table_route):
-    per_table_route()
-
-    def remainder_at_1(self, w):
-        first, _, *rest = _packed(self, w)
-        return (first, None, *rest)
-
-    corpus = suite.mutation_corpus()
-    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-    assert suite.run_all(corpus, include=include).ok
-    monkeypatch.setattr(hyperfib._RightSides, "packed", remainder_at_1)
-    report = suite.run_all(corpus, include=include)
-    assert {c.name for c in report.checks} == include
-    assert report.checks and all(c.verdict == "fail" for c in report.checks)
-    assert {c.witness.split(" at ")[0] for c in report.checks} == {"coordinate 1"}
 
 
 # -- the scalar instances against the per-table route -------------------------
@@ -653,13 +581,13 @@ def test_the_routes_differ_when_a_catalan_base_is_forced_to_hold(monkeypatch, pe
 def _count_fallbacks(monkeypatch) -> list:
     """The witness location of every per-table comparison from now on."""
     fallbacks = []
-    real = HyperContext._packed_check
+    real = HyperContext._table_check
 
     def counted(self, *args):
         fallbacks.append(args[-1])
         return real(self, *args)
 
-    monkeypatch.setattr(HyperContext, "_packed_check", counted)
+    monkeypatch.setattr(HyperContext, "_table_check", counted)
     return fallbacks
 
 
@@ -892,8 +820,8 @@ def test_right_sides_take_no_products_in_the_quadratic_extension(monkeypatch):
     calls.clear()
     run_checks()
     assert calls == []
-    # once the right sides and the packed terms are cached, the left sides
-    # take no polynomial product or linear combination either
+    # once the instance flags are memoized, the checks take no polynomial
+    # product or linear combination either
     count(Poly, "__mul__")
     count(hyperfib, "poly_combination")
     count(scalars, "poly_combination")

@@ -16,8 +16,7 @@ import pytest
 from fractions import Fraction
 
 from hxfib import fibseq, hyperfib, scalars, suite
-from hxfib.algebra import (AlgebraTable, builtin, complex_table, quaternion_table,
-                           scalar_table)
+from hxfib.algebra import AlgebraTable, complex_table, quaternion_table, scalar_table
 from hxfib.fibseq import FibContext
 from hxfib.scalars import ONE, X, Poly
 from hxfib.suite import (
@@ -225,26 +224,6 @@ def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch
     assert run_all(mutation_corpus(), include=include).ok
     h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
     report = run_all(Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8), include=include)
-    assert {c.name for c in report.failures} == include
-
-
-@pytest.mark.parametrize("scale", [
-    lambda self, t: self._constants_lcm,
-    lambda self, t: self.fib.den_pow(t),
-], ids=["without_the_denominator_power", "without_the_constants_lcm"])
-def test_battery_notices_packed_algebra_checks_without_a_clearing_factor(scale, monkeypatch,
-                                                                         per_table_route):
-    # the algebra right sides are cleared by e d^t, with e the lcm of the
-    # denominators of the structure constants and d that of h; an integer h
-    # and integer constants (mutation_corpus()) hide a missing factor
-    per_table_route()
-    monkeypatch.setattr(hyperfib.HyperContext, "_right_scale", scale)
-    include = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-    assert run_all(mutation_corpus(), include=include).ok
-    h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
-    corpus = Corpus(seed=0, h_polys=(h,), algebras=(builtin("quaternion:1/2,3"),),
-                    n_max=6, r_max=6)
-    report = run_all(corpus, include=include)
     assert {c.name for c in report.failures} == include
 
 
