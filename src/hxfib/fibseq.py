@@ -19,10 +19,13 @@ powers of d.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
 substitution), so a product G_u G_v is one big-integer multiply and the
 identity one comparison of integers, with no float anywhere.  The
 comparison is exact because evaluation at 2^(8w) is injective on integer
-polynomials whose coefficients lie below 2^(8w-1) in absolute value: each
-check bounds every coefficient of its left side minus its right side by
-the 1-norms of the G involved, and `FibContext.packing` picks w from that
-bound and raises `AssertionError` if w does not cover it.  The instances,
+polynomials whose coefficients lie below 2^(8w-1) in absolute value.
+`FibContext._vanishes` makes every such comparison from its terms alone
+(weights c on G_u G_v or G_u G_v - G_u' G_v', an integer factor, and
+weighted integer vectors V on the right): the bound ||factor|| (sum |c|
+(N_u N_v + N_u' N_v') + 1) + sum |c| ||V||, N_k = ||G_k||_1, covers every
+coefficient of the left side minus the right side and of every vector
+packed, and w is picked from it and asserted.  The instances,
 `catalan_instance` and `docagne_instance`, are memoized here so that every
 table over one h shares them (see the `hyperfib` docstring).  A check
 reads its instances in one batched call, `catalan_instances` or
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .scalars import (
     ONE,
@@ -117,6 +120,27 @@ def _checked_width(bound: int) -> int:
     return w
 
 
+class _PackedProducts(dict):
+    """G_u(2^(8w)) G_v(2^(8w)) by (u, v) and (v, u) at slot width w, made on
+    first read from a context's G_k and N_k; a zero N_u or N_v gives 0."""
+
+    def __init__(self, scaled: list, norms: list, w: int):
+        super().__init__()
+        self.scaled, self.norms, self.w, self.packed = scaled, norms, w, {}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        u, v = key
+        if not (self.norms[u] and self.norms[v]):
+            got = 0
+        else:
+            for k in key:
+                if k not in self.packed:
+                    self.packed[k] = _kronecker_pack(self.scaled[k], self.w)
+            got = self.packed[u] * self.packed[v]
+        self[key] = self[v, u] = got
+        return got
+
+
 def _vajda_terms(m: int, r: int, delta: int) -> tuple:
     """The right side of the Catalan instance E(m, r, delta) as two
     (sign, e, k) terms sign d^e A_k: (-1)^(m+min(0,delta)) d^(2 min(m,
@@ -171,16 +195,17 @@ class FibContext:
         self._scaled: list[tuple] = []
         self._norms: list[int] = []
         self._den_pows = [1]
-        self._packed_products: dict[int, Callable[[int, int], int]] = {}
+        self._packed_products: dict[int, _PackedProducts] = {}
         # per slot width w, the powers of H(2^(8w)) that the packed closed
         # forms read, and the k-th derivatives of y^(n-k-1) at row n
         self._form_pows: dict[int, list[int]] = {}
         self._derivatives: list[list[Poly]] = [[]]
         self._alpha_pows: list[QuadExt] | None = None
-        # M' = d^2 (h^2+4) as an integer vector, the vectors A_k and B_k by
-        # (k, odd), and the instance flags: Catalan chains by (r, delta)
-        # from their base m, d'Ocagne flags by (u, v)
-        self._cleared_modulus = (self.modulus * self.h.den ** 2).num
+        # M' = d^2 (h^2+4) as an integer vector with its 1-norm, the vectors
+        # A_k and B_k by (k, odd), and the instance flags: Catalan chains by
+        # (r, delta) from their base m, d'Ocagne flags by (u, v)
+        modulus = (self.modulus * self.h.den ** 2).num
+        self._cleared_modulus = modulus, sum(map(abs, modulus))
         self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
         self._catalan_chains: dict[tuple[int, int], list[bool]] = {}
         self._docagne_flags: dict[tuple[int, int], bool] = {}
@@ -224,8 +249,8 @@ class FibContext:
         return rhos[j]
 
     def fib_product(self, u: int, v: int) -> Poly:
-        """F_u * F_v, memoized; the quadratic identities reuse a small set
-        of such products heavily."""
+        """F_u * F_v, memoized for every table over this h, whose
+        per-table comparisons in `hyperfib` read them."""
         key = (u, v) if u <= v else (v, u)
         got = self._products.get(key)
         if got is None:
@@ -259,45 +284,47 @@ class FibContext:
             pows.append(pows[-1] * self.h.den)
         return pows[k]
 
-    def packing(self, top: int, bound) -> tuple[int, Callable[[int, int], int]]:
-        """The slot width w and the packed products of one comparison
-        among G_0..G_top (see the module docstring).
+    def _vanishes(self, terms, right=(), factor=None) -> bool:
+        """Whether factor * sum c (G_u G_v - G_u2 G_v2) == sum c V, compared
+        between packed integers in slots whose width comes from these terms
+        alone, by the bound of the module docstring, and is asserted.
 
-        `bound(norms)`, given N_k = ||G_k||_1 for k <= top, must bound in
-        absolute value every coefficient of the comparison's left side
-        minus its right side and of every vector the caller packs itself;
-        w is picked from it and asserted.  `product(u, v)` is
-        G_u(2^(8w)) * G_v(2^(8w)), memoized per width and shared by every
-        check on this context.  A product with a zero factor is 0 without
-        packing the other one, which the bound need not cover."""
-        if top >= len(self._scaled):
-            self._scale_to(top)
-        w = _checked_width(bound(self._norms))
+        `terms` holds (c, u, v, u2, v2), or (c, u, v) without the second
+        product; `right` holds (c, V, ||V||_1) and `factor` (V, ||V||_1) or
+        None, with V an integer vector and every c a nonzero integer.  G is
+        scaled up to each index read, which may raise `NotDivisible`."""
+        norms, bound = self._norms, 1
+        for t in terms:
+            top = max(t[1:])
+            if top >= len(norms):
+                self._scale_to(top)
+            if len(t) > 3:
+                c, u, v, u2, v2 = t
+                bound += abs(c) * (norms[u] * norms[v] + norms[u2] * norms[v2])
+            else:
+                c, u, v = t
+                bound += abs(c) * norms[u] * norms[v]
+        if factor is not None:
+            bound *= factor[1]
+        for c, _, norm in right:
+            bound += abs(c) * norm
+        w = _checked_width(bound)
         product = self._packed_products.get(w)
         if product is None:
-            product = self._packed_products[w] = self._memoized_products(w)
-        return w, product
-
-    def _memoized_products(self, w: int) -> Callable[[int, int], int]:
-        packed: dict[int, int] = {}
-        products: dict[tuple[int, int], int] = {}
-        scaled, norms = self._scaled, self._norms
-
-        def product(u: int, v: int) -> int:
-            key = (u, v) if u <= v else (v, u)
-            got = products.get(key)
-            if got is None:
-                if not (norms[u] and norms[v]):
-                    got = 0
-                else:
-                    for k in key:
-                        if k not in packed:
-                            packed[k] = _kronecker_pack(scaled[k], w)
-                    got = packed[u] * packed[v]
-                products[key] = got
-            return got
-
-        return product
+            product = self._packed_products[w] = _PackedProducts(self._scaled, self._norms, w)
+        lhs = 0
+        for t in terms:
+            if len(t) > 3:
+                c, u, v, u2, v2 = t
+                lhs += c * (product[u, v] - product[u2, v2])
+            else:
+                c, u, v = t
+                lhs += c * product[u, v]
+        if factor is not None:
+            lhs *= _kronecker_pack(factor[0], w)
+        for c, vec, _ in right:
+            lhs -= c * _kronecker_pack(vec, w)
+        return not lhs
 
     # -- characteristic roots -------------------------------------------
 
@@ -467,11 +494,8 @@ class FibContext:
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
         scale = self.den_pow(2 * (n - r))
-        _, product = self.packing(n + r, lambda N: (
-            N[n - r] * N[n + r] + N[n] ** 2 + scale * N[r] ** 2))
-        lhs = product(n - r, n + r) - product(n, n)
-        rhs = scale * product(r, r)
-        if lhs != (-rhs if (n - r - 1) % 2 else rhs):
+        if not self._vanishes(((1, n - r, n + r, n, n),
+                               (-scale if (n - r) % 2 else scale, r, r))):
             return Verdict(False, f"n={n}, r={r}")
         return HOLDS
 
@@ -493,12 +517,8 @@ class FibContext:
     def _shift_holds(self, a: int, b: int, c: int, d: int, r: int) -> bool:
         """The packed comparison of `index_shift_check`, unguarded."""
         scale = self.den_pow(2 * r)
-        _, product = self.packing(max(a, b, c, d), lambda N: (
-            N[a] * N[b] + N[c] * N[d]
-            + scale * (N[a - r] * N[b - r] + N[c - r] * N[d - r])))
-        lhs = product(a, b) - product(c, d)
-        rhs = scale * (product(a - r, b - r) - product(c - r, d - r))
-        return lhs == (-rhs if r % 2 else rhs)
+        return self._vanishes(((1, a, b, c, d),
+                               (scale if r % 2 else -scale, a - r, b - r, c - r, d - r)))
 
     # -- scalar instances of the algebra identities ------------------------
 
@@ -570,17 +590,9 @@ class FibContext:
 
     def _catalan_base(self, m: int, r: int, delta: int) -> bool:
         """E(m, r, delta) compared directly between packed integers."""
-        a, b, c, e = m + r, m - r + delta, m, m + delta
-        terms = self._right_side(_vajda_terms(m, r, delta), False)
-        if terms is None:
-            return False
-        modulus = self._cleared_modulus
-        norm = sum(map(abs, modulus))
-        w, product = self.packing(max(a, e), lambda N: (
-            norm * (N[a] * N[b] + N[c] * N[e] + 1)
-            + sum((abs(scale) + 1) * vec_norm for scale, _, vec_norm in terms)))
-        lhs = _kronecker_pack(modulus, w) * (product(a, b) - product(c, e))
-        return lhs == sum(scale * _kronecker_pack(vec, w) for scale, vec, _ in terms)
+        right = self._right_side(_vajda_terms(m, r, delta), False)
+        return right is not None and self._vanishes(
+            ((1, m + r, m - r + delta, m, m + delta),), right, self._cleared_modulus)
 
     def docagne_instance(self, u: int, v: int) -> bool:
         """Whether the d'Ocagne instance E'(u, v),
@@ -609,14 +621,8 @@ class FibContext:
         return True
 
     def _docagne_holds(self, u: int, v: int) -> bool:
-        terms = self._right_side(_docagne_terms(u, v), True)
-        if terms is None:
-            return False
-        w, product = self.packing(max(u, v) + 1, lambda N: (
-            N[u] * N[v + 1] + N[u + 1] * N[v]
-            + sum((abs(scale) + 1) * norm for scale, _, norm in terms)))
-        return (product(u, v + 1) - product(u + 1, v)
-                == sum(scale * _kronecker_pack(vec, w) for scale, vec, _ in terms))
+        right = self._right_side(_docagne_terms(u, v), True)
+        return right is not None and self._vanishes(((1, u, v + 1, u + 1, v),), right)
 
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.

@@ -266,9 +266,9 @@ class HyperContext:
         `_root_combination` of `parts`, in Q[x], with (a, b) = first and
         (a2, b2) = second: the per-table route (see the module docstring)."""
         (a, b), (a2, b2) = first, second
-        fib = self.fib.fib
+        product = self.fib.fib_product
         for k, terms in enumerate(self._coord_terms):
-            left = poly_combination([(fib(a + i) * fib(b + j) - fib(a2 + i) * fib(b2 + j), c)
+            left = poly_combination([(product(a + i, b + j) - product(a2 + i, b2 + j), c)
                                      for i, j, c in terms])
             right = self._root_combination(k, parts, odd)
             if factor * left != (-right if n % 2 else right):

@@ -68,18 +68,17 @@ def parse_poly(text: str) -> Poly:
         raise PolyParseError("empty polynomial", text.strip() or "<empty>")
     gap = re.search(r"\s+", s)
     if gap:
-        raise PolyParseError(
-            f"missing operator before {s[gap.end():]!r}", s[gap.end() : gap.end() + 8]
-        )
+        rest = s[gap.end() :]
+        raise PolyParseError(f"missing operator before {rest[:16]!r}", rest[:8])
     coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == m.start():
-            raise PolyParseError(f"unexpected token at {s[pos:]!r}", s[pos : pos + 8])
+            raise PolyParseError(f"unexpected token at {s[pos : pos + 16]!r}", s[pos : pos + 8])
         if not first and m.group("sign") == "":
-            raise PolyParseError(f"missing + or - before {s[pos:]!r}", s[pos : pos + 8])
+            raise PolyParseError(f"missing + or - before {s[pos : pos + 16]!r}", s[pos : pos + 8])
         sign = -1 if m.group("sign") == "-" else 1
         exp_text = m.group("exp1") or m.group("exp2")
         if exp_text is not None:

@@ -266,14 +266,6 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Poly) and self.den == other.den:
-            a, b = self.num, other.num
-            out = [u - v for u, v in zip(a, b)]
-            if len(a) >= len(b):
-                out.extend(a[len(b):])
-            else:
-                out.extend([-v for v in b[len(a):]])
-            return Poly._rational(out, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -268,6 +268,15 @@ def test_seq_rejects_bad_polynomial(capsys):
     assert "z" in err
 
 
+@pytest.mark.parametrize("text", ["(" * 5000 + "x", "x" + "2x" * 2500, "3 " + "4" * 5000],
+                         ids=["unexpected_token", "missing_sign", "missing_operator"])
+def test_a_long_bad_polynomial_gives_one_short_error_line(capsys, text):
+    code, out, err = run_cli(capsys, "seq", "--h", text, "--n", "2")
+    assert code == 2 and not out
+    assert err.startswith("hxfib: error: cannot parse polynomial: ")
+    assert err.count("\n") == 1 and len(err) < 200, err
+
+
 def test_seq_rejects_unknown_algebra(capsys):
     code, _, err = run_cli(capsys, "seq", "--h", "1", "--n", "3", "--algebra", "spinor")
     assert code == 2

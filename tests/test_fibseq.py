@@ -1,9 +1,11 @@
 """The recurrence engine: frozen sequence values, agreement of all six
 closed forms, and the exact identity verifiers."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +389,22 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch):
                     + d ** (2 * r) * (height(a - r, b - r) + height(c - r, e - r)))
             assert bounds.pop() >= need
         assert not bounds
+
+
+def test_only_the_packed_primitives_pick_a_slot_width():
+    # every other comparison goes through `_vanishes`, whose bound comes
+    # from its own terms: a hand-written bound would read `_checked_width`
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "_checked_width":
+                owners.append(owner)
+            visit(child, getattr(child, "name", "<lambda>")
+                  if isinstance(child, (ast.FunctionDef, ast.Lambda)) else owner)
+
+    visit(ast.parse(Path(fibseq.__file__).read_text()), "<module>")
+    assert sorted(owners) == ["_packed_form", "_vanishes"]
 
 
 def test_pack_width_is_the_smallest_power_of_two_that_fits():

@@ -675,6 +675,108 @@ def test_a_long_catalan_chain_is_built_without_recursion():
     assert len(fib._catalan_chains[3, 1]) == 2000 - 2 + 1  # from the base m = 2
 
 
+# -- every packed comparison against a bound oracle ----------------------------
+
+#: the families whose verdicts come from `FibContext._vanishes`
+PACKED = QUADRATIC | {"catalan_real", "index_shift"}
+
+
+def _spy_comparisons(monkeypatch) -> list:
+    """(context, terms, right, factor, bound, w) of every packed comparison
+    from now on, with the bound `_checked_width` was given and the slot
+    width w it gave."""
+    seen, widths = [], []
+    real_vanishes, real_width = FibContext._vanishes, fibseq._checked_width
+
+    def width(bound):
+        widths.append((bound, real_width(bound)))
+        return widths[-1][1]
+
+    def vanishes(self, terms, right=(), factor=None):
+        got = real_vanishes(self, terms, right, factor)
+        seen.append((self, terms, right, factor, *widths[-1]))
+        return got
+
+    monkeypatch.setattr(fibseq, "_checked_width", width)
+    monkeypatch.setattr(FibContext, "_vanishes", vanishes)
+    return seen
+
+
+def _oracle_heights(ctx, terms, right, factor, products) -> tuple[int, int]:
+    """On the Poly route, the largest |coefficient| of the comparison's left
+    side minus its right side, and of every vector it packs: the factor,
+    each right-side V and each G_n = d^(n-1) F_n of a product with no zero
+    factor.  The 1-norms passed with the vectors are checked too.
+    `products` memoizes (G_u G_v, height of G_u and G_v) by (ctx, u, v)."""
+    def height(p):
+        return max(map(abs, p.num), default=0)
+
+    def product(u, v):
+        key = ctx, u, v
+        if key not in products:
+            g = [ctx.fib(n) * F(ctx.h.den) ** (n - 1) for n in (u, v)]
+            assert g[0].den == g[1].den == 1
+            products[key] = g[0] * g[1], max(map(height, g)) if g[0] and g[1] else 0
+        return products[key]
+
+    heights, diff = [0], ZERO
+    for c, *indices in terms:
+        for sign, u, v in zip((1, -1), indices[::2], indices[1::2]):
+            got, tall = product(u, v)
+            heights.append(tall)
+            diff += got * (c * sign)
+    for vec, norm in [factor] if factor else []:
+        assert norm == sum(map(abs, vec))
+        heights.append(max(map(abs, vec)))
+        diff *= Poly(vec)
+    for c, vec, norm in right:
+        assert norm == sum(map(abs, vec))
+        heights.append(max(map(abs, vec)))
+        diff -= Poly(vec) * c
+    return height(diff), max(heights)
+
+
+def _assert_covered(seen):
+    products = {}
+    for ctx, terms, right, factor, bound, w in seen:
+        need = max(_oracle_heights(ctx, terms, right, factor, products))
+        assert need <= bound and need < 2 ** (8 * w - 1), (ctx.h, terms, right, factor, w)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_every_packed_comparison_fits_its_slots(corpus, fault, monkeypatch):
+    _inject(fault, monkeypatch)
+    seen = _spy_comparisons(monkeypatch)
+    suite.run_all(corpus, include=PACKED)
+    assert {len(terms) for _, terms, *_ in seen} == {1, 2}  # instances and scalar checks
+    _assert_covered(seen)
+
+
+#: comparisons just past a slot boundary 2^(8w-1), with G_n = F_n(-1) =
+#: (-1)^(n-1) F_n(1) and G_n = F_n(x).  2 * -3 (G_2 G_3 - G_4 G_4) + 2 * 31
+#: = 128 = 2^7 has the bound 2 (3 (2 + 9) + 1) + 2 * 31 = 130 and needs
+#: 2-byte slots, but the bound less any one of |c|, the second product,
+#: ||factor|| and the right-side norms is below 2^7.  -G_1 G_2 + 256 =
+#: 256 - x has the bound 258 and packs to 0 in 1-byte slots, which the
+#: bound less the right-side norms or their |c| would pick, and so would
+#: a width one step below the bound's.
+SLOT_EDGES = [
+    (Poly([-1]), ((-3, 2, 3, 4, 4),), ((-2, (31,), 31),), ((2,), 2), 2),
+    (X, ((-1, 1, 2),), ((-256, (1,), 1),), None, 2),
+]
+
+
+@pytest.mark.parametrize("h, terms, right, factor, width", SLOT_EDGES,
+                         ids=["constant", "linear"])
+def test_comparisons_at_a_slot_boundary_fit_their_slots(h, terms, right, factor, width,
+                                                        monkeypatch):
+    seen = _spy_comparisons(monkeypatch)
+    assert not FibContext(h)._vanishes(terms, right, factor)
+    _assert_covered(seen)
+    assert [w for *_, w in seen] == [width]
+
+
 def _ref_recurrence(ctx, n):
     lhs, rhs = ctx.q(n + 2), ctx.q(n + 1) * ctx.h + ctx.q(n)
     return (True, None) if lhs == rhs else (False, _ref_first_diff(lhs, rhs, f"n={n}"))
