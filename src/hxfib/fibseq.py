@@ -32,6 +32,28 @@ reads its instances in one batched call, `catalan_instances` or
 `docagne_instances`, which reads the memoized flags directly and runs the
 comparison only for a flag not yet made.
 
+Most comparisons would be the index shift by one, so its flags are
+shared.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one on
+(a, b, c, d) with a + b = c + d is exactly K(a, b) == K(c, d).  One pair
+flag is memoized per (u, v) with u, v >= 1, keyed as given: whether
+K(u, v) equals K at the middle pair (s // 2, s - s // 2) of its sum
+s = u + v, true with no comparison at that pair.  Flags on two pairs of
+one sum prove the shift between them, and no index above max(u, v) is
+read.  The run L(u, v), how many flags hold in a row down the diagonal
+(u - j, v - j), is memoized too and extended iteratively.  Three readers
+telescope the runs and fall back to their own comparison wherever the
+runs do not cover, so every verdict, witness and chain flag is the
+direct comparison's:
+
+- `index_shift_check` at r >= 1: L(a, b) >= r and L(c, d) >= r;
+- `catalan_check` at n > r: G_0 = 0 with L(n - r, n + r) >= n - r and
+  L(n, n) >= n - r, since n - r shifts leave G_0 G_{2r} - G_r^2 = -G_r^2;
+- each step of a Catalan instance chain: the flags of
+  (k + r, k - r + delta) and (k, k + delta).
+
+Each reader scales G to its top index before it reads a run, so
+`NotDivisible` comes where the direct comparison raises it.
+
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
 h^i (h^2+4)^j over a denominator, which times d^(n-1) is an integer
@@ -208,6 +230,8 @@ class FibContext:
         self._cleared_modulus = modulus, sum(map(abs, modulus))
         self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
         self._catalan_chains: dict[tuple[int, int], list[bool]] = {}
+        # the run L(u, v) of holding pair flags down the diagonal, by (u, v)
+        self._pair_runs: dict[tuple[int, int], int] = {}
         self._docagne_flags: dict[tuple[int, int], bool] = {}
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
@@ -493,6 +517,10 @@ class FibContext:
         packed integers (see the module docstring)."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
+        self._scale_to(n + r)  # NotDivisible as the comparison raises it
+        if n > r and not self._norms[0] and min(self._pair_run(n - r, n + r),
+                                                self._pair_run(n, n)) >= n - r:
+            return HOLDS
         scale = self.den_pow(2 * (n - r))
         if not self._vanishes(((1, n - r, n + r, n, n),
                                (-scale if (n - r) % 2 else scale, r, r))):
@@ -510,6 +538,9 @@ class FibContext:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
+        self._scale_to(max(a, b, c, d))  # NotDivisible as the comparison raises it
+        if 0 < r <= self._pair_run(a, b) and r <= self._pair_run(c, d):
+            return HOLDS
         if not self._shift_holds(a, b, c, d, r):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
         return HOLDS
@@ -519,6 +550,40 @@ class FibContext:
         scale = self.den_pow(2 * r)
         return self._vanishes(((1, a, b, c, d),
                                (scale if r % 2 else -scale, a - r, b - r, c - r, d - r)))
+
+    # -- the index shift by one through pair flags ---------------------------
+
+    def _pair_flag(self, u: int, v: int) -> bool:
+        """Whether K(u, v) == K(m, s - m) for s = u + v, m = s // 2 and
+        K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, u, v >= 1: the index shift
+        by one from (u, v) to the middle pair of its sum, which holds with
+        no comparison when (u, v) is that pair, in either order."""
+        m = (u + v) // 2
+        return m == u or m == v or self._shift_holds(u, v, m, u + v - m, 1)
+
+    def _pair_run(self, u: int, v: int) -> int:
+        """L(u, v): how many pair flags hold in a row from (u, v) down the
+        diagonal (u - 1, v - 1), (u - 2, v - 2), ... while both indices are
+        at least 1, memoized.  G is scaled up to max(u, v) first, as the
+        comparison of (u, v) scales it.  The walk goes down to the first
+        flag that fails or to a memoized run, then fills the runs back up."""
+        runs = self._pair_runs
+        got = runs.get((u, v))
+        if got is not None:
+            return got
+        self._scale_to(max(u, v))
+        path = []
+        while u > 0 and v > 0 and (u, v) not in runs:
+            if not self._pair_flag(u, v):
+                runs[u, v] = 0
+                break
+            path.append((u, v))
+            u, v = u - 1, v - 1
+        got = runs.get((u, v), 0)
+        for key in reversed(path):
+            got += 1
+            runs[key] = got
+        return got
 
     # -- scalar instances of the algebra identities ------------------------
 
@@ -570,7 +635,9 @@ class FibContext:
             chain = self._catalan_chains[r, delta] = [self._catalan_base(base, r, delta)]
         while len(chain) <= m - base:
             k = base + len(chain)
-            chain.append(chain[-1] and self._shift_holds(k + r, k - r + delta, k, k + delta, 1))
+            chain.append(chain[-1] and (
+                self._pair_run(k + r, k - r + delta) > 0 and self._pair_run(k, k + delta) > 0
+                or self._shift_holds(k + r, k - r + delta, k, k + delta, 1)))
         return chain[m - base]
 
     def catalan_instances(self, n: int, r: int, deltas) -> bool:

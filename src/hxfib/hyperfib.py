@@ -36,9 +36,11 @@ instance for every table over one h.  E'(u, v) is compared directly.
 E(m, r, delta) is compared once, at the smallest m whose four indices
 are nonnegative; above it, E(m) holds if E(m-1) does and
 D(m) == -d^2 D(m-1), the index shift by one, with no M' in it, since the
-right side of E(m) is -d^2 times that of E(m-1).  So a flag of the chain
-holds only if every flag below it does, and the check at (n, r) reads,
-per delta, the instance at the largest n + i with some c_ijk != 0.  Each
+right side of E(m) is -d^2 times that of E(m-1).  Each such step is read
+from the pair flags of `FibContext` and compared only where they fail
+(see the `fibseq` docstring).  So a flag of the chain holds only if
+every flag below it does, and the check at (n, r) reads, per delta, the
+instance at the largest n + i with some c_ijk != 0.  Each
 check reads all of its flags in one call, `FibContext.catalan_instances`
 or `docagne_instances`, which looks them up in the chains and flags
 directly and compares only an instance not yet memoized.
@@ -55,11 +57,11 @@ and the witness:
         [F_{n+r+i} F_{n-r+j} - F_{n+i} F_{n+j}] == (-1)^n R_k,
     d'Ocagne: sum c_ijk [F_{r+i} F_{n+1+j} - F_{r+1+i} F_{n+j}] == (-1)^n q_k,
 
-with the right sides R_k and q_k below.  A wrong "non-zero" therefore
-costs only time, and a flag says "zero" only with a proof; on a
-fault-free run no check takes this per-table route.  Errors come in its
-order: the index guards, `FibContext.require_root_relations`, then
-`NotDivisible` from scaling G up to the comparison's top index.
+with the right sides R_k and q_k below, memoized per table.  A wrong
+"non-zero" therefore costs only time, and a flag says "zero" only with a
+proof; on a fault-free run no check takes this per-table route.  Errors
+come in its order: the index guards, `FibContext.require_root_relations`,
+then `NotDivisible` from scaling G up to the comparison's top index.
 
 The right sides take no product in Q[x][s].  Coordinate k of the starred
 products alpha* beta* and beta* alpha* sums c_ijk alpha^i beta^j and
@@ -137,6 +139,7 @@ class HyperContext:
         self._pairs = tuple(sorted({(i, j) for terms in self._coord_terms for i, j, _ in terms}))
         self._deltas = tuple({j - i: i for i, j in self._pairs}.items())
         self._printed: dict[int, bool] = {}  # `printed_matches` by r
+        self._root_combinations: dict[tuple, Poly] = {}  # by (k, parts, odd)
 
     @property
     def h(self) -> Poly:
@@ -245,17 +248,21 @@ class HyperContext:
         """Coordinate k of the sum over (shift, weight) in `parts` of
         weight * sum c_ijk X(i + shift, j), or of the sums of Y with `odd`
         (see the module docstring): one `poly_combination` of the a_m or
-        b_m, the multipliers of equal powers merged first."""
-        merged: dict[int, Fraction] = {}
-        for shift, weight in parts:
-            for i, j, c in self._coord_terms[k]:
-                sign, m = _root_product(i + shift, j)
-                if odd and m < 0:
-                    sign = -sign
-                merged[abs(m)] = merged.get(abs(m), 0) + 2 * weight * c * sign
-        alpha_pow = self.fib.alpha_pow
-        return poly_combination([(alpha_pow(m).b if odd else alpha_pow(m).a, c)
-                                 for m, c in merged.items() if c])
+        b_m, the multipliers of equal powers merged first; memoized."""
+        key = (k, parts, odd)
+        got = self._root_combinations.get(key)
+        if got is None:
+            merged: dict[int, Fraction] = {}
+            for shift, weight in parts:
+                for i, j, c in self._coord_terms[k]:
+                    sign, m = _root_product(i + shift, j)
+                    if odd and m < 0:
+                        sign = -sign
+                    merged[abs(m)] = merged.get(abs(m), 0) + 2 * weight * c * sign
+            alpha_pow = self.fib.alpha_pow
+            got = self._root_combinations[key] = poly_combination(
+                [(alpha_pow(m).b if odd else alpha_pow(m).a, c) for m, c in merged.items() if c])
+        return got
 
     # -- quadratic identities ---------------------------------------------
 

@@ -20,3 +20,19 @@ def per_table_route(monkeypatch):
         monkeypatch.setattr(FibContext, "docagne_instances", _non_zero)
 
     return force
+
+
+def _no_run(self, u, v):
+    return 0
+
+
+@pytest.fixture
+def direct_route(monkeypatch):
+    """A function that makes every run of holding pair flags read 0, so that
+    from then on the scalar Catalan and index-shift checks and every step
+    of a Catalan chain take their own packed comparison, as under a fault,
+    even on a context whose runs are already warm."""
+    def force():
+        monkeypatch.setattr(FibContext, "_pair_run", _no_run)
+
+    return force

@@ -10,13 +10,16 @@ from pathlib import Path
 import pytest
 
 from hxfib import fibseq
+from hxfib.algebra import quaternion_table
 from hxfib.fibseq import (
+    HOLDS,
     DomainError,
     FibContext,
     IndexConstraintViolated,
     Verdict,
     ZeroH,
 )
+from hxfib.hyperfib import HyperContext
 from hxfib.scalars import (
     ONE,
     X,
@@ -301,18 +304,23 @@ def ref_index_shift(ctx, a, b, c, d, r):
     return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
 
 
-def packed_test_hs():
-    """Seeded h: denominators above 1, constants, x, negative and sparse
-    coefficients, degree 4."""
-    rng = random.Random(113)
-    hs = [ONE, Poly([F(-7, 3)]), X, Poly([0, 0, 0, 0, F(-3, 2)]),
-          Poly([F(5, 6), 0, 0, -2, F(1, 4)])]
-    while len(hs) < 9:
+def seeded_hs(seed, count):
+    """`count` nonzero h of degree up to 4 with sparse coefficients in
+    [-9, 9] over denominators up to 4."""
+    rng, hs = random.Random(seed), []
+    while len(hs) < count:
         coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) * rng.randint(0, 1)
                   for _ in range(rng.randint(1, 5))]
         if any(coeffs):
             hs.append(Poly(coeffs))
     return hs
+
+
+def packed_test_hs():
+    """Seeded h: denominators above 1, constants, x, negative and sparse
+    coefficients, degree 4."""
+    return [ONE, Poly([F(-7, 3)]), X, Poly([0, 0, 0, 0, F(-3, 2)]),
+            Poly([F(5, 6), 0, 0, -2, F(1, 4)])] + seeded_hs(113, 4)
 
 
 def both_routes(fast, ref):
@@ -351,7 +359,8 @@ def test_packed_quadratic_identities_fail_where_the_polynomial_route_fails(prefi
         assert not all(fast.ok for fast, _ in pairs), h
 
 
-def test_packed_checks_assert_their_slot_width(monkeypatch):
+def test_packed_checks_assert_their_slot_width(monkeypatch, direct_route):
+    direct_route()
     h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
     assert FibContext(h).index_shift_check(9, 6, 8, 7, 3).ok
     # one byte below what the coefficient bound needs
@@ -365,7 +374,8 @@ def test_packed_checks_assert_their_slot_width(monkeypatch):
             ctx.index_shift_check(*tup)
 
 
-def test_packed_bound_covers_every_product_coefficient(monkeypatch):
+def test_packed_bound_covers_every_product_coefficient(monkeypatch, direct_route):
+    direct_route()
     bounds = []
     real = fibseq._pack_width
     monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
@@ -389,6 +399,125 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch):
                     + d ** (2 * r) * (height(a - r, b - r) + height(c - r, e - r)))
             assert bounds.pop() >= need
         assert not bounds
+
+
+def test_pair_flag_comparisons_assert_their_slot_width(monkeypatch):
+    h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
+    assert FibContext(h)._pair_run(9, 6) == 6
+    # one byte below what the coefficient bound needs
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
+    ctx = FibContext(h)
+    assert ctx._pair_run(7, 7) == ctx._pair_run(8, 7) == 7  # middle pairs compare nothing
+    for u, v in ((1, 3), (5, 2), (9, 6), (3, 12)):
+        with pytest.raises(AssertionError):
+            ctx._pair_flag(u, v)
+    # the checks that read the runs
+    for tup in ((5, 3, 4, 4, 1), (9, 6, 8, 7, 3)):
+        with pytest.raises(AssertionError):
+            FibContext(h).index_shift_check(*tup)
+    with pytest.raises(AssertionError):
+        FibContext(h).catalan_check(12, 5)
+
+
+def test_pair_flag_bound_covers_every_product_coefficient(monkeypatch):
+    bounds = []
+    real = fibseq._pack_width
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
+    for h in packed_test_hs():
+        ctx, d = FibContext(h), h.den
+
+        def height(u, v):
+            """Largest |coefficient| of G_u G_v, with G_n = d^(n-1) F_n."""
+            product = ctx.fib(u) * ctx.fib(v) * F(d) ** (u + v - 2)
+            assert product.den == 1
+            return max(map(abs, product.num), default=0)
+
+        for u in range(1, 13):
+            for v in range(1, 13):
+                assert ctx._pair_flag(u, v)
+                m = (u + v) // 2
+                if m in (u, v):
+                    continue  # the middle pair of its sum compares nothing
+                w = u + v - m
+                need = (height(u, v) + height(m, w)
+                        + d ** 2 * (height(u - 1, v - 1) + height(m - 1, w - 1)))
+                assert bounds.pop() >= need
+        assert not bounds
+
+
+# -- the pair runs against the direct comparisons ----------------------------------
+
+#: three corpora of h in the style of `packed_test_hs`
+PAIR_CORPORA = [packed_test_hs(), seeded_hs(5, 5), seeded_hs(29, 5)]
+PAIR_TABLE = quaternion_table(F(1, 2), -1)
+
+
+def f7_half_x_added(ctx):
+    ctx.fib(7)
+    ctx._fib[7] = ctx._fib[7] + X * F(1, 2)
+
+
+#: faults on one context's cached terms, and seeds (F_0, F_1) other than
+#: (0, 1): a doubled sequence, F_1 = 1/2, whose G_1 is not an integer, and
+#: a shifted sequence, whose pair flags all hold but whose G_0 is not zero
+PAIR_FAULTS = {
+    "exact": None,
+    "f5_plus_x_before": lambda ctx: f5_coefficient_raised(ctx, False),
+    "f5_plus_x_after": lambda ctx: f5_coefficient_raised(ctx, True),
+    "f7_plus_half_x": f7_half_x_added,
+    "double_seed": (0, 2),
+    "half_seed": (0, F(1, 2)),
+    "shifted_seed": (1, 1),
+}
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def pair_route_outcomes(h, fault):
+    """Every scalar Catalan, algebra Catalan and Cassini and index-shift
+    outcome over one context, in one order, with the context's chains."""
+    ctx = FibContext(h)
+    if callable(fault):
+        fault(ctx)
+    hyper, got = HyperContext(ctx, PAIR_TABLE), []
+    for n in range(10):
+        for r in range(n + 1):
+            got.append(_outcome(ctx.catalan_check, n, r))
+            got.append(_outcome(hyper.catalan_check, n, r))
+        if n:
+            got.append(_outcome(hyper.cassini_check, n))
+    got += [_outcome(ctx.index_shift_check, *tup) for tup in _index_shift_tuples(8)]
+    return got, ctx._catalan_chains
+
+
+@pytest.mark.parametrize("fault", sorted(PAIR_FAULTS))
+@pytest.mark.parametrize("corpus", range(len(PAIR_CORPORA)))
+def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_route):
+    if isinstance(PAIR_FAULTS[fault], tuple):
+        monkeypatch.setattr(fibseq, "_INITIAL_TERMS", PAIR_FAULTS[fault])
+    fast = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
+    direct_route()
+    assert fast == [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
+    failed = {got for verdicts, _ in fast for got in verdicts} - {HOLDS}
+    assert bool(failed) == (fault != "exact"), failed
+
+
+def test_pair_runs_deeper_than_the_recursion_limit(direct_route):
+    checks = [("index_shift_check", (1500, 1500, 1499, 1501, 1), (1499, 1501), 1499),
+              ("catalan_check", (1200, 3), (1197, 1203), 1197)]
+    fast = []
+    for name, args, pair, run in checks:
+        ctx = FibContext(ONE)
+        fast.append(getattr(ctx, name)(*args))
+        assert ctx._pair_runs[pair] == run  # answered by a run, not compared directly
+    direct_route()
+    assert fast == [getattr(FibContext(ONE), name)(*args) for name, args, *_ in checks]
+    assert fast == [HOLDS, HOLDS]
 
 
 def test_only_the_packed_primitives_pick_a_slot_width():

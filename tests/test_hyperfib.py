@@ -526,6 +526,8 @@ CORPORA = [
 ]
 CORPUS_IDS = ["mutation_corpus", "default_corpus", "fractional_tables"]
 QUADRATIC = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+#: the families whose verdicts come from `FibContext._vanishes`
+PACKED = QUADRATIC | {"catalan_real", "index_shift"}
 
 
 # -- the scalar instances against the per-table route -------------------------
@@ -598,6 +600,43 @@ def test_fault_free_corpora_never_take_the_per_table_route(corpus, monkeypatch):
     report = suite.run_all(corpus, include=QUADRATIC)
     assert report.ok and report.checks
     assert fallbacks == []
+
+
+def _spy_shift_comparisons(monkeypatch) -> tuple[list, list]:
+    """(pair, direct): the (u, v) of every pair flag that compared and the
+    arguments of every other `_shift_holds` call, from now on.  A pair flag
+    must compare (u, v) with the middle pair of its sum, shifted by one."""
+    pair, direct, flags = [], [], []
+    real_flag, real_shift = FibContext._pair_flag, FibContext._shift_holds
+
+    def flag(self, u, v):
+        flags.append((u, v))
+        try:
+            return real_flag(self, u, v)
+        finally:
+            flags.pop()
+
+    def shift(self, *args):
+        if flags:
+            u, v = flags[-1]
+            m = (u + v) // 2
+            assert args == (u, v, m, u + v - m, 1)
+            pair.append((u, v))
+        else:
+            direct.append(args)
+        return real_shift(self, *args)
+
+    monkeypatch.setattr(FibContext, "_pair_flag", flag)
+    monkeypatch.setattr(FibContext, "_shift_holds", shift)
+    return pair, direct
+
+
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_fault_free_corpora_never_compare_a_shift_directly(corpus, monkeypatch):
+    pair, direct = _spy_shift_comparisons(monkeypatch)
+    report = suite.run_all(corpus, include=PACKED)
+    assert report.ok and report.checks
+    assert pair and direct == []
 
 
 def _unsigned(terms):
@@ -676,9 +715,6 @@ def test_a_long_catalan_chain_is_built_without_recursion():
 
 
 # -- every packed comparison against a bound oracle ----------------------------
-
-#: the families whose verdicts come from `FibContext._vanishes`
-PACKED = QUADRATIC | {"catalan_real", "index_shift"}
 
 
 def _spy_comparisons(monkeypatch) -> list:
