@@ -32,27 +32,25 @@ reads its instances in one batched call, `catalan_instances` or
 `docagne_instances`, which reads the memoized flags directly and runs the
 comparison only for a flag not yet made.
 
-Most comparisons would be the index shift by one, so its flags are
-shared.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one on
-(a, b, c, d) with a + b = c + d is exactly K(a, b) == K(c, d).  One pair
-flag is memoized per (u, v) with u, v >= 1, keyed as given: whether
-K(u, v) equals K at the middle pair (s // 2, s - s // 2) of its sum
-s = u + v, true with no comparison at that pair.  Flags on two pairs of
-one sum prove the shift between them, and no index above max(u, v) is
-read.  The run L(u, v), how many flags hold in a row down the diagonal
-(u - j, v - j), is memoized too and extended iteratively.  Three readers
-telescope the runs and fall back to their own comparison wherever the
-runs do not cover, so every verdict, witness and chain flag is the
-direct comparison's:
+Most comparisons would be the index shift by one, and the recurrence
+proves it.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
+on (a, b, c, d), a + b = c + d, is K(a, b) == K(c, d).  Times d^(k-1),
+`residual(k)` below is G_k - H G_{k-1} - d^2 G_{k-2}; where it vanishes at
+p and q + 1, substituting the recurrence there gives
+K(p, q) = K(p - 1, q + 1) (p >= 2, q >= 1).  So if every residual on
+[2, T] vanishes, which `_recurrence_holds(T)` memoizes as the largest such
+T, every shift by one among indices in [1, T] holds.  Four readers ask it
+for their top index T, after scaling G to T so that `NotDivisible` comes
+where the direct comparison raises it, and compare directly where it says
+no, so every verdict, witness and instance flag is the direct one:
 
-- `index_shift_check` at r >= 1: L(a, b) >= r and L(c, d) >= r;
-- `catalan_check` at n > r: G_0 = 0 with L(n - r, n + r) >= n - r and
-  L(n, n) >= n - r, since n - r shifts leave G_0 G_{2r} - G_r^2 = -G_r^2;
-- each step of a Catalan instance chain: the flags of
-  (k + r, k - r + delta) and (k, k + delta).
-
-Each reader scales G to its top index before it reads a run, so
-`NotDivisible` comes where the direct comparison raises it.
+- `index_shift_check` at r >= 1, T = max(a, b, c, d): r shifts by one;
+- `catalan_check` at n > r, T = n + r, with G_0 = 0: n - r shifts leave
+  G_0 G_{2r} - G_r^2 = -G_r^2;
+- a step of a Catalan instance chain at k, T = k + max(r, delta);
+- the d'Ocagne instance E'(u, v) at m = min(u, v) >= 1, T = max(u, v) + 1,
+  where E'(u - m, v - m) holds, since each side of E'(u, v) is -d^2 times
+  that of E'(u - 1, v - 1); E' at m = 0 is compared directly.
 
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
@@ -144,11 +142,12 @@ def _checked_width(bound: int) -> int:
 
 class _PackedProducts(dict):
     """G_u(2^(8w)) G_v(2^(8w)) by (u, v) and (v, u) at slot width w, made on
-    first read from a context's G_k and N_k; a zero N_u or N_v gives 0."""
+    first read from a context's G_k and N_k; a zero N_u or N_v gives 0.
+    `vector` packs any other integer vector once at this width."""
 
     def __init__(self, scaled: list, norms: list, w: int):
         super().__init__()
-        self.scaled, self.norms, self.w, self.packed = scaled, norms, w, {}
+        self.scaled, self.norms, self.w, self.packed, self.vectors = scaled, norms, w, {}, {}
 
     def __missing__(self, key: tuple[int, int]) -> int:
         u, v = key
@@ -160,6 +159,12 @@ class _PackedProducts(dict):
                     self.packed[k] = _kronecker_pack(self.scaled[k], self.w)
             got = self.packed[u] * self.packed[v]
         self[key] = self[v, u] = got
+        return got
+
+    def vector(self, vec: tuple) -> int:
+        got = self.vectors.get(vec)
+        if got is None:
+            got = self.vectors[vec] = _kronecker_pack(vec, self.w)
         return got
 
 
@@ -230,8 +235,8 @@ class FibContext:
         self._cleared_modulus = modulus, sum(map(abs, modulus))
         self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
         self._catalan_chains: dict[tuple[int, int], list[bool]] = {}
-        # the run L(u, v) of holding pair flags down the diagonal, by (u, v)
-        self._pair_runs: dict[tuple[int, int], int] = {}
+        # the largest T with residual(k) == 0 for every 2 <= k <= T
+        self._recurrence_top = 1
         self._docagne_flags: dict[tuple[int, int], bool] = {}
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
@@ -250,6 +255,8 @@ class FibContext:
     def residual(self, m: int) -> Poly:
         """F_m - h F_(m-1) - F_(m-2) for m >= 2, memoized: zero unless the
         cached terms break the recurrence."""
+        if m < 2:
+            raise IndexConstraintViolated("residuals start at m = 2")
         residuals = self._residuals
         while len(residuals) <= m - 2:
             k = len(residuals) + 2
@@ -257,7 +264,9 @@ class FibContext:
         return residuals[m - 2]
 
     def h_partial_sum(self, j: int) -> Poly:
-        """h (F_1 + ... + F_j), memoized."""
+        """h (F_1 + ... + F_j) for j >= 0, memoized."""
+        if j < 0:
+            raise IndexConstraintViolated("partial sums start at j = 0")
         sums = self._h_partial_sums
         while len(sums) <= j:
             sums.append(sums[-1] + self.h * self.fib(len(sums)))
@@ -266,6 +275,8 @@ class FibContext:
     def sum_residual(self, j: int) -> Poly:
         """h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 for j >= 0, memoized:
         zero unless the cached terms are wrong."""
+        if j < 0:
+            raise IndexConstraintViolated("partial sums start at j = 0")
         rhos = self._sum_residuals
         while len(rhos) <= j:
             k = len(rhos)
@@ -345,10 +356,22 @@ class FibContext:
                 c, u, v = t
                 lhs += c * product[u, v]
         if factor is not None:
-            lhs *= _kronecker_pack(factor[0], w)
+            lhs *= product.vector(factor[0])
         for c, vec, _ in right:
-            lhs -= c * _kronecker_pack(vec, w)
+            lhs -= c * product.vector(vec)
         return not lhs
+
+    def _recurrence_holds(self, top: int) -> bool:
+        """Whether residual(k) == 0 for every 2 <= k <= top, which proves
+        every shift by one up to index top (see the module docstring).  G
+        is scaled up to top first, as a comparison reading index top scales
+        it.  Memoized as the largest top verified, extended in a loop."""
+        self._scale_to(top)
+        while self._recurrence_top < top:
+            if self.residual(self._recurrence_top + 1):
+                return False
+            self._recurrence_top += 1
+        return True
 
     # -- characteristic roots -------------------------------------------
 
@@ -517,9 +540,7 @@ class FibContext:
         packed integers (see the module docstring)."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        self._scale_to(n + r)  # NotDivisible as the comparison raises it
-        if n > r and not self._norms[0] and min(self._pair_run(n - r, n + r),
-                                                self._pair_run(n, n)) >= n - r:
+        if n > r and self._recurrence_holds(n + r) and not self._norms[0]:
             return HOLDS
         scale = self.den_pow(2 * (n - r))
         if not self._vanishes(((1, n - r, n + r, n, n),
@@ -538,8 +559,7 @@ class FibContext:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
-        self._scale_to(max(a, b, c, d))  # NotDivisible as the comparison raises it
-        if 0 < r <= self._pair_run(a, b) and r <= self._pair_run(c, d):
+        if r and self._recurrence_holds(max(a, b, c, d)):
             return HOLDS
         if not self._shift_holds(a, b, c, d, r):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
@@ -550,40 +570,6 @@ class FibContext:
         scale = self.den_pow(2 * r)
         return self._vanishes(((1, a, b, c, d),
                                (scale if r % 2 else -scale, a - r, b - r, c - r, d - r)))
-
-    # -- the index shift by one through pair flags ---------------------------
-
-    def _pair_flag(self, u: int, v: int) -> bool:
-        """Whether K(u, v) == K(m, s - m) for s = u + v, m = s // 2 and
-        K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, u, v >= 1: the index shift
-        by one from (u, v) to the middle pair of its sum, which holds with
-        no comparison when (u, v) is that pair, in either order."""
-        m = (u + v) // 2
-        return m == u or m == v or self._shift_holds(u, v, m, u + v - m, 1)
-
-    def _pair_run(self, u: int, v: int) -> int:
-        """L(u, v): how many pair flags hold in a row from (u, v) down the
-        diagonal (u - 1, v - 1), (u - 2, v - 2), ... while both indices are
-        at least 1, memoized.  G is scaled up to max(u, v) first, as the
-        comparison of (u, v) scales it.  The walk goes down to the first
-        flag that fails or to a memoized run, then fills the runs back up."""
-        runs = self._pair_runs
-        got = runs.get((u, v))
-        if got is not None:
-            return got
-        self._scale_to(max(u, v))
-        path = []
-        while u > 0 and v > 0 and (u, v) not in runs:
-            if not self._pair_flag(u, v):
-                runs[u, v] = 0
-                break
-            path.append((u, v))
-            u, v = u - 1, v - 1
-        got = runs.get((u, v), 0)
-        for key in reversed(path):
-            got += 1
-            runs[key] = got
-        return got
 
     # -- scalar instances of the algebra identities ------------------------
 
@@ -625,8 +611,9 @@ class FibContext:
         E is compared once, at the base: the smallest m whose four indices
         are nonnegative.  Above it, E(m) holds if E(m-1) does and
         D(m) == -d^2 D(m-1), the index shift by one, since the right side
-        of E(m) is -d^2 times that of E(m-1).  The chain of (r, delta) is
-        extended iteratively from its last flag."""
+        of E(m) is -d^2 times that of E(m-1); the recurrence proves it, or
+        else it is compared.  The chain of (r, delta) is extended
+        iteratively from its last flag."""
         base = max(0, -delta, r - delta)
         if r < 0 or m < base:
             raise IndexConstraintViolated("the instance reaches a negative index")
@@ -636,7 +623,7 @@ class FibContext:
         while len(chain) <= m - base:
             k = base + len(chain)
             chain.append(chain[-1] and (
-                self._pair_run(k + r, k - r + delta) > 0 and self._pair_run(k, k + delta) > 0
+                self._recurrence_holds(k + max(r, delta))
                 or self._shift_holds(k + r, k - r + delta, k, k + delta, 1)))
         return chain[m - base]
 
@@ -664,8 +651,10 @@ class FibContext:
     def docagne_instance(self, u: int, v: int) -> bool:
         """Whether the d'Ocagne instance E'(u, v),
         G_u G_{v+1} - G_{u+1} G_v == sign d^e B_k over
-        `_docagne_terms(u, v)`, holds, compared between packed integers
-        and memoized for every table over this h."""
+        `_docagne_terms(u, v)`, holds, memoized for every table over this
+        h.  At m = min(u, v) >= 1 it holds if E'(u - m, v - m) does and the
+        recurrence proves the m shifts by one between them; otherwise it is
+        compared between packed integers."""
         if min(u, v) < 0:
             raise IndexConstraintViolated("negative indices are undefined here")
         key = (u, v)
@@ -688,8 +677,11 @@ class FibContext:
         return True
 
     def _docagne_holds(self, u: int, v: int) -> bool:
-        right = self._right_side(_docagne_terms(u, v), True)
-        return right is not None and self._vanishes(((1, u, v + 1, u + 1, v),), right)
+        right, low = self._right_side(_docagne_terms(u, v), True), min(u, v)
+        return right is not None and (
+            low > 0 and self._recurrence_holds(max(u, v) + 1)
+            and self.docagne_instance(u - low, v - low)
+            or self._vanishes(((1, u, v + 1, u + 1, v),), right))
 
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.

@@ -32,21 +32,23 @@ Vajda's identity:
         G_u G_{v+1} - G_{u+1} G_v == (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|.
 
 Cassini is Catalan at r = 1.  `FibContext` memoizes one flag per
-instance for every table over one h.  E'(u, v) is compared directly.
-E(m, r, delta) is compared once, at the smallest m whose four indices
-are nonnegative; above it, E(m) holds if E(m-1) does and
-D(m) == -d^2 D(m-1), the index shift by one, with no M' in it, since the
-right side of E(m) is -d^2 times that of E(m-1).  Each such step is read
-from the pair flags of `FibContext` and compared only where they fail
-(see the `fibseq` docstring).  So a flag of the chain holds only if
-every flag below it does, and the check at (n, r) reads, per delta, the
-instance at the largest n + i with some c_ijk != 0.  Each
+instance for every table over one h.  E(m, r, delta) is compared once, at
+the smallest m whose four indices are nonnegative; above it, E(m) holds
+if E(m-1) does and D(m) == -d^2 D(m-1), the index shift by one, with no
+M' in it, since the right side of E(m) is -d^2 times that of E(m-1).
+Likewise E'(u, v) holds if E'(u-1, v-1) does and the index shift by one
+from (u, v+1) to (u+1, v) holds, so E' is compared at min(u, v) = 0.  The
+recurrence proves each shift by one, and a step or an E' above its base
+is compared directly only where a residual of the cached terms does not
+vanish (see the `fibseq` docstring).  So a flag of the chain
+holds only if every flag below it does, and the check at (n, r) reads,
+per delta, the instance at the largest n + i with some c_ijk != 0.  Each
 check reads all of its flags in one call, `FibContext.catalan_instances`
 or `docagne_instances`, which looks them up in the chains and flags
 directly and compares only an instance not yet memoized.
 
-Every flag comes from an exact packed comparison, and an A_k or B_k
-that is not integral makes it "non-zero".  Coordinate k of an identity,
+Every flag is exact, from a packed comparison or the recurrence, and an
+A_k or B_k that is not integral makes it "non-zero".  Coordinate k of an identity,
 times d^(2n+2dim-2) for Catalan and Cassini or d^(r+n+2dim-3) for
 d'Ocagne, is the sum of c_ijk d^(2dim-2-i-j) times its instances, so
 where they all hold it holds exactly.  Where one of them is non-zero the

@@ -22,17 +22,18 @@ def per_table_route(monkeypatch):
     return force
 
 
-def _no_run(self, u, v):
-    return 0
+def _unproven(self, top):
+    return False
 
 
 @pytest.fixture
 def direct_route(monkeypatch):
-    """A function that makes every run of holding pair flags read 0, so that
-    from then on the scalar Catalan and index-shift checks and every step
-    of a Catalan chain take their own packed comparison, as under a fault,
-    even on a context whose runs are already warm."""
+    """A function that makes the recurrence prove no shift by one, so that
+    from then on the scalar Catalan and index-shift checks, every step of a
+    Catalan chain and every d'Ocagne instance take their own packed
+    comparison, as under a fault, even on a context whose recurrence prefix
+    is already warm."""
     def force():
-        monkeypatch.setattr(FibContext, "_pair_run", _no_run)
+        monkeypatch.setattr(FibContext, "_recurrence_holds", _unproven)
 
     return force

@@ -4,6 +4,7 @@ closed forms, and the exact identity verifiers."""
 import ast
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,51 +402,7 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch, direct_route
         assert not bounds
 
 
-def test_pair_flag_comparisons_assert_their_slot_width(monkeypatch):
-    h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
-    assert FibContext(h)._pair_run(9, 6) == 6
-    # one byte below what the coefficient bound needs
-    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
-    ctx = FibContext(h)
-    assert ctx._pair_run(7, 7) == ctx._pair_run(8, 7) == 7  # middle pairs compare nothing
-    for u, v in ((1, 3), (5, 2), (9, 6), (3, 12)):
-        with pytest.raises(AssertionError):
-            ctx._pair_flag(u, v)
-    # the checks that read the runs
-    for tup in ((5, 3, 4, 4, 1), (9, 6, 8, 7, 3)):
-        with pytest.raises(AssertionError):
-            FibContext(h).index_shift_check(*tup)
-    with pytest.raises(AssertionError):
-        FibContext(h).catalan_check(12, 5)
-
-
-def test_pair_flag_bound_covers_every_product_coefficient(monkeypatch):
-    bounds = []
-    real = fibseq._pack_width
-    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
-    for h in packed_test_hs():
-        ctx, d = FibContext(h), h.den
-
-        def height(u, v):
-            """Largest |coefficient| of G_u G_v, with G_n = d^(n-1) F_n."""
-            product = ctx.fib(u) * ctx.fib(v) * F(d) ** (u + v - 2)
-            assert product.den == 1
-            return max(map(abs, product.num), default=0)
-
-        for u in range(1, 13):
-            for v in range(1, 13):
-                assert ctx._pair_flag(u, v)
-                m = (u + v) // 2
-                if m in (u, v):
-                    continue  # the middle pair of its sum compares nothing
-                w = u + v - m
-                need = (height(u, v) + height(m, w)
-                        + d ** 2 * (height(u - 1, v - 1) + height(m - 1, w - 1)))
-                assert bounds.pop() >= need
-        assert not bounds
-
-
-# -- the pair runs against the direct comparisons ----------------------------------
+# -- the recurrence prefix against the direct comparisons ----------------------------
 
 #: three corpora of h in the style of `packed_test_hs`
 PAIR_CORPORA = [packed_test_hs(), seeded_hs(5, 5), seeded_hs(29, 5)]
@@ -459,7 +416,7 @@ def f7_half_x_added(ctx):
 
 #: faults on one context's cached terms, and seeds (F_0, F_1) other than
 #: (0, 1): a doubled sequence, F_1 = 1/2, whose G_1 is not an integer, and
-#: a shifted sequence, whose pair flags all hold but whose G_0 is not zero
+#: a shifted sequence, whose residuals all vanish but whose G_0 is not zero
 PAIR_FAULTS = {
     "exact": None,
     "f5_plus_x_before": lambda ctx: f5_coefficient_raised(ctx, False),
@@ -479,8 +436,9 @@ def _outcome(check, *args):
 
 
 def pair_route_outcomes(h, fault):
-    """Every scalar Catalan, algebra Catalan and Cassini and index-shift
-    outcome over one context, in one order, with the context's chains."""
+    """Every scalar Catalan, algebra Catalan, Cassini and d'Ocagne and
+    index-shift outcome over one context, in one order, with the context's
+    Catalan chains and d'Ocagne flags."""
     ctx = FibContext(h)
     if callable(fault):
         fault(ctx)
@@ -491,8 +449,9 @@ def pair_route_outcomes(h, fault):
             got.append(_outcome(hyper.catalan_check, n, r))
         if n:
             got.append(_outcome(hyper.cassini_check, n))
+        got += [_outcome(hyper.docagne_check, n, r) for r in range(n + 1, 10)]
     got += [_outcome(ctx.index_shift_check, *tup) for tup in _index_shift_tuples(8)]
-    return got, ctx._catalan_chains
+    return got, ctx._catalan_chains, ctx._docagne_flags
 
 
 @pytest.mark.parametrize("fault", sorted(PAIR_FAULTS))
@@ -502,22 +461,76 @@ def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_
         monkeypatch.setattr(fibseq, "_INITIAL_TERMS", PAIR_FAULTS[fault])
     fast = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
     direct_route()
-    assert fast == [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
-    failed = {got for verdicts, _ in fast for got in verdicts} - {HOLDS}
+    direct = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
+    for (got, chains, flags), (ref, ref_chains, ref_flags) in zip(fast, direct):
+        assert got == ref and chains == ref_chains
+        # the fast route also keeps the flags at min(u, v) = 0 that it descends to
+        assert flags.items() >= ref_flags.items()
+    failed = {got for verdicts, *_ in fast for got in verdicts} - {HOLDS}
     assert bool(failed) == (fault != "exact"), failed
 
 
-def test_pair_runs_deeper_than_the_recursion_limit(direct_route):
-    checks = [("index_shift_check", (1500, 1500, 1499, 1501, 1), (1499, 1501), 1499),
-              ("catalan_check", (1200, 3), (1197, 1203), 1197)]
+def test_pair_runs_deeper_than_the_recursion_limit(monkeypatch, direct_route):
+    shifts = []
+    real = FibContext._shift_holds
+    monkeypatch.setattr(FibContext, "_shift_holds",
+                        lambda self, *args: shifts.append(args) or real(self, *args))
+    checks = [("index_shift_check", (1500, 1500, 1499, 1501, 1), 1501),
+              ("catalan_check", (1200, 3), 1203)]
+    assert 1501 > sys.getrecursionlimit()
     fast = []
-    for name, args, pair, run in checks:
+    for name, args, top in checks:
         ctx = FibContext(ONE)
         fast.append(getattr(ctx, name)(*args))
-        assert ctx._pair_runs[pair] == run  # answered by a run, not compared directly
+        assert ctx._recurrence_top == top  # answered by the prefix, not compared directly
+    assert shifts == []
     direct_route()
-    assert fast == [getattr(FibContext(ONE), name)(*args) for name, args, *_ in checks]
+    assert fast == [getattr(FibContext(ONE), name)(*args) for name, args, _ in checks]
     assert fast == [HOLDS, HOLDS]
+
+
+#: (read, top): a check or instance whose largest index read is top
+TOP_READS = [
+    (lambda ctx: ctx.index_shift_check(6, 2, 4, 4, 1), 6),
+    (lambda ctx: ctx.catalan_check(4, 2), 6),
+    # the chain of (r, delta) = (1, 3) from its base m = 0, then the step at
+    # k = 1, which reads K(2, 3) and K(1, 4)
+    (lambda ctx: ctx.catalan_instance(1, 1, 3), 4),
+    # E'(2, 4) through the descent to E'(0, 2), which reads no index above 3
+    (lambda ctx: ctx.docagne_instance(2, 4), 5),
+]
+
+
+@pytest.mark.parametrize("h", [ONE, X, Poly([F(-7, 3)])], ids=["one", "x", "fractional"])
+def test_a_term_raised_at_the_top_index_read_is_seen(h, direct_route):
+    def outcomes():
+        got = []
+        for read, top in TOP_READS:
+            ctx = FibContext(h)
+            ctx.fib(top + 3)  # the later terms are cached first
+            ctx._fib[top] = ctx._fib[top] + X
+            got.append((read(ctx), read(ctx)))
+        return got
+
+    fast = outcomes()
+    direct_route()
+    assert fast == outcomes()
+    assert [getattr(got, "ok", got) for pair in fast for got in pair] == [False] * 8
+
+
+def test_the_memoized_facts_reject_indices_below_their_start():
+    cold, warm = FibContext(X), FibContext(X)
+    warm.fib(8)
+    warm._fib[6] = warm._fib[6] + 1
+    warm.residual(8), warm.sum_residual(6)
+    assert warm.residual(6)
+    for ctx in (cold, warm):
+        for read, index in ((ctx.residual, 1), (ctx.residual, 0), (ctx.residual, -1),
+                            (ctx.h_partial_sum, -1), (ctx.sum_residual, -1)):
+            with pytest.raises(IndexConstraintViolated):
+                read(index)
+    assert warm._recurrence_holds(5) and not warm._recurrence_holds(6)
+    assert warm._recurrence_top == 5
 
 
 def test_only_the_packed_primitives_pick_a_slot_width():

@@ -603,40 +603,35 @@ def test_fault_free_corpora_never_take_the_per_table_route(corpus, monkeypatch):
 
 
 def _spy_shift_comparisons(monkeypatch) -> tuple[list, list]:
-    """(pair, direct): the (u, v) of every pair flag that compared and the
-    arguments of every other `_shift_holds` call, from now on.  A pair flag
-    must compare (u, v) with the middle pair of its sum, shifted by one."""
-    pair, direct, flags = [], [], []
-    real_flag, real_shift = FibContext._pair_flag, FibContext._shift_holds
-
-    def flag(self, u, v):
-        flags.append((u, v))
-        try:
-            return real_flag(self, u, v)
-        finally:
-            flags.pop()
+    """(shifts, docagne): the arguments of every `_shift_holds` call and the
+    (u, v) of every d'Ocagne instance compared, from now on.  A d'Ocagne
+    comparison is the only one with a single term and no factor."""
+    shifts, docagne = [], []
+    real_shift, real_vanishes = FibContext._shift_holds, FibContext._vanishes
 
     def shift(self, *args):
-        if flags:
-            u, v = flags[-1]
-            m = (u + v) // 2
-            assert args == (u, v, m, u + v - m, 1)
-            pair.append((u, v))
-        else:
-            direct.append(args)
+        shifts.append(args)
         return real_shift(self, *args)
 
-    monkeypatch.setattr(FibContext, "_pair_flag", flag)
+    def vanishes(self, terms, right=(), factor=None):
+        if len(terms) == 1 and factor is None:
+            _, u, _, _, v = terms[0]
+            docagne.append((u, v))
+        return real_vanishes(self, terms, right, factor)
+
     monkeypatch.setattr(FibContext, "_shift_holds", shift)
-    return pair, direct
+    monkeypatch.setattr(FibContext, "_vanishes", vanishes)
+    return shifts, docagne
 
 
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
 def test_fault_free_corpora_never_compare_a_shift_directly(corpus, monkeypatch):
-    pair, direct = _spy_shift_comparisons(monkeypatch)
+    shifts, docagne = _spy_shift_comparisons(monkeypatch)
     report = suite.run_all(corpus, include=PACKED)
     assert report.ok and report.checks
-    assert pair and direct == []
+    assert shifts == []
+    # every other d'Ocagne instance descends to one of these
+    assert docagne and {min(u, v) for u, v in docagne} == {0}
 
 
 def _unsigned(terms):
@@ -651,7 +646,11 @@ def _undivided(terms):
                          ids=["without_the_sign", "without_the_d_power"])
 @pytest.mark.parametrize("name", ["_vajda_terms", "_docagne_terms"])
 def test_a_broken_instance_right_side_only_sends_checks_to_the_per_table_route(
-        name, broken, monkeypatch):
+        name, broken, monkeypatch, direct_route):
+    if (name, broken) == ("_docagne_terms", _undivided):
+        # on a fault-free corpus d'Ocagne compares only at min(u, v) = 0,
+        # where the power is d^0; the direct comparisons read every power
+        direct_route()
     monkeypatch.setattr(fibseq, name, broken(getattr(fibseq, name)))
     fallbacks = _count_fallbacks(monkeypatch)
     report = suite.run_all(CORPORA[1], include=QUADRATIC)
