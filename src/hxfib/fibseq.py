@@ -27,10 +27,7 @@ weighted integer vectors V on the right): the bound ||factor|| (sum |c|
 coefficient of the left side minus the right side and of every vector
 packed, and w is picked from it and asserted.  The instances,
 `catalan_instance` and `docagne_instance`, are memoized here so that every
-table over one h shares them (see the `hyperfib` docstring).  A check
-reads its instances in one batched call, `catalan_instances` or
-`docagne_instances`, which reads the memoized flags directly and runs the
-comparison only for a flag not yet made.
+table over one h shares them (see the `hyperfib` docstring).
 
 Most comparisons would be the index shift by one, and the recurrence
 proves it.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
@@ -39,18 +36,28 @@ on (a, b, c, d), a + b = c + d, is K(a, b) == K(c, d).  Times d^(k-1),
 p and q + 1, substituting the recurrence there gives
 K(p, q) = K(p - 1, q + 1) (p >= 2, q >= 1).  So if every residual on
 [2, T] vanishes, which `_recurrence_holds(T)` memoizes as the largest such
-T, every shift by one among indices in [1, T] holds.  Four readers ask it
-for their top index T, after scaling G to T so that `NotDivisible` comes
-where the direct comparison raises it, and compare directly where it says
+T, every shift by one among indices in [1, T] holds.  Each reader asks it
+for its top index T, after scaling G to T so that `NotDivisible` comes
+where the direct comparison raises it, and compares directly where it says
 no, so every verdict, witness and instance flag is the direct one:
 
 - `index_shift_check` at r >= 1, T = max(a, b, c, d): r shifts by one;
 - `catalan_check` at n > r, T = n + r, with G_0 = 0: n - r shifts leave
-  G_0 G_{2r} - G_r^2 = -G_r^2;
-- a step of a Catalan instance chain at k, T = k + max(r, delta);
-- the d'Ocagne instance E'(u, v) at m = min(u, v) >= 1, T = max(u, v) + 1,
-  where E'(u - m, v - m) holds, since each side of E'(u, v) is -d^2 times
-  that of E'(u - 1, v - 1); E' at m = 0 is compared directly.
+  G_0 G_{2r} - G_r^2 = -G_r^2 (at n = r it reads G_0 G_2n == 0 from the
+  norms N_0 and N_2n);
+- the Catalan instance E(m, r, delta), T = m + max(r, delta): above its
+  base, the smallest m whose four indices are nonnegative,
+  D(m) == -d^2 D(m-1) is a shift by one and the right side of E(m) is -d^2
+  times that of E(m-1), so E(m) holds exactly when its base does;
+- the d'Ocagne instance E'(u, v) at m = min(u, v) >= 1, T = max(u, v) + 1:
+  likewise, each side of E'(u, v) is -d^2 times that of E'(u - 1, v - 1),
+  so it holds exactly when E'(u - m, v - m) does.
+
+A check reads its instances in one call, `catalan_instances` or
+`docagne_instances`.  Where the recurrence reaches the largest T among
+them, the answer is whether every base holds, memoized per table;
+elsewhere every instance is read, since a flag compared directly may hold
+where the one below it fails.
 
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
@@ -229,15 +236,15 @@ class FibContext:
         self._derivatives: list[list[Poly]] = [[]]
         self._alpha_pows: list[QuadExt] | None = None
         # M' = d^2 (h^2+4) as an integer vector with its 1-norm, the vectors
-        # A_k and B_k by (k, odd), and the instance flags: Catalan chains by
-        # (r, delta) from their base m, d'Ocagne flags by (u, v)
+        # A_k and B_k by (k, odd), and the instance flags compared: Catalan
+        # by (m, r, delta), d'Ocagne by (u, v), the bases among them
         modulus = (self.modulus * self.h.den ** 2).num
         self._cleared_modulus = modulus, sum(map(abs, modulus))
         self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
-        self._catalan_chains: dict[tuple[int, int], list[bool]] = {}
+        self._catalan_flags: dict[tuple[int, int, int], bool] = {}
+        self._docagne_flags: dict[tuple[int, int], bool] = {}
         # the largest T with residual(k) == 0 for every 2 <= k <= T
         self._recurrence_top = 1
-        self._docagne_flags: dict[tuple[int, int], bool] = {}
         self._root_failure: str | None = None  # "" once the relations hold
         self._cheb: list[QuadExt] | None = None
 
@@ -366,6 +373,8 @@ class FibContext:
         every shift by one up to index top (see the module docstring).  G
         is scaled up to top first, as a comparison reading index top scales
         it.  Memoized as the largest top verified, extended in a loop."""
+        if top < len(self._norms) and top <= self._recurrence_top:
+            return True  # the memo starts at 1 with nothing scaled
         self._scale_to(top)
         while self._recurrence_top < top:
             if self.residual(self._recurrence_top + 1):
@@ -537,16 +546,20 @@ class FibContext:
     def catalan_check(self, n: int, r: int) -> Verdict:
         """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2, checked as
         G_{n-r} G_{n+r} - G_n^2 == (-1)^(n-r-1) d^(2(n-r)) G_r^2 between
-        packed integers (see the module docstring)."""
+        packed integers (see the module docstring).  At n = r it reads
+        G_0 G_2n == 0, which holds exactly when N_0 or N_2n is zero."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
-        if n > r and self._recurrence_holds(n + r) and not self._norms[0]:
-            return HOLDS
-        scale = self.den_pow(2 * (n - r))
-        if not self._vanishes(((1, n - r, n + r, n, n),
-                               (-scale if (n - r) % 2 else scale, r, r))):
-            return Verdict(False, f"n={n}, r={r}")
-        return HOLDS
+        if n == r:
+            self._scale_to(2 * n)  # NotDivisible as the comparison raises it
+            holds = not (self._norms[0] and self._norms[2 * n])
+        elif self._recurrence_holds(n + r) and not self._norms[0]:
+            holds = True
+        else:
+            scale = self.den_pow(2 * (n - r))
+            holds = self._vanishes(((1, n - r, n + r, n, n),
+                                    (-scale if (n - r) % 2 else scale, r, r)))
+        return HOLDS if holds else Verdict(False, f"n={n}, r={r}")
 
     def index_shift_check(self, a: int, b: int, c: int, d: int, r: int) -> Verdict:
         """F_a F_b - F_c F_d == (-1)^r (F_{a-r} F_{b-r} - F_{c-r} F_{d-r})
@@ -604,84 +617,68 @@ class FibContext:
     def catalan_instance(self, m: int, r: int, delta: int) -> bool:
         """Whether the Catalan instance E(m, r, delta),
         M' D(m) == sum of sign d^e A_k over `_vajda_terms(m, r, delta)`
-        with D(m) = G_{m+r} G_{m-r+delta} - G_m G_{m+delta}, is proven to
-        hold; memoized for every table over this h (see the `hyperfib`
-        docstring).
-
-        E is compared once, at the base: the smallest m whose four indices
-        are nonnegative.  Above it, E(m) holds if E(m-1) does and
-        D(m) == -d^2 D(m-1), the index shift by one, since the right side
-        of E(m) is -d^2 times that of E(m-1); the recurrence proves it, or
-        else it is compared.  The chain of (r, delta) is extended
-        iteratively from its last flag."""
+        with D(m) = G_{m+r} G_{m-r+delta} - G_m G_{m+delta}, holds,
+        memoized for every table over this h: the flag of its base where
+        the recurrence reaches m + max(r, delta), else compared directly
+        (see the module docstring)."""
         base = max(0, -delta, r - delta)
         if r < 0 or m < base:
             raise IndexConstraintViolated("the instance reaches a negative index")
-        chain = self._catalan_chains.get((r, delta))
-        if chain is None:
-            chain = self._catalan_chains[r, delta] = [self._catalan_base(base, r, delta)]
-        while len(chain) <= m - base:
-            k = base + len(chain)
-            chain.append(chain[-1] and (
-                self._recurrence_holds(k + max(r, delta))
-                or self._shift_holds(k + r, k - r + delta, k, k + delta, 1)))
-        return chain[m - base]
+        if m > base and self._recurrence_holds(m + max(r, delta)):
+            m = base
+        got = self._catalan_flags.get((m, r, delta))
+        if got is None:
+            right = self._right_side(_vajda_terms(m, r, delta), False)
+            got = self._catalan_flags[m, r, delta] = right is not None and self._vanishes(
+                ((1, m + r, m - r + delta, m, m + delta),), right, self._cleared_modulus)
+        return got
 
-    def catalan_instances(self, n: int, r: int, deltas) -> bool:
-        """`all(catalan_instance(n + i, r, delta) for delta, i in deltas)`,
-        in that order, read from the chains directly; `catalan_instance`
-        runs only for a flag not yet in its chain."""
-        chains = self._catalan_chains
-        for delta, i in deltas:
-            m, chain = n + i, chains.get((r, delta))
-            k = m - max(0, -delta, r - delta)
-            if chain is None or not 0 <= k < len(chain):
-                if not self.catalan_instance(m, r, delta):
-                    return False
-            elif not chain[k]:
-                return False
-        return True
-
-    def _catalan_base(self, m: int, r: int, delta: int) -> bool:
-        """E(m, r, delta) compared directly between packed integers."""
-        right = self._right_side(_vajda_terms(m, r, delta), False)
-        return right is not None and self._vanishes(
-            ((1, m + r, m - r + delta, m, m + delta),), right, self._cleared_modulus)
+    def catalan_instances(self, n: int, r: int, pairs, memo: dict) -> bool:
+        """`all(catalan_instance(n + i, r, j - i) for i, j in pairs)`.
+        `memo`, kept by the caller per table, holds by r the reach
+        max(i + max(r, j - i)) and whether the base of every delta = j - i
+        holds, which is the answer wherever the recurrence reaches
+        n + reach; elsewhere every instance is read."""
+        got = memo.get(r)
+        if got is None:
+            got = memo[r] = (max(i + max(r, j - i) for i, j in pairs), all(
+                self.catalan_instance(max(0, -delta, r - delta), r, delta)
+                for delta in {j - i for i, j in pairs}))
+        if self._recurrence_holds(n + got[0]):
+            return got[1]
+        return all(self.catalan_instance(n + i, r, j - i) for i, j in pairs)
 
     def docagne_instance(self, u: int, v: int) -> bool:
         """Whether the d'Ocagne instance E'(u, v),
         G_u G_{v+1} - G_{u+1} G_v == sign d^e B_k over
         `_docagne_terms(u, v)`, holds, memoized for every table over this
-        h.  At m = min(u, v) >= 1 it holds if E'(u - m, v - m) does and the
-        recurrence proves the m shifts by one between them; otherwise it is
-        compared between packed integers."""
-        if min(u, v) < 0:
+        h: at m = min(u, v) >= 1 the flag of E'(u - m, v - m) where the
+        recurrence reaches max(u, v) + 1, else compared directly."""
+        low = min(u, v)
+        if low < 0:
             raise IndexConstraintViolated("negative indices are undefined here")
-        key = (u, v)
-        got = self._docagne_flags.get(key)
+        if low and self._recurrence_holds(max(u, v) + 1):
+            u, v = u - low, v - low
+        got = self._docagne_flags.get((u, v))
         if got is None:
-            got = self._docagne_flags[key] = self._docagne_holds(u, v)
+            right = self._right_side(_docagne_terms(u, v), True)
+            got = self._docagne_flags[u, v] = right is not None and self._vanishes(
+                ((1, u, v + 1, u + 1, v),), right)
         return got
 
-    def docagne_instances(self, r: int, n: int, pairs) -> bool:
-        """`all(docagne_instance(r + i, n + j) for i, j in pairs)`, in that
-        order, read from the flags directly; `docagne_instance` runs only
-        for a flag not yet compared."""
-        flags = self._docagne_flags
-        for i, j in pairs:
-            got = flags.get((r + i, n + j))
-            if got is None:
-                got = self.docagne_instance(r + i, n + j)
-            if not got:
-                return False
-        return True
-
-    def _docagne_holds(self, u: int, v: int) -> bool:
-        right, low = self._right_side(_docagne_terms(u, v), True), min(u, v)
-        return right is not None and (
-            low > 0 and self._recurrence_holds(max(u, v) + 1)
-            and self.docagne_instance(u - low, v - low)
-            or self._vanishes(((1, u, v + 1, u + 1, v),), right))
+    def docagne_instances(self, r: int, n: int, pairs, memo: dict) -> bool:
+        """`all(docagne_instance(r + i, n + j) for i, j in pairs)`, read as
+        `catalan_instances` reads Catalan, with `memo` by s = r - n: the
+        reach max(s + i, j) + 1 and the bases E'(e, 0) or E'(0, -e),
+        e = s + i - j."""
+        s = r - n
+        got = memo.get(s)
+        if got is None:
+            got = memo[s] = (max(max(s + i, j) for i, j in pairs) + 1, all(
+                self.docagne_instance(max(e, 0), max(-e, 0)) for e in {s + i - j for i, j in pairs}))
+        if self._recurrence_holds(n + got[0]):
+            return got[1]
+        return all(self.docagne_instance(r + i, n + j) for i, j in pairs)
 
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.

@@ -32,20 +32,18 @@ Vajda's identity:
         G_u G_{v+1} - G_{u+1} G_v == (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|.
 
 Cassini is Catalan at r = 1.  `FibContext` memoizes one flag per
-instance for every table over one h.  E(m, r, delta) is compared once, at
-the smallest m whose four indices are nonnegative; above it, E(m) holds
-if E(m-1) does and D(m) == -d^2 D(m-1), the index shift by one, with no
-M' in it, since the right side of E(m) is -d^2 times that of E(m-1).
-Likewise E'(u, v) holds if E'(u-1, v-1) does and the index shift by one
-from (u, v+1) to (u+1, v) holds, so E' is compared at min(u, v) = 0.  The
-recurrence proves each shift by one, and a step or an E' above its base
-is compared directly only where a residual of the cached terms does not
-vanish (see the `fibseq` docstring).  So a flag of the chain
-holds only if every flag below it does, and the check at (n, r) reads,
-per delta, the instance at the largest n + i with some c_ijk != 0.  Each
-check reads all of its flags in one call, `FibContext.catalan_instances`
-or `docagne_instances`, which looks them up in the chains and flags
-directly and compares only an instance not yet memoized.
+instance for every table over one h.  Above its base, the smallest m
+whose four indices are nonnegative, E(m, r, delta) holds exactly when
+E(m-1, r, delta) does wherever D(m) == -d^2 D(m-1), the index shift by
+one, since the right side of E(m) is -d^2 times that of E(m-1); likewise
+E'(u, v) and E'(u-1, v-1), whose base is at min(u, v) = 0.  The
+recurrence proves each shift by one unless a residual of the cached terms
+does not vanish (see the `fibseq` docstring).  So a fault-free check at
+(n, r) reads one memo per table, whether every base of its pairs holds,
+kept by r for Catalan and by r - n for d'Ocagne, and asks the recurrence
+for its largest top index; under a fault it reads every instance, each
+compared directly where the recurrence does not reach.  Both reads are
+one call, `FibContext.catalan_instances` or `docagne_instances`.
 
 Every flag is exact, from a packed comparison or the recurrence, and an
 A_k or B_k that is not integral makes it "non-zero".  Coordinate k of an identity,
@@ -137,9 +135,11 @@ class HyperContext:
             for k in range(dim)
         )
         #: the (i, j) with c_ijk != 0 for some k, whose scalar instances
-        #: the quadratic identities read, and per delta = j - i the largest i
+        #: the quadratic identities read
         self._pairs = tuple(sorted({(i, j) for terms in self._coord_terms for i, j, _ in terms}))
-        self._deltas = tuple({j - i: i for i, j in self._pairs}.items())
+        #: the memos of `FibContext.catalan_instances` and `docagne_instances`
+        self._catalan_bases: dict[int, tuple[int, bool]] = {}
+        self._docagne_bases: dict[int, tuple[int, bool]] = {}
         self._printed: dict[int, bool] = {}  # `printed_matches` by r
         self._root_combinations: dict[tuple, Poly] = {}  # by (k, parts, odd)
 
@@ -316,7 +316,7 @@ class HyperContext:
         fib = self.fib
         fib.require_root_relations()
         fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it
-        if fib.catalan_instances(n, r, self._deltas):
+        if fib.catalan_instances(n, r, self._pairs, self._catalan_bases):
             return HOLDS
         parts = ((0, 1), (2 * r, 1 if r % 2 else -1))  # X(i, j) - (-1)^r X(i + 2r, j)
         return self._table_check((n + r, n - r), (n, n), fib.modulus, parts, False, n, where)
@@ -339,7 +339,7 @@ class HyperContext:
         fib = self.fib
         fib.require_root_relations()
         fib._scale_to(r + self.dim)  # NotDivisible as the whole comparison raises it
-        if fib.docagne_instances(r, n, self._pairs):
+        if fib.docagne_instances(r, n, self._pairs, self._docagne_bases):
             return HOLDS
         return self._table_check((r, n + 1), (r + 1, n), 1, ((r - n, 1),), True, n,
                                  f"n={n}, r={r}")

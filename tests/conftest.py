@@ -29,8 +29,8 @@ def _unproven(self, top):
 @pytest.fixture
 def direct_route(monkeypatch):
     """A function that makes the recurrence prove no shift by one, so that
-    from then on the scalar Catalan and index-shift checks, every step of a
-    Catalan chain and every d'Ocagne instance take their own packed
+    from then on the scalar Catalan check at n > r, the index-shift check
+    and every Catalan and d'Ocagne instance take their own packed
     comparison, as under a fault, even on a context whose recurrence prefix
     is already warm."""
     def force():

@@ -360,6 +360,21 @@ def test_packed_quadratic_identities_fail_where_the_polynomial_route_fails(prefi
         assert not all(fast.ok for fast, _ in pairs), h
 
 
+@pytest.mark.parametrize("seed", [(0, 1), (1, 1), (1, -1)], ids=["exact", "shifted", "f2_zero"])
+def test_catalan_at_n_equal_r_reads_both_norms(seed, monkeypatch):
+    # the identity reads G_0 G_2n == 0 there; with F_0 = 1, F_1 = -1 and
+    # h = 1, F_2 = 0, so at n = 1 it holds although G_0 is not zero
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", seed)
+    oks = []
+    for h in (ONE, X, Poly([2, 0, -1])):
+        fast, ref = FibContext(h), FibContext(h)
+        got = [fast.catalan_check(n, n) for n in range(8)]
+        assert got == [ref_catalan(ref, n, n) for n in range(8)], h
+        oks += [v.ok for v in got]
+    assert all(oks) == (seed == (0, 1))
+    assert FibContext(ONE).catalan_check(1, 1).ok == (seed != (1, 1))
+
+
 def test_packed_checks_assert_their_slot_width(monkeypatch, direct_route):
     direct_route()
     h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
@@ -367,7 +382,8 @@ def test_packed_checks_assert_their_slot_width(monkeypatch, direct_route):
     # one byte below what the coefficient bound needs
     monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
     ctx = FibContext(h)
-    for n, r in ((0, 0), (3, 1), (12, 5), (16, 16)):
+    # at n = r the identity reads G_0 G_2n == 0 from the norms, unpacked
+    for n, r in ((1, 0), (3, 1), (12, 5), (16, 15)):
         with pytest.raises(AssertionError):
             ctx.catalan_check(n, r)
     for tup in ((1, 1, 0, 2, 0), (5, 3, 4, 4, 1), (9, 6, 8, 7, 3), (12, 12, 11, 13, 11)):
@@ -392,6 +408,9 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch, direct_route
         for n in range(11):
             for r in range(n + 1):
                 ctx.catalan_check(n, r)
+                if r == n:  # G_0 G_2n == 0 is read from the norms, unpacked
+                    assert not bounds
+                    continue
                 need = height(n - r, n + r) + height(n, n) + d ** (2 * (n - r)) * height(r, r)
                 assert bounds.pop() >= need
         for a, b, c, e, r in _index_shift_tuples(8):
@@ -437,8 +456,10 @@ def _outcome(check, *args):
 
 def pair_route_outcomes(h, fault):
     """Every scalar Catalan, algebra Catalan, Cassini and d'Ocagne and
-    index-shift outcome over one context, in one order, with the context's
-    Catalan chains and d'Ocagne flags."""
+    index-shift outcome over one context, in one order; then, on the same
+    warm context, every Catalan instance E(m, r, delta) with r <= 4,
+    |delta| <= 3 and m <= 8 and every d'Ocagne instance E'(u, v) with
+    u, v <= 8, each with whether the recurrence reaches its top index."""
     ctx = FibContext(h)
     if callable(fault):
         fault(ctx)
@@ -451,7 +472,14 @@ def pair_route_outcomes(h, fault):
             got.append(_outcome(hyper.cassini_check, n))
         got += [_outcome(hyper.docagne_check, n, r) for r in range(n + 1, 10)]
     got += [_outcome(ctx.index_shift_check, *tup) for tup in _index_shift_tuples(8)]
-    return got, ctx._catalan_chains, ctx._docagne_flags
+    instances = [(ctx.catalan_instance, (m, r, delta), m + max(r, delta))
+                 for r in range(5) for delta in range(-3, 4)
+                 for m in range(max(0, -delta, r - delta), 9)]
+    instances += [(ctx.docagne_instance, (u, v), max(u, v) + 1)
+                  for u in range(9) for v in range(9)]
+    flags = {args: (_outcome(read, *args), _outcome(ctx._recurrence_holds, top) is True)
+             for read, args, top in instances}
+    return got, flags
 
 
 @pytest.mark.parametrize("fault", sorted(PAIR_FAULTS))
@@ -462,11 +490,20 @@ def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_
     fast = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
     direct_route()
     direct = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
-    for (got, chains, flags), (ref, ref_chains, ref_flags) in zip(fast, direct):
-        assert got == ref and chains == ref_chains
-        # the fast route also keeps the flags at min(u, v) = 0 that it descends to
-        assert flags.items() >= ref_flags.items()
-    failed = {got for verdicts, *_ in fast for got in verdicts} - {HOLDS}
+    reached = set()
+    for (got, flags), (ref, ref_flags) in zip(fast, direct):
+        assert got == ref
+        for key, (flag, reaches) in flags.items():
+            # equal everywhere: where the prefix reaches, an instance is its
+            # base's flag by an equivalence, and elsewhere the fast route
+            # compares directly; so a flag that holds is a proof either way
+            assert flag == ref_flags[key][0], (key, reaches)
+            reached.add(reaches)
+    if callable(PAIR_FAULTS[fault]):  # a wrong term stops the prefix part way
+        assert reached == {True, False}
+    elif fault == "exact":
+        assert reached == {True}
+    failed = {got for verdicts, _ in fast for got in verdicts} - {HOLDS}
     assert bool(failed) == (fault != "exact"), failed
 
 
@@ -493,8 +530,7 @@ def test_pair_runs_deeper_than_the_recursion_limit(monkeypatch, direct_route):
 TOP_READS = [
     (lambda ctx: ctx.index_shift_check(6, 2, 4, 4, 1), 6),
     (lambda ctx: ctx.catalan_check(4, 2), 6),
-    # the chain of (r, delta) = (1, 3) from its base m = 0, then the step at
-    # k = 1, which reads K(2, 3) and K(1, 4)
+    # E(1, 1, 3), one above its base m = 0, reads G_2, G_3, G_1 and G_4
     (lambda ctx: ctx.catalan_instance(1, 1, 3), 4),
     # E'(2, 4) through the descent to E'(0, 2), which reads no index above 3
     (lambda ctx: ctx.docagne_instance(2, 4), 5),
@@ -516,6 +552,28 @@ def test_a_term_raised_at_the_top_index_read_is_seen(h, direct_route):
     direct_route()
     assert fast == outcomes()
     assert [getattr(got, "ok", got) for pair in fast for got in pair] == [False] * 8
+
+
+#: the reads with the smallest top indices: scalar Catalan at n > r, and
+#: the index shift at r >= 1
+SMALLEST_TOPS = [
+    lambda ctx: ctx.catalan_check(1, 0),
+    lambda ctx: ctx.index_shift_check(1, 1, 1, 1, 1),
+    lambda ctx: ctx.index_shift_check(2, 1, 1, 2, 1),
+]
+
+
+@pytest.mark.parametrize("seed", [(0, 1), (0, F(1, 2))], ids=["exact", "half_seed"])
+@pytest.mark.parametrize("h", [X, Poly([F(-7, 3)])], ids=["x", "fractional"])
+def test_the_smallest_tops_on_a_cold_context(h, seed, monkeypatch, direct_route):
+    # the prefix memo starts at 1 before anything is scaled, so a read at
+    # top 1 must still scale G (and raise NotDivisible where it should)
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", seed)
+    fast = [_outcome(read, FibContext(h)) for read in SMALLEST_TOPS]
+    direct_route()
+    assert fast == [_outcome(read, FibContext(h)) for read in SMALLEST_TOPS]
+    assert fast == ([HOLDS] * 3 if seed == (0, 1) else
+                    [("NotDivisible", "d^0 F_1 has a non-integer coefficient")] * 3)
 
 
 def test_the_memoized_facts_reject_indices_below_their_start():

@@ -534,7 +534,7 @@ PACKED = QUADRATIC | {"catalan_real", "index_shift"}
 
 
 #: seeds (F_0, F_1) other than (0, 1): a doubled sequence, which keeps
-#: every chain step D(m) == -d^2 D(m-1) of the Catalan instances and breaks
+#: every shift by one D(m) == -d^2 D(m-1) of the Catalan instances and breaks
 #: every base, and F_1 = 1/2, whose G_1 is not an integer, so that every
 #: check raises NotDivisible from scaling G
 SEEDS = {"double_seed": (0, 2), "half_seed": (0, F(1, 2))}
@@ -573,9 +573,10 @@ def test_instance_route_matches_the_per_table_route(corpus, fault, monkeypatch, 
 
 
 def test_the_routes_differ_when_a_catalan_base_is_forced_to_hold(monkeypatch, per_table_route):
-    # a doubled sequence passes every chain step, so only the bases see it
+    # a doubled sequence keeps every shift by one, so that the bases are the
+    # only comparisons and only they see it
     _inject("double_seed", monkeypatch)
-    monkeypatch.setattr(FibContext, "_catalan_base", lambda self, m, r, delta: True)
+    monkeypatch.setattr(FibContext, "_vanishes", lambda self, *args: True)
     instances, per_table = _both_routes(CORPORA[1], per_table_route)
     assert instances.comparable() != per_table.comparable()
 
@@ -602,36 +603,25 @@ def test_fault_free_corpora_never_take_the_per_table_route(corpus, monkeypatch):
     assert fallbacks == []
 
 
-def _spy_shift_comparisons(monkeypatch) -> tuple[list, list]:
-    """(shifts, docagne): the arguments of every `_shift_holds` call and the
-    (u, v) of every d'Ocagne instance compared, from now on.  A d'Ocagne
-    comparison is the only one with a single term and no factor."""
-    shifts, docagne = [], []
-    real_shift, real_vanishes = FibContext._shift_holds, FibContext._vanishes
-
-    def shift(self, *args):
-        shifts.append(args)
-        return real_shift(self, *args)
-
-    def vanishes(self, terms, right=(), factor=None):
-        if len(terms) == 1 and factor is None:
-            _, u, _, _, v = terms[0]
-            docagne.append((u, v))
-        return real_vanishes(self, terms, right, factor)
-
-    monkeypatch.setattr(FibContext, "_shift_holds", shift)
-    monkeypatch.setattr(FibContext, "_vanishes", vanishes)
-    return shifts, docagne
-
-
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
-def test_fault_free_corpora_never_compare_a_shift_directly(corpus, monkeypatch):
-    shifts, docagne = _spy_shift_comparisons(monkeypatch)
+def test_fault_free_corpora_compare_only_at_the_bases(corpus, monkeypatch):
+    seen = _spy_comparisons(monkeypatch)
     report = suite.run_all(corpus, include=PACKED)
     assert report.ok and report.checks
-    assert shifts == []
-    # every other d'Ocagne instance descends to one of these
-    assert docagne and {min(u, v) for u, v in docagne} == {0}
+    compared = []
+    for ctx, terms, right, factor, *_ in seen:
+        (_, a, b, c, e), = terms  # an instance: the scalar checks compare none
+        if factor:  # E(m, r, delta) reads G_(m+r), G_(m-r+delta), G_m, G_(m+delta)
+            m, r, delta = c, a - c, e - c
+            assert m == max(0, -delta, r - delta), (m, r, delta)
+            compared.append((ctx, m, r, delta))
+        else:  # E'(u, v) reads G_u, G_(v+1), G_(u+1), G_v
+            assert min(a, e) == 0, (a, e)
+            compared.append((ctx, a, e))
+    # both kinds are compared, and each base once per h: no shift by one is
+    # compared directly, and no instance above its base
+    assert {len(key) for key in compared} == {3, 4}
+    assert len(set(compared)) == len(compared)
 
 
 def _unsigned(terms):
@@ -669,29 +659,31 @@ def _outcome(read):
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
 def test_batched_reads_match_one_read_per_instance(corpus, fault, monkeypatch):
     # each h's two contexts serve every table in turn, so the batched
-    # reader meets cold, short and warm chains and flags
+    # reader meets cold and warm flags and a cold or warm prefix
     _inject(fault, monkeypatch)
     outcomes = set()
     for h in corpus.h_polys:
         batched, single = FibContext(h), FibContext(h)
         for table in corpus.algebras:
             hyper = HyperContext(batched, table)
-            deltas, pairs = hyper._deltas, hyper._pairs
+            pairs, memos = hyper._pairs, ({}, {})
             for n in range(corpus.r_max + 1):
                 for r in range(corpus.r_max + 1):
                     where = f"{h!r} {table.name} n={n} r={r}"
                     if r <= n:
-                        got = _outcome(lambda: batched.catalan_instances(n, r, deltas))
+                        got = _outcome(lambda: batched.catalan_instances(n, r, pairs, memos[0]))
                         assert got == _outcome(lambda: all(
-                            single.catalan_instance(n + i, r, delta) for delta, i in deltas)), where
+                            single.catalan_instance(n + i, r, j - i) for i, j in pairs)), where
                     else:
-                        got = _outcome(lambda: batched.docagne_instances(r, n, pairs))
+                        got = _outcome(lambda: batched.docagne_instances(r, n, pairs, memos[1]))
                         assert got == _outcome(lambda: all(
                             single.docagne_instance(r + i, n + j) for i, j in pairs)), where
                     outcomes.add(got)
-        # the same instances were compared, in the same order
-        assert batched._catalan_chains == single._catalan_chains
-        assert batched._docagne_flags == single._docagne_flags
+        # an instance that both contexts compared has one flag
+        for flags, ref in ((batched._catalan_flags, single._catalan_flags),
+                           (batched._docagne_flags, single._docagne_flags)):
+            assert flags.keys() & ref.keys()
+            assert all(flags[key] == ref[key] for key in flags.keys() & ref.keys())
     assert outcomes == ({True} if fault == "exact" else {True, False})
 
 
@@ -707,10 +699,56 @@ def test_the_forced_route_reaches_the_per_table_comparison_on_a_warm_context(
     assert fallbacks == ["n=4, r=2", "n=3", "n=2, r=4"]
 
 
-def test_a_long_catalan_chain_is_built_without_recursion():
+def test_a_long_catalan_chain_is_built_without_recursion(direct_route):
     fib = FibContext(ONE)
     assert fib.catalan_instance(2000, 3, 1)
-    assert len(fib._catalan_chains[3, 1]) == 2000 - 2 + 1  # from the base m = 2
+    # the prefix is extended in a loop to 2003, and only the base m = 2 is compared
+    assert fib._recurrence_top == 2003 and list(fib._catalan_flags) == [(2, 3, 1)]
+    direct_route()
+    assert FibContext(ONE).catalan_instance(2000, 3, 1)
+
+
+#: e0 e0 = e1 e1 = e0 and every other product zero: not unital, but the
+#: identities are bilinear in any table; its pairs (0, 0) and (1, 1) share
+#: delta = 0, at i = 0 and i = 1
+DELTA_ZERO_TABLE = AlgebraTable("delta_zero", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+#: e0 e2 = e0 and every other product zero: its one pair (0, 2) has
+#: delta = 2, above r = 1
+FAR_PAIR_TABLE = AlgebraTable("far_pair", [[[0] * 3, [0] * 3, [1, 0, 0]], [[0] * 3] * 3,
+                                           [[0] * 3] * 3])
+
+#: (table, index of the raised term, check, arguments): F_k raised after
+#: the later terms are cached, which stops the prefix at k - 1
+PREFIX_EDGES = [
+    # F_3 breaks E(5, 2, 0), which reads G_7, G_3 and G_5, but not
+    # E(6, 2, 0), which reads G_8, G_4 and G_6: Catalan at (5, 2) must read
+    # the instance below the largest i of its delta
+    (DELTA_ZERO_TABLE, 3, "catalan_check", (5, 2)),
+    # F_7 breaks E(5, 1, 2), which reads G_6, G_6, G_5 and G_7: Cassini at
+    # 5 must ask the prefix for 5 + max(r, delta) = 7, not for 5 + r
+    (FAR_PAIR_TABLE, 7, "cassini_check", (5,)),
+]
+
+
+@pytest.mark.parametrize("table, raised, check, args", PREFIX_EDGES,
+                         ids=["below_the_largest_i", "delta_above_r"])
+def test_an_instance_the_prefix_does_not_reach_is_read(table, raised, check, args,
+                                                       per_table_route):
+    def faulty():
+        fib = FibContext(X)
+        fib.fib(12)
+        fib._fib[raised] = fib._fib[raised] + X
+        return HyperContext(fib, table)
+
+    hyper = faulty()
+    got = getattr(hyper, check)(*args)
+    assert hyper.fib._recurrence_top == raised - 1
+    per_table_route()
+    assert got == getattr(faulty(), check)(*args)
+    assert not got.ok and got.witness.startswith("coordinate 0 at ")
+    if table is DELTA_ZERO_TABLE:
+        assert hyper._pairs == ((0, 0), (1, 1))
+        assert not hyper.fib.catalan_instance(5, 2, 0) and hyper.fib.catalan_instance(6, 2, 0)
 
 
 # -- every packed comparison against a bound oracle ----------------------------
@@ -780,7 +818,9 @@ def _assert_covered(seen):
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
-def test_every_packed_comparison_fits_its_slots(corpus, fault, monkeypatch):
+def test_every_packed_comparison_fits_its_slots(corpus, fault, monkeypatch, direct_route):
+    # off the prefix, so that the scalar checks compare too
+    direct_route()
     _inject(fault, monkeypatch)
     seen = _spy_comparisons(monkeypatch)
     suite.run_all(corpus, include=PACKED)
