@@ -8,38 +8,35 @@ ring division with a divisibility assertion, so a verdict is an exact
 ring equality.  The single exception is `ratio_limit_check`, the only
 floating-point computation in the package.
 
-The two quadratic identities, `catalan_check` and `index_shift_check`,
-compare big integers instead of polynomials, and so do the scalar
-instances that the algebra Catalan, Cassini and d'Ocagne checks of
-`hyperfib` read.  With h = H/d and H
-over Z, the terms G_n = d^(n-1) F_n have integer coefficients (the cache's
-denominators are checked to divide d^(n-1)), and each identity multiplied
-through by the same power of d becomes one among products G_u G_v and
-powers of d.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
+The scalar instances that the algebra Catalan, Cassini and d'Ocagne
+checks of `hyperfib` read at their bases compare big integers instead of
+polynomials.  With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have
+integer coefficients (the cache's denominators are checked to divide
+d^(n-1)), and each instance multiplied through by a power of d becomes one
+among products G_u G_v, powers of d and integer vectors.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
 substitution), so a product G_u G_v is one big-integer multiply and the
-identity one comparison of integers, with no float anywhere.  The
+instance one comparison of integers, with no float anywhere.  The
 comparison is exact because evaluation at 2^(8w) is injective on integer
 polynomials whose coefficients lie below 2^(8w-1) in absolute value.
 `FibContext._vanishes` makes every such comparison from its terms alone
-(weights c on G_u G_v or G_u G_v - G_u' G_v', an integer factor, and
-weighted integer vectors V on the right): the bound ||factor|| (sum |c|
-(N_u N_v + N_u' N_v') + 1) + sum |c| ||V||, N_k = ||G_k||_1, covers every
-coefficient of the left side minus the right side and of every vector
-packed, and w is picked from it and asserted.  The instances,
-`catalan_instance` and `docagne_instance`, are memoized here so that every
-table over one h shares them (see the `hyperfib` docstring).
+(one difference G_u G_v - G_u' G_v', an integer vector factor, and
+weighted integer vectors V on the right): the bound ||factor|| (N_u N_v +
+N_u' N_v' + 1) + sum |c| ||V||, N_k = ||G_k||_1, covers every coefficient
+of the left side minus the right side and of every vector packed, and w
+is picked from it and asserted.  The base flags, `_catalan_base` and
+`_docagne_base`, are memoized here so that every table over one h shares
+them (see the `hyperfib` docstring).
 
-Most comparisons would be the index shift by one, and the recurrence
-proves it.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
+The quadratic identities follow from the recurrence, through the shift
+by one.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
 on (a, b, c, d), a + b = c + d, is K(a, b) == K(c, d).  Times d^(k-1),
 `residual(k)` below is G_k - H G_{k-1} - d^2 G_{k-2}; where it vanishes at
 p and q + 1, substituting the recurrence there gives
 K(p, q) = K(p - 1, q + 1) (p >= 2, q >= 1).  So if every residual on
 [2, T] vanishes, which `_recurrence_holds(T)` memoizes as the largest such
 T, every shift by one among indices in [1, T] holds.  Each reader asks it
-for its top index T, after scaling G to T so that `NotDivisible` comes
-where the direct comparison raises it, and compares directly where it says
-no, so every verdict, witness and instance flag is the direct one:
+for its top index T, which scales G to T so that `NotDivisible` comes
+where a comparison reading index T raises it:
 
 - `index_shift_check` at r >= 1, T = max(a, b, c, d): r shifts by one;
 - `catalan_check` at n > r, T = n + r, with G_0 = 0: n - r shifts leave
@@ -53,11 +50,12 @@ no, so every verdict, witness and instance flag is the direct one:
   likewise, each side of E'(u, v) is -d^2 times that of E'(u - 1, v - 1),
   so it holds exactly when E'(u - m, v - m) does.
 
-A check reads its instances in one call, `catalan_instances` or
-`docagne_instances`.  Where the recurrence reaches the largest T among
-them, the answer is whether every base holds, memoized per table;
-elsewhere every instance is read, since a flag compared directly may hold
-where the one below it fails.
+An algebra check reads its instances in one call, `catalan_instances` or
+`docagne_instances`: whether the recurrence reaches the largest T among
+them and every base holds, memoized per table.  Where the recurrence and
+the bases prove nothing, a check compares exactly in Q[x] on the memoized
+products `fib_product`: the scalar checks themselves, the algebra checks
+per table.  So a packed comparison is made only at a base.
 
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
@@ -185,15 +183,11 @@ def _vajda_terms(m: int, r: int, delta: int) -> tuple:
             (1 if (m + r + min(2 * r, delta)) % 2 else -1, 2 * m + delta - far, far))
 
 
-def _docagne_terms(u: int, v: int) -> tuple:
-    """The right side of the d'Ocagne instance E'(u, v) as (sign, e, k)
-    terms sign d^e B_k: (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|, and
-    none at u = v."""
-    if u == v:
-        return ()
-    low = min(u, v)
-    sign = (-1 if low % 2 else 1) * (1 if u > v else -1)
-    return ((sign, 2 * low, abs(u - v)),)
+def _docagne_terms(e: int) -> tuple:
+    """The right side of the d'Ocagne instance E'(u, v) at its base,
+    min(u, v) = 0 and e = u - v, as (sign, 0, k) terms sign d^0 B_k:
+    sgn(e) B_|e|, and none at e = 0."""
+    return ((1 if e > 0 else -1, 0, abs(e)),) if e else ()
 
 
 def _eval_float(p: Poly, x: float) -> float:
@@ -236,13 +230,13 @@ class FibContext:
         self._derivatives: list[list[Poly]] = [[]]
         self._alpha_pows: list[QuadExt] | None = None
         # M' = d^2 (h^2+4) as an integer vector with its 1-norm, the vectors
-        # A_k and B_k by (k, odd), and the instance flags compared: Catalan
-        # by (m, r, delta), d'Ocagne by (u, v), the bases among them
+        # A_k and B_k by (k, odd), and the base flags: Catalan by (r, delta),
+        # d'Ocagne by e = u - v
         modulus = (self.modulus * self.h.den ** 2).num
         self._cleared_modulus = modulus, sum(map(abs, modulus))
         self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
-        self._catalan_flags: dict[tuple[int, int, int], bool] = {}
-        self._docagne_flags: dict[tuple[int, int], bool] = {}
+        self._catalan_flags: dict[tuple[int, int], bool] = {}
+        self._docagne_flags: dict[int, bool] = {}
         # the largest T with residual(k) == 0 for every 2 <= k <= T
         self._recurrence_top = 1
         self._root_failure: str | None = None  # "" once the relations hold
@@ -326,26 +320,17 @@ class FibContext:
             pows.append(pows[-1] * self.h.den)
         return pows[k]
 
-    def _vanishes(self, terms, right=(), factor=None) -> bool:
-        """Whether factor * sum c (G_u G_v - G_u2 G_v2) == sum c V, compared
-        between packed integers in slots whose width comes from these terms
-        alone, by the bound of the module docstring, and is asserted.
+    def _vanishes(self, u: int, v: int, u2: int, v2: int, right=(), factor=None) -> bool:
+        """Whether factor * (G_u G_v - G_u2 G_v2) == sum c V, compared between
+        packed integers in slots whose width comes from these terms alone,
+        by the bound of the module docstring, and is asserted.
 
-        `terms` holds (c, u, v, u2, v2), or (c, u, v) without the second
-        product; `right` holds (c, V, ||V||_1) and `factor` (V, ||V||_1) or
-        None, with V an integer vector and every c a nonzero integer.  G is
-        scaled up to each index read, which may raise `NotDivisible`."""
-        norms, bound = self._norms, 1
-        for t in terms:
-            top = max(t[1:])
-            if top >= len(norms):
-                self._scale_to(top)
-            if len(t) > 3:
-                c, u, v, u2, v2 = t
-                bound += abs(c) * (norms[u] * norms[v] + norms[u2] * norms[v2])
-            else:
-                c, u, v = t
-                bound += abs(c) * norms[u] * norms[v]
+        `right` holds (c, V, ||V||_1) and `factor` (V, ||V||_1) or None,
+        with V an integer vector and every c a nonzero integer.  G is scaled
+        up to each index read, which may raise `NotDivisible`."""
+        self._scale_to(max(u, v, u2, v2))
+        norms = self._norms
+        bound = norms[u] * norms[v] + norms[u2] * norms[v2] + 1
         if factor is not None:
             bound *= factor[1]
         for c, _, norm in right:
@@ -354,14 +339,7 @@ class FibContext:
         product = self._packed_products.get(w)
         if product is None:
             product = self._packed_products[w] = _PackedProducts(self._scaled, self._norms, w)
-        lhs = 0
-        for t in terms:
-            if len(t) > 3:
-                c, u, v, u2, v2 = t
-                lhs += c * (product[u, v] - product[u2, v2])
-            else:
-                c, u, v = t
-                lhs += c * product[u, v]
+        lhs = product[u, v] - product[u2, v2]
         if factor is not None:
             lhs *= product.vector(factor[0])
         for c, vec, _ in right:
@@ -526,6 +504,8 @@ class FibContext:
         Coefficient j of that product is the convolution
         F_j - h F_{j-1} - F_{j-2}, with the terms at negative indices left
         out, compared for j <= trunc; from j = 2 on it is `residual(j)`."""
+        if trunc < 0:
+            raise IndexConstraintViolated("the truncation order starts at 0")
         heads = (self.fib(0), self.fib(1) - self.h * self.fib(0))
         for j in range(trunc + 1):
             got = heads[j] if j < 2 else self.residual(j)
@@ -544,10 +524,11 @@ class FibContext:
         return HOLDS
 
     def catalan_check(self, n: int, r: int) -> Verdict:
-        """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2, checked as
-        G_{n-r} G_{n+r} - G_n^2 == (-1)^(n-r-1) d^(2(n-r)) G_r^2 between
-        packed integers (see the module docstring).  At n = r it reads
-        G_0 G_2n == 0, which holds exactly when N_0 or N_2n is zero."""
+        """F_{n-r} F_{n+r} - F_n^2 == (-1)^(n-r-1) F_r^2.  At n > r the
+        recurrence proves it where its prefix reaches n + r and G_0 = 0 (see
+        the module docstring); elsewhere it is compared in Q[x].  At n = r
+        it reads G_0 G_2n == 0, which holds exactly when N_0 or N_2n is
+        zero."""
         if not 0 <= r <= n:
             raise IndexConstraintViolated("need 0 <= r <= n")
         if n == r:
@@ -556,33 +537,28 @@ class FibContext:
         elif self._recurrence_holds(n + r) and not self._norms[0]:
             holds = True
         else:
-            scale = self.den_pow(2 * (n - r))
-            holds = self._vanishes(((1, n - r, n + r, n, n),
-                                    (-scale if (n - r) % 2 else scale, r, r)))
+            product = self.fib_product
+            right = product(r, r)
+            holds = product(n - r, n + r) - product(n, n) == (right if (n - r) % 2 else -right)
         return HOLDS if holds else Verdict(False, f"n={n}, r={r}")
 
     def index_shift_check(self, a: int, b: int, c: int, d: int, r: int) -> Verdict:
         """F_a F_b - F_c F_d == (-1)^r (F_{a-r} F_{b-r} - F_{c-r} F_{d-r})
-        for a + b = c + d; all shifted indices must stay nonnegative.
-        Checked as G_a G_b - G_c G_d ==
-        (-1)^r d^(2r) (G_{a-r} G_{b-r} - G_{c-r} G_{d-r}) between packed
-        integers, with d here the denominator of h (see the module
-        docstring)."""
+        for a + b = c + d; all shifted indices must stay nonnegative.  It
+        holds at r = 0 and where the recurrence prefix reaches
+        max(a, b, c, d) (see the module docstring); elsewhere it is
+        compared in Q[x]."""
         if a + b != c + d:
             raise IndexConstraintViolated("need a + b = c + d")
         if r < 0 or min(a, b, c, d) < r:
             raise IndexConstraintViolated("shift would reach a negative index")
-        if r and self._recurrence_holds(max(a, b, c, d)):
+        if self._recurrence_holds(max(a, b, c, d)) or not r:
             return HOLDS
-        if not self._shift_holds(a, b, c, d, r):
+        product = self.fib_product
+        shifted = product(a - r, b - r) - product(c - r, d - r)
+        if product(a, b) - product(c, d) != (-shifted if r % 2 else shifted):
             return Verdict(False, f"a={a}, b={b}, c={c}, d={d}, r={r}")
         return HOLDS
-
-    def _shift_holds(self, a: int, b: int, c: int, d: int, r: int) -> bool:
-        """The packed comparison of `index_shift_check`, unguarded."""
-        scale = self.den_pow(2 * r)
-        return self._vanishes(((1, a, b, c, d),
-                               (scale if r % 2 else -scale, a - r, b - r, c - r, d - r)))
 
     # -- scalar instances of the algebra identities ------------------------
 
@@ -614,71 +590,57 @@ class FibContext:
             out.append((sign * self.den_pow(e), *got))
         return out
 
-    def catalan_instance(self, m: int, r: int, delta: int) -> bool:
-        """Whether the Catalan instance E(m, r, delta),
-        M' D(m) == sum of sign d^e A_k over `_vajda_terms(m, r, delta)`
-        with D(m) = G_{m+r} G_{m-r+delta} - G_m G_{m+delta}, holds,
-        memoized for every table over this h: the flag of its base where
-        the recurrence reaches m + max(r, delta), else compared directly
-        (see the module docstring)."""
-        base = max(0, -delta, r - delta)
-        if r < 0 or m < base:
-            raise IndexConstraintViolated("the instance reaches a negative index")
-        if m > base and self._recurrence_holds(m + max(r, delta)):
-            m = base
-        got = self._catalan_flags.get((m, r, delta))
+    def _catalan_base(self, r: int, delta: int) -> bool:
+        """Whether the Catalan instance E(m, r, delta) at its base
+        m = max(0, -delta, r - delta), the smallest m whose four indices are
+        nonnegative, holds: M' D(m) == sum of sign d^e A_k over
+        `_vajda_terms(m, r, delta)` with D(m) = G_{m+r} G_{m-r+delta} -
+        G_m G_{m+delta}.  Memoized by (r, delta) for every table over this h."""
+        got = self._catalan_flags.get((r, delta))
         if got is None:
+            m = max(0, -delta, r - delta)
             right = self._right_side(_vajda_terms(m, r, delta), False)
-            got = self._catalan_flags[m, r, delta] = right is not None and self._vanishes(
-                ((1, m + r, m - r + delta, m, m + delta),), right, self._cleared_modulus)
+            got = self._catalan_flags[r, delta] = right is not None and self._vanishes(
+                m + r, m - r + delta, m, m + delta, right, self._cleared_modulus)
         return got
 
     def catalan_instances(self, n: int, r: int, pairs, memo: dict) -> bool:
-        """`all(catalan_instance(n + i, r, j - i) for i, j in pairs)`.
-        `memo`, kept by the caller per table, holds by r the reach
-        max(i + max(r, j - i)) and whether the base of every delta = j - i
-        holds, which is the answer wherever the recurrence reaches
-        n + reach; elsewhere every instance is read."""
+        """Whether the recurrence proves every Catalan instance
+        E(n + i, r, j - i) over `pairs`: its prefix reaches n + reach, with
+        reach = max(i + max(r, j - i)), and the base of every delta = j - i
+        holds (see the module docstring).  `memo`, kept by the caller per
+        table, holds (reach, whether every base holds) by r.  False proves
+        nothing: the caller then compares per table."""
         got = memo.get(r)
         if got is None:
             got = memo[r] = (max(i + max(r, j - i) for i, j in pairs), all(
-                self.catalan_instance(max(0, -delta, r - delta), r, delta)
-                for delta in {j - i for i, j in pairs}))
-        if self._recurrence_holds(n + got[0]):
-            return got[1]
-        return all(self.catalan_instance(n + i, r, j - i) for i, j in pairs)
+                self._catalan_base(r, delta) for delta in {j - i for i, j in pairs}))
+        return self._recurrence_holds(n + got[0]) and got[1]
 
-    def docagne_instance(self, u: int, v: int) -> bool:
-        """Whether the d'Ocagne instance E'(u, v),
-        G_u G_{v+1} - G_{u+1} G_v == sign d^e B_k over
-        `_docagne_terms(u, v)`, holds, memoized for every table over this
-        h: at m = min(u, v) >= 1 the flag of E'(u - m, v - m) where the
-        recurrence reaches max(u, v) + 1, else compared directly."""
-        low = min(u, v)
-        if low < 0:
-            raise IndexConstraintViolated("negative indices are undefined here")
-        if low and self._recurrence_holds(max(u, v) + 1):
-            u, v = u - low, v - low
-        got = self._docagne_flags.get((u, v))
+    def _docagne_base(self, e: int) -> bool:
+        """Whether the d'Ocagne instance E'(u, v) at its base
+        (u, v) = (max(e, 0), max(-e, 0)), e = u - v, holds:
+        G_u G_{v+1} - G_{u+1} G_v == sign B_k over `_docagne_terms(e)`.
+        Memoized by e for every table over this h."""
+        got = self._docagne_flags.get(e)
         if got is None:
-            right = self._right_side(_docagne_terms(u, v), True)
-            got = self._docagne_flags[u, v] = right is not None and self._vanishes(
-                ((1, u, v + 1, u + 1, v),), right)
+            u, v = max(e, 0), max(-e, 0)
+            right = self._right_side(_docagne_terms(e), True)
+            got = self._docagne_flags[e] = right is not None and self._vanishes(
+                u, v + 1, u + 1, v, right)
         return got
 
     def docagne_instances(self, r: int, n: int, pairs, memo: dict) -> bool:
-        """`all(docagne_instance(r + i, n + j) for i, j in pairs)`, read as
-        `catalan_instances` reads Catalan, with `memo` by s = r - n: the
-        reach max(s + i, j) + 1 and the bases E'(e, 0) or E'(0, -e),
-        e = s + i - j."""
+        """Whether the recurrence proves every d'Ocagne instance
+        E'(r + i, n + j) over `pairs`, read as `catalan_instances` reads
+        Catalan, with `memo` by s = r - n: the reach max(s + i, j) + 1 and
+        the bases at e = s + i - j."""
         s = r - n
         got = memo.get(s)
         if got is None:
             got = memo[s] = (max(max(s + i, j) for i, j in pairs) + 1, all(
-                self.docagne_instance(max(e, 0), max(-e, 0)) for e in {s + i - j for i, j in pairs}))
-        if self._recurrence_holds(n + got[0]):
-            return got[1]
-        return all(self.docagne_instance(r + i, n + j) for i, j in pairs)
+                self._docagne_base(e) for e in {s + i - j for i, j in pairs}))
+        return self._recurrence_holds(n + got[0]) and got[1]
 
     def ratio_limit_check(self, x0: float, n: int) -> float:
         """|F_{n+1}(x0)/F_n(x0) - alpha(x0)| in double precision.

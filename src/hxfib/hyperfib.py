@@ -31,27 +31,26 @@ Vajda's identity:
     d'Ocagne at (n, r), with (u, v) = (r + i, n + j): E'(u, v),
         G_u G_{v+1} - G_{u+1} G_v == (-1)^min(u,v) sgn(u-v) d^(2 min(u,v)) B_|u-v|.
 
-Cassini is Catalan at r = 1.  `FibContext` memoizes one flag per
-instance for every table over one h.  Above its base, the smallest m
-whose four indices are nonnegative, E(m, r, delta) holds exactly when
+Cassini is Catalan at r = 1.  `FibContext` memoizes one flag per base
+for every table over one h.  Above its base, the smallest m whose four
+indices are nonnegative, E(m, r, delta) holds exactly when
 E(m-1, r, delta) does wherever D(m) == -d^2 D(m-1), the index shift by
 one, since the right side of E(m) is -d^2 times that of E(m-1); likewise
 E'(u, v) and E'(u-1, v-1), whose base is at min(u, v) = 0.  The
 recurrence proves each shift by one unless a residual of the cached terms
-does not vanish (see the `fibseq` docstring).  So a fault-free check at
-(n, r) reads one memo per table, whether every base of its pairs holds,
-kept by r for Catalan and by r - n for d'Ocagne, and asks the recurrence
-for its largest top index; under a fault it reads every instance, each
-compared directly where the recurrence does not reach.  Both reads are
-one call, `FibContext.catalan_instances` or `docagne_instances`.
+does not vanish (see the `fibseq` docstring).  So a check at (n, r) reads
+one memo per table, whether every base of its pairs holds, kept by r for
+Catalan and by r - n for d'Ocagne, and asks the recurrence for its
+largest top index, in one call, `FibContext.catalan_instances` or
+`docagne_instances`.
 
-Every flag is exact, from a packed comparison or the recurrence, and an
-A_k or B_k that is not integral makes it "non-zero".  Coordinate k of an identity,
+Every base flag is exact, from a packed comparison, and an A_k or B_k
+that is not integral makes it "non-zero".  Coordinate k of an identity,
 times d^(2n+2dim-2) for Catalan and Cassini or d^(r+n+2dim-3) for
 d'Ocagne, is the sum of c_ijk d^(2dim-2-i-j) times its instances, so
-where they all hold it holds exactly.  Where one of them is non-zero the
-check compares every coordinate whole in Q[x], which gives the verdict
-and the witness:
+where they all hold it holds exactly.  Where the recurrence and the
+bases do not prove them all, the check compares every coordinate whole in
+Q[x], which gives the verdict and the witness:
 
     Catalan and Cassini: (h^2+4) sum c_ijk
         [F_{n+r+i} F_{n-r+j} - F_{n+i} F_{n+j}] == (-1)^n R_k,
@@ -231,6 +230,8 @@ class HyperContext:
         Q_j - h Q_{j-1} - Q_{j-2}, whose coordinate k for j >= 2 is the
         scalar residual `FibContext.residual(j + k)`, as in
         `recurrence_check`."""
+        if trunc < 0:
+            raise IndexConstraintViolated("the truncation order starts at 0")
         h, dim, fib = self.h, self.dim, self.fib
         terms = [fib.fib(m) for m in range(dim + 1)]
         for j, expected in enumerate(self.genfun_numerator()[:trunc + 1]):
@@ -311,8 +312,9 @@ class HyperContext:
 
     def _catalan_cleared_check(self, n: int, r: int, where: str) -> Verdict:
         """(h^2+4) [Q_{n+r} Q_{n-r} - Q_n^2] against the cleared bracket
-        signed by (-1)^n, coordinate by coordinate: it holds where every
-        instance E(n+i, r, j-i) does, and otherwise is compared whole."""
+        signed by (-1)^n, coordinate by coordinate: it holds where the
+        recurrence and the bases prove every instance E(n+i, r, j-i), and
+        otherwise is compared whole."""
         fib = self.fib
         fib.require_root_relations()
         fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it

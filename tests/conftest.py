@@ -23,16 +23,17 @@ def per_table_route(monkeypatch):
 
 
 def _unproven(self, top):
+    self._scale_to(top)  # NotDivisible where the prefix raises it
     return False
 
 
 @pytest.fixture
 def direct_route(monkeypatch):
     """A function that makes the recurrence prove no shift by one, so that
-    from then on the scalar Catalan check at n > r, the index-shift check
-    and every Catalan and d'Ocagne instance take their own packed
-    comparison, as under a fault, even on a context whose recurrence prefix
-    is already warm."""
+    from then on the scalar Catalan check at n > r and the index-shift
+    check at r >= 1 compare in Q[x], and the algebra Catalan, Cassini and
+    d'Ocagne checks per table, as under a fault, even on a context whose
+    recurrence prefix is already warm."""
     def force():
         monkeypatch.setattr(FibContext, "_recurrence_holds", _unproven)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hxfib import fibseq
-from hxfib.algebra import quaternion_table
+from hxfib.algebra import quaternion_table, scalar_table
 from hxfib.fibseq import (
     HOLDS,
     DomainError,
@@ -232,6 +232,20 @@ def test_genfun_truncated():
     assert FibContext(Poly([3, 0, 1])).genfun_check(20).ok
 
 
+def test_genfun_rejects_a_negative_truncation(monkeypatch):
+    # a seed that N = 0 already rejects: at N = -1 no coefficient is left
+    # to compare, which must not read as a pass
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", (5, 7))
+    for check in (FibContext(X).genfun_check, HyperContext(X, quaternion_table()).genfun_check):
+        assert not check(0).ok
+        with pytest.raises(IndexConstraintViolated):
+            check(-1)
+    corpus = Corpus(seed=0, h_polys=(X,), algebras=(quaternion_table(),), trunc_n=-1)
+    report = run_all(corpus, include={"genfun_real", "hyper_genfun"})
+    assert {c.name for c in report.failures} == {"genfun_real", "hyper_genfun"}
+    assert all(c.witness.startswith("IndexConstraintViolated: ") for c in report.failures)
+
+
 def test_sum_identity():
     ctx = FibContext(1)
     # 1+1+2+3+5 = 12 = 8 + 5 - 1
@@ -375,53 +389,72 @@ def test_catalan_at_n_equal_r_reads_both_norms(seed, monkeypatch):
     assert FibContext(ONE).catalan_check(1, 1).ok == (seed != (1, 1))
 
 
+#: the Catalan bases (r, delta) and the d'Ocagne bases e that the packed
+#: tests below compare
+CATALAN_BASES = [(r, delta) for r in range(6) for delta in range(-4, 5)]
+DOCAGNE_BASES = range(-6, 7)
+
+
 def test_packed_checks_assert_their_slot_width(monkeypatch, direct_route):
-    direct_route()
     h = Poly([F(5, 6), 0, 0, -2, F(1, 4)])
-    assert FibContext(h).index_shift_check(9, 6, 8, 7, 3).ok
+    ctx = FibContext(h)
+    assert all(ctx._catalan_base(*key) for key in CATALAN_BASES)
+    assert all(ctx._docagne_base(e) for e in DOCAGNE_BASES)
     # one byte below what the coefficient bound needs
     monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bound.bit_length() // 8)
     ctx = FibContext(h)
-    # at n = r the identity reads G_0 G_2n == 0 from the norms, unpacked
-    for n, r in ((1, 0), (3, 1), (12, 5), (16, 15)):
+    for key in ((0, 0), (1, -4), (3, 1), (5, 4)):
         with pytest.raises(AssertionError):
-            ctx.catalan_check(n, r)
-    for tup in ((1, 1, 0, 2, 0), (5, 3, 4, 4, 1), (9, 6, 8, 7, 3), (12, 12, 11, 13, 11)):
+            ctx._catalan_base(*key)
+    for e in (-6, 0, 1, 5):
         with pytest.raises(AssertionError):
-            ctx.index_shift_check(*tup)
-
-
-def test_packed_bound_covers_every_product_coefficient(monkeypatch, direct_route):
+            ctx._docagne_base(e)
+    # off the prefix the scalar checks compare in Q[x], which packs nothing
     direct_route()
+    assert ctx.catalan_check(12, 5).ok and ctx.index_shift_check(9, 6, 8, 7, 3).ok
+
+
+def test_packed_bound_covers_every_product_coefficient(monkeypatch):
     bounds = []
     real = fibseq._pack_width
     monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
     for h in packed_test_hs():
         ctx, d = FibContext(h), h.den
+        modulus = (h * h + 4) * F(d) ** 2
 
-        def height(u, v):
-            """Largest |coefficient| of G_u G_v, with G_n = d^(n-1) F_n."""
-            product = ctx.fib(u) * ctx.fib(v) * F(d) ** (u + v - 2)
-            assert product.den == 1
-            return max(map(abs, product.num), default=0)
+        def scaled(n):
+            """G_n = d^(n-1) F_n."""
+            g = ctx.fib(n) * F(d) ** (n - 1)
+            assert g.den == 1
+            return g
 
-        for n in range(11):
-            for r in range(n + 1):
-                ctx.catalan_check(n, r)
-                if r == n:  # G_0 G_2n == 0 is read from the norms, unpacked
-                    assert not bounds
-                    continue
-                need = height(n - r, n + r) + height(n, n) + d ** (2 * (n - r)) * height(r, r)
-                assert bounds.pop() >= need
-        for a, b, c, e, r in _index_shift_tuples(8):
-            ctx.index_shift_check(a, b, c, e, r)
-            need = (height(a, b) + height(c, e)
-                    + d ** (2 * r) * (height(a - r, b - r) + height(c - r, e - r)))
-            assert bounds.pop() >= need
+        def height(p):
+            return max(map(abs, p.num), default=0)
+
+        def root_height(k, odd):
+            """The height of A_k = 2 d^k a_k, or of B_k = 2 d^(k-1) b_k,
+            with alpha^k = a_k + b_k s."""
+            power = ctx.alpha_pow(k)
+            return height((power.b if odd else power.a) * 2 * F(d) ** (k - 1 if odd else k))
+
+        for r, delta in CATALAN_BASES:
+            ctx._catalan_base(r, delta)
+            m, far = max(0, -delta, r - delta), abs(2 * r - delta)
+            need = (height(modulus * scaled(m + r) * scaled(m - r + delta))
+                    + height(modulus * scaled(m) * scaled(m + delta))
+                    + d ** (2 * min(m, m + delta)) * root_height(abs(delta), False)
+                    + d ** (2 * m + delta - far) * root_height(far, False))
+            assert bounds.pop() >= need, (h, r, delta)
+        for e in DOCAGNE_BASES:
+            ctx._docagne_base(e)
+            u, v = max(e, 0), max(-e, 0)
+            need = (height(scaled(u) * scaled(v + 1)) + height(scaled(u + 1) * scaled(v))
+                    + (root_height(abs(e), True) if e else 0))
+            assert bounds.pop() >= need, (h, e)
         assert not bounds
 
 
-# -- the recurrence prefix against the direct comparisons ----------------------------
+# -- the recurrence prefix against the Q[x] comparisons -------------------------------
 
 #: three corpora of h in the style of `packed_test_hs`
 PAIR_CORPORA = [packed_test_hs(), seeded_hs(5, 5), seeded_hs(29, 5)]
@@ -457,9 +490,9 @@ def _outcome(check, *args):
 def pair_route_outcomes(h, fault):
     """Every scalar Catalan, algebra Catalan, Cassini and d'Ocagne and
     index-shift outcome over one context, in one order; then, on the same
-    warm context, every Catalan instance E(m, r, delta) with r <= 4,
-    |delta| <= 3 and m <= 8 and every d'Ocagne instance E'(u, v) with
-    u, v <= 8, each with whether the recurrence reaches its top index."""
+    warm context, every Catalan base E(m, r, delta) with r <= 4 and
+    |delta| <= 3 and every d'Ocagne base at |e| <= 8, each with whether the
+    recurrence reaches its top index."""
     ctx = FibContext(h)
     if callable(fault):
         fault(ctx)
@@ -472,13 +505,12 @@ def pair_route_outcomes(h, fault):
             got.append(_outcome(hyper.cassini_check, n))
         got += [_outcome(hyper.docagne_check, n, r) for r in range(n + 1, 10)]
     got += [_outcome(ctx.index_shift_check, *tup) for tup in _index_shift_tuples(8)]
-    instances = [(ctx.catalan_instance, (m, r, delta), m + max(r, delta))
-                 for r in range(5) for delta in range(-3, 4)
-                 for m in range(max(0, -delta, r - delta), 9)]
-    instances += [(ctx.docagne_instance, (u, v), max(u, v) + 1)
-                  for u in range(9) for v in range(9)]
-    flags = {args: (_outcome(read, *args), _outcome(ctx._recurrence_holds, top) is True)
-             for read, args, top in instances}
+    bases = [(ctx._catalan_base, (r, delta), max(0, -delta, r - delta) + max(r, delta))
+             for r in range(5) for delta in range(-3, 4)]
+    bases += [(ctx._docagne_base, (e,), abs(e) + 1) for e in range(-8, 9)]
+    flags = {(read.__name__, args): (_outcome(read, *args),
+                                     _outcome(ctx._recurrence_holds, top) is True)
+             for read, args, top in bases}
     return got, flags
 
 
@@ -494,9 +526,8 @@ def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_
     for (got, flags), (ref, ref_flags) in zip(fast, direct):
         assert got == ref
         for key, (flag, reaches) in flags.items():
-            # equal everywhere: where the prefix reaches, an instance is its
-            # base's flag by an equivalence, and elsewhere the fast route
-            # compares directly; so a flag that holds is a proof either way
+            # a base is compared on either route, whether or not the
+            # prefix reaches its top index
             assert flag == ref_flags[key][0], (key, reaches)
             reached.add(reaches)
     if callable(PAIR_FAULTS[fault]):  # a wrong term stops the prefix part way
@@ -508,10 +539,10 @@ def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_
 
 
 def test_pair_runs_deeper_than_the_recursion_limit(monkeypatch, direct_route):
-    shifts = []
-    real = FibContext._shift_holds
-    monkeypatch.setattr(FibContext, "_shift_holds",
-                        lambda self, *args: shifts.append(args) or real(self, *args))
+    products = []
+    real = FibContext.fib_product
+    monkeypatch.setattr(FibContext, "fib_product",
+                        lambda self, *args: products.append(args) or real(self, *args))
     checks = [("index_shift_check", (1500, 1500, 1499, 1501, 1), 1501),
               ("catalan_check", (1200, 3), 1203)]
     assert 1501 > sys.getrecursionlimit()
@@ -519,21 +550,21 @@ def test_pair_runs_deeper_than_the_recursion_limit(monkeypatch, direct_route):
     for name, args, top in checks:
         ctx = FibContext(ONE)
         fast.append(getattr(ctx, name)(*args))
-        assert ctx._recurrence_top == top  # answered by the prefix, not compared directly
-    assert shifts == []
+        assert ctx._recurrence_top == top  # answered by the prefix, not compared in Q[x]
+    assert products == []
     direct_route()
     assert fast == [getattr(FibContext(ONE), name)(*args) for name, args, _ in checks]
-    assert fast == [HOLDS, HOLDS]
+    assert products and fast == [HOLDS, HOLDS]
 
 
-#: (read, top): a check or instance whose largest index read is top
+#: (read, top): a check whose largest index read is top
 TOP_READS = [
     (lambda ctx: ctx.index_shift_check(6, 2, 4, 4, 1), 6),
     (lambda ctx: ctx.catalan_check(4, 2), 6),
-    # E(1, 1, 3), one above its base m = 0, reads G_2, G_3, G_1 and G_4
-    (lambda ctx: ctx.catalan_instance(1, 1, 3), 4),
-    # E'(2, 4) through the descent to E'(0, 2), which reads no index above 3
-    (lambda ctx: ctx.docagne_instance(2, 4), 5),
+    # over the one-dimensional table, Cassini at 3 reads F_4, F_2 and F_3
+    (lambda ctx: HyperContext(ctx, scalar_table()).cassini_check(3), 4),
+    # and d'Ocagne at (2, 4) reads F_4, F_3, F_5 and F_2
+    (lambda ctx: HyperContext(ctx, scalar_table()).docagne_check(2, 4), 5),
 ]
 
 

@@ -526,7 +526,8 @@ CORPORA = [
 ]
 CORPUS_IDS = ["mutation_corpus", "default_corpus", "fractional_tables"]
 QUADRATIC = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
-#: the families whose verdicts come from `FibContext._vanishes`
+#: the families that read the recurrence prefix; the algebra ones also
+#: read the packed bases of `FibContext._vanishes`
 PACKED = QUADRATIC | {"catalan_real", "index_shift"}
 
 
@@ -608,20 +609,39 @@ def test_fault_free_corpora_compare_only_at_the_bases(corpus, monkeypatch):
     seen = _spy_comparisons(monkeypatch)
     report = suite.run_all(corpus, include=PACKED)
     assert report.ok and report.checks
-    compared = []
-    for ctx, terms, right, factor, *_ in seen:
-        (_, a, b, c, e), = terms  # an instance: the scalar checks compare none
-        if factor:  # E(m, r, delta) reads G_(m+r), G_(m-r+delta), G_m, G_(m+delta)
-            m, r, delta = c, a - c, e - c
-            assert m == max(0, -delta, r - delta), (m, r, delta)
-            compared.append((ctx, m, r, delta))
-        else:  # E'(u, v) reads G_u, G_(v+1), G_(u+1), G_v
-            assert min(a, e) == 0, (a, e)
-            compared.append((ctx, a, e))
-    # both kinds are compared, and each base once per h: no shift by one is
-    # compared directly, and no instance above its base
-    assert {len(key) for key in compared} == {3, 4}
+    compared = [(ctx, _base_of(indices, factor)) for ctx, indices, _, factor, *_ in seen]
+    # both kinds are compared, and each base once per h
+    assert {type(key) for _, key in compared} == {tuple, int}
     assert len(set(compared)) == len(compared)
+
+
+def _base_of(indices, factor):
+    """The key of a packed comparison that is a base: (r, delta) for the
+    Catalan base E(m, r, delta), which reads G_(m+r), G_(m-r+delta), G_m and
+    G_(m+delta) at m = max(0, -delta, r - delta), and e = u - v for the
+    d'Ocagne base E'(u, v), which reads G_u, G_(v+1), G_(u+1) and G_v at
+    min(u, v) = 0.  Any other comparison fails an assertion."""
+    a, b, c, e = indices
+    if factor:
+        m, r, delta = c, a - c, e - c
+        assert m == max(0, -delta, r - delta) and b == m - r + delta, indices
+        return r, delta
+    assert min(a, e) == 0 and (b, c) == (e + 1, a + 1), indices
+    return a - e
+
+
+@pytest.mark.parametrize("fault", INSTANCE_FAULTS)
+@pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
+def test_every_packed_comparison_is_at_a_base(corpus, fault, monkeypatch):
+    # above a base, and in the scalar checks, the recurrence proves the
+    # identity or the check compares in Q[x]
+    _inject(fault, monkeypatch)
+    seen = _spy_comparisons(monkeypatch)
+    report = suite.run_all(corpus, include=PACKED)
+    assert bool(report.failures) == (fault != "exact")
+    for _, indices, _, factor, *_ in seen:
+        _base_of(indices, factor)
+    assert bool(seen) == (fault != "half_seed")  # there G_1 is not integral
 
 
 def _unsigned(terms):
@@ -636,15 +656,13 @@ def _undivided(terms):
                          ids=["without_the_sign", "without_the_d_power"])
 @pytest.mark.parametrize("name", ["_vajda_terms", "_docagne_terms"])
 def test_a_broken_instance_right_side_only_sends_checks_to_the_per_table_route(
-        name, broken, monkeypatch, direct_route):
-    if (name, broken) == ("_docagne_terms", _undivided):
-        # on a fault-free corpus d'Ocagne compares only at min(u, v) = 0,
-        # where the power is d^0; the direct comparisons read every power
-        direct_route()
+        name, broken, monkeypatch):
     monkeypatch.setattr(fibseq, name, broken(getattr(fibseq, name)))
     fallbacks = _count_fallbacks(monkeypatch)
     report = suite.run_all(CORPORA[1], include=QUADRATIC)
-    assert fallbacks
+    # d'Ocagne is compared only at its bases, min(u, v) = 0, where the
+    # power is d^0, so dropping it changes nothing
+    assert bool(fallbacks) == ((name, broken) != ("_docagne_terms", _undivided))
     assert report.ok and report.checks
 
 
@@ -653,6 +671,12 @@ def _outcome(read):
         return read()
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def _proven(fib, top, bases):
+    """What a batched reader answers: the recurrence prefix reaches its top
+    index and every base of its pairs holds."""
+    return fib._recurrence_holds(top) and all(bases)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -672,14 +696,16 @@ def test_batched_reads_match_one_read_per_instance(corpus, fault, monkeypatch):
                     where = f"{h!r} {table.name} n={n} r={r}"
                     if r <= n:
                         got = _outcome(lambda: batched.catalan_instances(n, r, pairs, memos[0]))
-                        assert got == _outcome(lambda: all(
-                            single.catalan_instance(n + i, r, j - i) for i, j in pairs)), where
+                        assert got == _outcome(lambda: _proven(
+                            single, n + max(i + max(r, j - i) for i, j in pairs),
+                            [single._catalan_base(r, j - i) for i, j in pairs])), where
                     else:
                         got = _outcome(lambda: batched.docagne_instances(r, n, pairs, memos[1]))
-                        assert got == _outcome(lambda: all(
-                            single.docagne_instance(r + i, n + j) for i, j in pairs)), where
+                        assert got == _outcome(lambda: _proven(
+                            single, n + max(max(r - n + i, j) for i, j in pairs) + 1,
+                            [single._docagne_base(r - n + i - j) for i, j in pairs])), where
                     outcomes.add(got)
-        # an instance that both contexts compared has one flag
+        # a base that both contexts compared has one flag
         for flags, ref in ((batched._catalan_flags, single._catalan_flags),
                            (batched._docagne_flags, single._docagne_flags)):
             assert flags.keys() & ref.keys()
@@ -701,11 +727,13 @@ def test_the_forced_route_reaches_the_per_table_comparison_on_a_warm_context(
 
 def test_a_long_catalan_chain_is_built_without_recursion(direct_route):
     fib = FibContext(ONE)
-    assert fib.catalan_instance(2000, 3, 1)
-    # the prefix is extended in a loop to 2003, and only the base m = 2 is compared
-    assert fib._recurrence_top == 2003 and list(fib._catalan_flags) == [(2, 3, 1)]
+    assert fib.catalan_instances(2000, 3, ((0, 1),), {})
+    # the prefix is extended in a loop to 2003, and only the base of
+    # delta = 1 is compared
+    assert fib._recurrence_top == 2003 and list(fib._catalan_flags) == [(3, 1)]
     direct_route()
-    assert FibContext(ONE).catalan_instance(2000, 3, 1)
+    assert not FibContext(ONE).catalan_instances(2000, 3, ((0, 1),), {})
+    assert HyperContext(ONE, scalar_table()).catalan_check(2000, 3).ok
 
 
 #: e0 e0 = e1 e1 = e0 and every other product zero: not unital, but the
@@ -748,16 +776,15 @@ def test_an_instance_the_prefix_does_not_reach_is_read(table, raised, check, arg
     assert not got.ok and got.witness.startswith("coordinate 0 at ")
     if table is DELTA_ZERO_TABLE:
         assert hyper._pairs == ((0, 0), (1, 1))
-        assert not hyper.fib.catalan_instance(5, 2, 0) and hyper.fib.catalan_instance(6, 2, 0)
 
 
 # -- every packed comparison against a bound oracle ----------------------------
 
 
 def _spy_comparisons(monkeypatch) -> list:
-    """(context, terms, right, factor, bound, w) of every packed comparison
-    from now on, with the bound `_checked_width` was given and the slot
-    width w it gave."""
+    """(context, (u, v, u2, v2), right, factor, bound, w) of every packed
+    comparison from now on, with the bound `_checked_width` was given and
+    the slot width w it gave."""
     seen, widths = [], []
     real_vanishes, real_width = FibContext._vanishes, fibseq._checked_width
 
@@ -765,9 +792,9 @@ def _spy_comparisons(monkeypatch) -> list:
         widths.append((bound, real_width(bound)))
         return widths[-1][1]
 
-    def vanishes(self, terms, right=(), factor=None):
-        got = real_vanishes(self, terms, right, factor)
-        seen.append((self, terms, right, factor, *widths[-1]))
+    def vanishes(self, u, v, u2, v2, right=(), factor=None):
+        got = real_vanishes(self, u, v, u2, v2, right, factor)
+        seen.append((self, (u, v, u2, v2), right, factor, *widths[-1]))
         return got
 
     monkeypatch.setattr(fibseq, "_checked_width", width)
@@ -775,7 +802,7 @@ def _spy_comparisons(monkeypatch) -> list:
     return seen
 
 
-def _oracle_heights(ctx, terms, right, factor, products) -> tuple[int, int]:
+def _oracle_heights(ctx, indices, right, factor, products) -> tuple[int, int]:
     """On the Poly route, the largest |coefficient| of the comparison's left
     side minus its right side, and of every vector it packs: the factor,
     each right-side V and each G_n = d^(n-1) F_n of a product with no zero
@@ -793,11 +820,10 @@ def _oracle_heights(ctx, terms, right, factor, products) -> tuple[int, int]:
         return products[key]
 
     heights, diff = [0], ZERO
-    for c, *indices in terms:
-        for sign, u, v in zip((1, -1), indices[::2], indices[1::2]):
-            got, tall = product(u, v)
-            heights.append(tall)
-            diff += got * (c * sign)
+    for sign, u, v in ((1, *indices[:2]), (-1, *indices[2:])):
+        got, tall = product(u, v)
+        heights.append(tall)
+        diff += got * sign
     for vec, norm in [factor] if factor else []:
         assert norm == sum(map(abs, vec))
         heights.append(max(map(abs, vec)))
@@ -811,43 +837,44 @@ def _oracle_heights(ctx, terms, right, factor, products) -> tuple[int, int]:
 
 def _assert_covered(seen):
     products = {}
-    for ctx, terms, right, factor, bound, w in seen:
-        need = max(_oracle_heights(ctx, terms, right, factor, products))
-        assert need <= bound and need < 2 ** (8 * w - 1), (ctx.h, terms, right, factor, w)
+    for ctx, indices, right, factor, bound, w in seen:
+        need = max(_oracle_heights(ctx, indices, right, factor, products))
+        assert need <= bound and need < 2 ** (8 * w - 1), (ctx.h, indices, right, factor, w)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
 def test_every_packed_comparison_fits_its_slots(corpus, fault, monkeypatch, direct_route):
-    # off the prefix, so that the scalar checks compare too
+    # off the prefix, as under a fault
     direct_route()
     _inject(fault, monkeypatch)
     seen = _spy_comparisons(monkeypatch)
     suite.run_all(corpus, include=PACKED)
-    assert {len(terms) for _, terms, *_ in seen} == {1, 2}  # instances and scalar checks
+    # both kinds of base: Catalan with the factor M', d'Ocagne without
+    assert {factor is None for *_, factor, _, _ in seen} == {True, False}
     _assert_covered(seen)
 
 
 #: comparisons just past a slot boundary 2^(8w-1), with G_n = F_n(-1) =
-#: (-1)^(n-1) F_n(1) and G_n = F_n(x).  2 * -3 (G_2 G_3 - G_4 G_4) + 2 * 31
-#: = 128 = 2^7 has the bound 2 (3 (2 + 9) + 1) + 2 * 31 = 130 and needs
-#: 2-byte slots, but the bound less any one of |c|, the second product,
-#: ||factor|| and the right-side norms is below 2^7.  -G_1 G_2 + 256 =
+#: (-1)^(n-1) F_n(1) and G_n = F_n(x).  2 (G_5 G_5 - G_3 G_4) + 2 * 33 =
+#: 128 = 2^7 has the bound 2 (25 + 6 + 1) + 2 * 33 = 130 and needs 2-byte
+#: slots, but the bound less any one of |c|, the second product, ||factor||
+#: and the right-side norms is below 2^7.  G_0 G_0 - G_1 G_2 + 256 =
 #: 256 - x has the bound 258 and packs to 0 in 1-byte slots, which the
 #: bound less the right-side norms or their |c| would pick, and so would
 #: a width one step below the bound's.
 SLOT_EDGES = [
-    (Poly([-1]), ((-3, 2, 3, 4, 4),), ((-2, (31,), 31),), ((2,), 2), 2),
-    (X, ((-1, 1, 2),), ((-256, (1,), 1),), None, 2),
+    (Poly([-1]), (5, 5, 3, 4), ((-2, (33,), 33),), ((2,), 2), 2),
+    (X, (0, 0, 1, 2), ((-256, (1,), 1),), None, 2),
 ]
 
 
-@pytest.mark.parametrize("h, terms, right, factor, width", SLOT_EDGES,
+@pytest.mark.parametrize("h, indices, right, factor, width", SLOT_EDGES,
                          ids=["constant", "linear"])
-def test_comparisons_at_a_slot_boundary_fit_their_slots(h, terms, right, factor, width,
+def test_comparisons_at_a_slot_boundary_fit_their_slots(h, indices, right, factor, width,
                                                         monkeypatch):
     seen = _spy_comparisons(monkeypatch)
-    assert not FibContext(h)._vanishes(terms, right, factor)
+    assert not FibContext(h)._vanishes(*indices, right, factor)
     _assert_covered(seen)
     assert [w for *_, w in seen] == [width]
 
@@ -997,7 +1024,7 @@ def test_right_sides_take_no_products_in_the_quadratic_extension(monkeypatch):
     calls.clear()
     run_checks()
     assert calls == []
-    # once the instance flags are memoized, the checks take no polynomial
+    # once the base flags are memoized, the checks take no polynomial
     # product or linear combination either
     count(Poly, "__mul__")
     count(hyperfib, "poly_combination")

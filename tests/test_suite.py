@@ -212,25 +212,32 @@ def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
     assert all(c.params["n"] >= 2 for c in report.failures)
 
 
-def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch,
-                                                                     direct_route):
-    # G_n = d^(n-1) F_n turns each quadratic identity into one with a factor
-    # d^(2r) (Catalan: d^(2(n-r))) on its right side, and the binomial,
+def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
+    # G_n = d^(n-1) F_n turns each Catalan and d'Ocagne base into one with
+    # powers of d on its right side and in A_k and B_k, and the binomial,
     # halving and differential forms are read as G_n over d^(n-1); dropping
     # the power is invisible on the integer h of mutation_corpus(), so this
     # fault is not one of the MUTATIONS
-    monkeypatch.setattr(FibContext, "den_pow", lambda self, k: 1)
     h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
+    catalan, docagne = [(r, delta) for r in range(4) for delta in range(-3, 4)], range(-4, 5)
+
+    def bases():
+        ctx = FibContext(h)
+        return ([ctx._catalan_base(r, delta) for r, delta in catalan]
+                + [ctx._docagne_base(e) for e in docagne])
+
+    assert all(bases())
+    monkeypatch.setattr(FibContext, "den_pow", lambda self, k: 1)
     fractional = Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8)
     forms = {"closed_form_binomial", "closed_form_halving", "closed_form_differential"}
-    shifts = {"index_shift", "catalan_real"}
-    assert run_all(mutation_corpus(), include=forms | shifts).ok
+    assert run_all(mutation_corpus(), include=forms).ok
     assert {c.name for c in run_all(fractional, include=forms).failures} == forms
-    # the recurrence proves the shifts with no power of d; the direct
-    # comparisons, which a fault sends the checks to, read it
-    direct_route()
-    assert run_all(mutation_corpus(), include=shifts).ok
-    assert {c.name for c in run_all(fractional, include=shifts).failures} == shifts
+    # a base that fails sends its check per table, which compares in Q[x]
+    # and reads no power of d
+    flags = bases()
+    assert not all(flags[:len(catalan)]) and not all(flags[len(catalan):])
+    quadratic = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
+    assert run_all(replace(fractional, algebras=(quaternion_table(),)), include=quadratic).ok
 
 
 def test_battery_notices_a_combination_that_drops_its_last_term(monkeypatch, per_table_route):
