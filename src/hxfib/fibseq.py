@@ -9,23 +9,34 @@ ring equality.  The single exception is `ratio_limit_check`, the only
 floating-point computation in the package.
 
 The scalar instances that the algebra Catalan, Cassini and d'Ocagne
-checks of `hyperfib` read at their bases compare big integers instead of
-polynomials.  With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have
-integer coefficients (the cache's denominators are checked to divide
-d^(n-1)), and each instance multiplied through by a power of d becomes one
-among products G_u G_v, powers of d and integer vectors.  Every G_n is evaluated once at x = 2^(8w) (Kronecker
-substitution), so a product G_u G_v is one big-integer multiply and the
-instance one comparison of integers, with no float anywhere.  The
-comparison is exact because evaluation at 2^(8w) is injective on integer
-polynomials whose coefficients lie below 2^(8w-1) in absolute value.
-`FibContext._vanishes` makes every such comparison from its terms alone
-(one difference G_u G_v - G_u' G_v', an integer vector factor, and
-weighted integer vectors V on the right): the bound ||factor|| (N_u N_v +
-N_u' N_v' + 1) + sum |c| ||V||, N_k = ||G_k||_1, covers every coefficient
-of the left side minus the right side and of every vector packed, and w
-is picked from it and asserted.  The base flags, `_catalan_base` and
-`_docagne_base`, are memoized here so that every table over one h shares
-them (see the `hyperfib` docstring).
+checks of `hyperfib` read at their bases come down to integer vectors.
+With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have integer
+coefficients (the cache's denominators are checked to divide d^(n-1)),
+and with alpha^k = a_k + b_k s so do A_k = 2 d^k a_k and
+B_k = 2 d^(k-1) b_k, which step by X_k = H X_(k-1) + d^2 X_(k-2) from
+`roots()` once alpha^2 = h alpha + 1 is checked (`alpha_pow` reads them).
+At its base, the smallest m whose indices are nonnegative, a Catalan
+instance E(m, r, delta) has an index 0.  So where G_0 = 0 its other
+product is G_a G_b, {a, b} = {r, |r - delta|}, a >= b, and it is, up to
+sign, Vajda's identity in polynomial form (at r = 0 both sides vanish):
+
+    P(a, b):  M' G_a G_b == A_(a+b) - (-1)^b d^(2b) A_(a-b),  M' = H^2 + 4d^2.
+
+Both sides of P(a, b) obey X_a = H X_(a-1) + d^2 X_(a-2), the left one
+where residual(a) below vanishes, so P(a, b) holds at a >= b + 2 where it
+holds at a - 1 and a - 2 and `_recurrence_holds(a)`.  Only the seeds
+a <= b + 1 are compared, each by `_vanishes` as one big-integer product
+at x = 2^(8w) (Kronecker substitution), exact because evaluation at
+2^(8w) is injective on integer polynomials with coefficients below
+2^(8w-1) in absolute value.  w comes from the terms alone: the bound
+||factor|| (N_u N_v + 1) + sum |c| ||V||, N_k = ||G_k||_1, covers every
+coefficient of factor G_u G_v - sum c V and of every vector packed, and
+w is asserted.  A d'Ocagne base E'(u, v), min(u, v) = 0, reads G_0 and
+G_1 beside G_|e|, e = u - v: where G_0 = 0 and G_1 = 1 it is, up to
+sgn(e), G_|e| == B_|e|, a tuple comparison.  Elsewhere a flag is False,
+which proves nothing and sends the check per table.  The flags,
+`_product_holds` by (a, b) and `_docagne_base` by e, are memoized here
+for every table over one h (see the `hyperfib` docstring).
 
 The quadratic identities follow from the recurrence, through the shift
 by one.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
@@ -43,9 +54,8 @@ where a comparison reading index T raises it:
   G_0 G_{2r} - G_r^2 = -G_r^2 (at n = r it reads G_0 G_2n == 0 from the
   norms N_0 and N_2n);
 - the Catalan instance E(m, r, delta), T = m + max(r, delta): above its
-  base, the smallest m whose four indices are nonnegative,
-  D(m) == -d^2 D(m-1) is a shift by one and the right side of E(m) is -d^2
-  times that of E(m-1), so E(m) holds exactly when its base does;
+  base, D(m) == -d^2 D(m-1) is a shift by one and the right side of E(m)
+  is -d^2 times that of E(m-1), so E(m) holds exactly when its base does;
 - the d'Ocagne instance E'(u, v) at m = min(u, v) >= 1, T = max(u, v) + 1:
   likewise, each side of E'(u, v) is -d^2 times that of E'(u - 1, v - 1),
   so it holds exactly when E'(u - m, v - m) does.
@@ -68,6 +78,8 @@ The generating-function and summation checks read the memoized facts
 the recurrence and genfun checks of `hyperfib` share.  Its partial-sum
 check reads `sum_residual(j)` = h (F_1 + ... + F_j) - F_(j+1) - F_j + 1,
 built once per j from `h_partial_sum(j)` for every table over one h.
+The Chebyshev form steps d^m U_m on pairs of integer vectors, the real
+and imaginary parts, and divides by d^m once per read.
 """
 
 from __future__ import annotations
@@ -86,6 +98,7 @@ from .scalars import (
     QuadExt,
     _kronecker_pack,
     _kronecker_unpack,
+    _schoolbook_mul,
     as_poly,
     binomial,
     poly_sum,
@@ -145,49 +158,13 @@ def _checked_width(bound: int) -> int:
     return w
 
 
-class _PackedProducts(dict):
-    """G_u(2^(8w)) G_v(2^(8w)) by (u, v) and (v, u) at slot width w, made on
-    first read from a context's G_k and N_k; a zero N_u or N_v gives 0.
-    `vector` packs any other integer vector once at this width."""
-
-    def __init__(self, scaled: list, norms: list, w: int):
-        super().__init__()
-        self.scaled, self.norms, self.w, self.packed, self.vectors = scaled, norms, w, {}, {}
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        u, v = key
-        if not (self.norms[u] and self.norms[v]):
-            got = 0
-        else:
-            for k in key:
-                if k not in self.packed:
-                    self.packed[k] = _kronecker_pack(self.scaled[k], self.w)
-            got = self.packed[u] * self.packed[v]
-        self[key] = self[v, u] = got
-        return got
-
-    def vector(self, vec: tuple) -> int:
-        got = self.vectors.get(vec)
-        if got is None:
-            got = self.vectors[vec] = _kronecker_pack(vec, self.w)
-        return got
-
-
-def _vajda_terms(m: int, r: int, delta: int) -> tuple:
-    """The right side of the Catalan instance E(m, r, delta) as two
-    (sign, e, k) terms sign d^e A_k: (-1)^(m+min(0,delta)) d^(2 min(m,
-    m+delta)) A_|delta| and -(-1)^(m+r+min(2r,delta)) d^(2m+delta-|2r-delta|)
-    A_|2r-delta|."""
-    far = abs(2 * r - delta)
-    return ((-1 if (m + min(0, delta)) % 2 else 1, 2 * min(m, m + delta), abs(delta)),
-            (1 if (m + r + min(2 * r, delta)) % 2 else -1, 2 * m + delta - far, far))
-
-
-def _docagne_terms(e: int) -> tuple:
-    """The right side of the d'Ocagne instance E'(u, v) at its base,
-    min(u, v) = 0 and e = u - v, as (sign, 0, k) terms sign d^0 B_k:
-    sgn(e) B_|e|, and none at e = 0."""
-    return ((1 if e > 0 else -1, 0, abs(e)),) if e else ()
+def _mul_add(h: tuple, x: list, c: int, y: list) -> list:
+    """The integer vector h x + c y, for integer vectors h, x and y."""
+    out = _schoolbook_mul(h, x) if h and x else []
+    out += [0] * (len(y) - len(out))
+    for i, v in enumerate(y):
+        out[i] += c * v
+    return out
 
 
 def _eval_float(p: Poly, x: float) -> float:
@@ -219,28 +196,31 @@ class FibContext:
         self._sum_residuals: list[Poly] = []
         self._binets: dict[int, Poly] = {}
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
-        # slot width w the memoized products G_u(2^(8w)) G_v(2^(8w))
+        # slot width w the integer vectors packed at 2^(8w), by vector
         self._scaled: list[tuple] = []
         self._norms: list[int] = []
         self._den_pows = [1]
-        self._packed_products: dict[int, _PackedProducts] = {}
+        self._packed: dict[int, dict[tuple, int]] = {}
         # per slot width w, the powers of H(2^(8w)) that the packed closed
         # forms read, and the k-th derivatives of y^(n-k-1) at row n
         self._form_pows: dict[int, list[int]] = {}
         self._derivatives: list[list[Poly]] = [[]]
-        self._alpha_pows: list[QuadExt] | None = None
-        # M' = d^2 (h^2+4) as an integer vector with its 1-norm, the vectors
-        # A_k and B_k by (k, odd), and the base flags: Catalan by (r, delta),
-        # d'Ocagne by e = u - v
+        # H = d h as an integer polynomial, M' = d^2 (h^2+4) as an integer
+        # vector with its 1-norm; the root vectors ([A_k], [B_k], modulus of
+        # s), or () once alpha^2 = h alpha + 1 fails; the powers of alpha;
+        # and the base flags: P(a, b) by (a, b), d'Ocagne by e = u - v
+        self._cleared_h = self.h * self.h.den
         modulus = (self.modulus * self.h.den ** 2).num
         self._cleared_modulus = modulus, sum(map(abs, modulus))
-        self._root_vectors: dict[tuple[int, bool], tuple | None] = {}
+        self._root_vectors: tuple | None = None
+        self._alpha_pows: list[QuadExt] = []
         self._catalan_flags: dict[tuple[int, int], bool] = {}
         self._docagne_flags: dict[int, bool] = {}
         # the largest T with residual(k) == 0 for every 2 <= k <= T
         self._recurrence_top = 1
         self._root_failure: str | None = None  # "" once the relations hold
-        self._cheb: list[QuadExt] | None = None
+        # d^m U_m of the Chebyshev form as (real, imaginary) integer vectors
+        self._cheb: list[tuple[list, list]] | None = None
 
     # -- the recurrence ------------------------------------------------
 
@@ -320,30 +300,31 @@ class FibContext:
             pows.append(pows[-1] * self.h.den)
         return pows[k]
 
-    def _vanishes(self, u: int, v: int, u2: int, v2: int, right=(), factor=None) -> bool:
-        """Whether factor * (G_u G_v - G_u2 G_v2) == sum c V, compared between
-        packed integers in slots whose width comes from these terms alone,
-        by the bound of the module docstring, and is asserted.
+    def _vanishes(self, u: int, v: int, right, factor) -> bool:
+        """Whether factor * G_u G_v == sum c V, compared between packed
+        integers in slots whose width comes from these terms alone, by the
+        bound of the module docstring, and is asserted.
 
-        `right` holds (c, V, ||V||_1) and `factor` (V, ||V||_1) or None,
-        with V an integer vector and every c a nonzero integer.  G is scaled
-        up to each index read, which may raise `NotDivisible`."""
-        self._scale_to(max(u, v, u2, v2))
+        `right` holds (c, V, ||V||_1) and `factor` is (V, ||V||_1), with V
+        an integer vector and every c a nonzero integer.  G is scaled up to
+        each index read, which may raise `NotDivisible`."""
+        self._scale_to(max(u, v))
         norms = self._norms
-        bound = norms[u] * norms[v] + norms[u2] * norms[v2] + 1
-        if factor is not None:
-            bound *= factor[1]
+        bound = (norms[u] * norms[v] + 1) * factor[1]
         for c, _, norm in right:
             bound += abs(c) * norm
         w = _checked_width(bound)
-        product = self._packed_products.get(w)
-        if product is None:
-            product = self._packed_products[w] = _PackedProducts(self._scaled, self._norms, w)
-        lhs = product[u, v] - product[u2, v2]
-        if factor is not None:
-            lhs *= product.vector(factor[0])
+        packed = self._packed.setdefault(w, {})
+
+        def pack(vec: tuple) -> int:
+            got = packed.get(vec)
+            if got is None:
+                got = packed[vec] = _kronecker_pack(vec, w)
+            return got
+
+        lhs = pack(self._scaled[u]) * pack(self._scaled[v]) * pack(factor[0])
         for c, vec, _ in right:
-            lhs -= c * product.vector(vec)
+            lhs -= c * pack(vec)
         return not lhs
 
     def _recurrence_holds(self, top: int) -> bool:
@@ -366,13 +347,37 @@ class FibContext:
         """The two roots of v^2 - h v - 1 = 0 in Q[x][s]/(s^2 - (h^2+4))."""
         return quad_from_alpha(self.h), quad_from_beta(self.h)
 
-    def alpha_pow(self, n: int) -> QuadExt:
-        pows = self._alpha_pows
-        if pows is None:
+    def _roots_to(self, k: int) -> tuple[list[Poly], list[Poly]]:
+        """The root vectors [A_0 .. A_k] and [B_0 .. B_k] (see the module
+        docstring), stepped up in a loop; `NonRealResult` unless
+        alpha^2 = h alpha + 1, checked once per context.  Then A_1 = 2 d a_1
+        is integral (a_1 = h/2, or d a_1 in Q[x] is a root of
+        t^2 - H t - d^2), and so is every A_k; B_k may not be."""
+        vectors = self._root_vectors
+        if vectors is None:
             alpha = self.roots()[0]
-            pows = self._alpha_pows = [QuadExt.one(alpha.modulus), alpha]
-        while len(pows) <= n:
-            pows.append(pows[-1] * pows[1])
+            vectors = self._root_vectors = (
+                ([Poly((2,)), alpha.a * (2 * self.h.den)], [ZERO, alpha.b * 2], alpha.modulus)
+                if alpha * (alpha - self.h) == 1 else ())
+        if not vectors:
+            raise NonRealResult("the roots break alpha^2 = h alpha + 1")
+        lucas, odd, _ = vectors
+        h, d2 = self._cleared_h, self.h.den ** 2
+        while len(lucas) <= k:
+            lucas.append(h * lucas[-1] + lucas[-2] * d2)
+            odd.append(h * odd[-1] + odd[-2] * d2)
+        return lucas, odd
+
+    def alpha_pow(self, n: int) -> QuadExt:
+        """alpha^n = A_n / (2 d^n) + B_n / (2 d^(n-1)) s from the root
+        vectors, with no product in Q[x][s]; memoized."""
+        pows = self._alpha_pows
+        if len(pows) <= n:
+            lucas, odd = self._roots_to(n)
+            modulus, d = self._root_vectors[2], self.h.den
+            for k in range(len(pows), n + 1):
+                b = odd[k] * Fraction(1, 2 * d ** (k - 1)) if k else ZERO
+                pows.append(QuadExt(lucas[k] * Fraction(1, 2 * d ** k), b, modulus))
         return pows[n]
 
     def beta_pow(self, n: int) -> QuadExt:
@@ -450,14 +455,21 @@ class FibContext:
             2 ** (n - 1), n)
 
     def _chebyshev_u(self, m: int) -> QuadExt:
-        if self._cheb is None:
-            # U_1 = 2t at t = h/(2i) is -i*h, and 2t steps U_(m+1) = 2t U_m - U_(m-1);
-            # all arithmetic over Q[x][i]
-            self._cheb = [QuadExt.one(-1), QuadExt(0, -self.h, -1)]
-        us = self._cheb
-        while len(us) <= m:
-            us.append(us[-1] * us[1] - us[-2])
-        return us[m]
+        """U_m(h/(2i)) in Q[x][i].  U_1 = 2t at t = h/(2i) is -i h, and 2t
+        steps U_(m+1) = 2t U_m - U_(m-1), so W_m = d^m U_m steps
+        W_(m+1) = -i H W_m - d^2 W_(m-1) from W_0 = 1 and W_1 = -i H on
+        (real, imaginary) pairs of integer vectors, memoized; W_m is divided
+        by d^m here."""
+        ws = self._cheb
+        if ws is None:
+            ws = self._cheb = [([1], []), ([], [-c for c in self._cleared_h.num])]
+        h, d2 = self._cleared_h.num, self.h.den ** 2
+        while len(ws) <= m:
+            (p, q), (p2, q2) = ws[-1], ws[-2]
+            ws.append((_mul_add(h, q, -d2, p2), [-v for v in _mul_add(h, p, d2, q2)]))
+        p, q = ws[m]
+        den = self.h.den ** m
+        return QuadExt(Poly._rational(list(p), den), Poly._rational(list(q), den), -1)
 
     def chebyshev_form(self, n: int) -> Poly:
         """i^(n-1) U_{n-1}(h/(2i)) with U the second-kind Chebyshev
@@ -562,55 +574,50 @@ class FibContext:
 
     # -- scalar instances of the algebra identities ------------------------
 
-    def _root_vector(self, k: int, odd: bool) -> tuple | None:
-        """(A_k, ||A_k||_1) with A_k = 2 d^k a_k, or with `odd`
-        (B_k, ||B_k||_1) with B_k = 2 d^(k-1) b_k for k >= 1, where
-        alpha^k = a_k + b_k s; None where the vector is not integral."""
-        key = (k, odd)
-        if key not in self._root_vectors:
-            power = self.alpha_pow(k)
-            p = power.b if odd else power.a
-            scale = 2 * self.den_pow(k - 1 if odd else k)
-            if scale % p.den:
-                self._root_vectors[key] = None
-            else:
-                vec = tuple(c * (scale // p.den) for c in p.num)
-                self._root_vectors[key] = vec, sum(map(abs, vec))
-        return self._root_vectors[key]
-
-    def _right_side(self, terms, odd: bool) -> list | None:
-        """(sign d^e, vector, 1-norm) for each (sign, e, k) term of an
-        instance's right side, the vector A_k, or B_k with `odd`; None
-        where one of them is not integral."""
-        out = []
-        for sign, e, k in terms:
-            got = self._root_vector(k, odd)
-            if got is None:
-                return None
-            out.append((sign * self.den_pow(e), *got))
-        return out
+    def _product_holds(self, a: int, b: int) -> bool:
+        """Whether P(a, b), M' G_a G_b == A_(a+b) - (-1)^b d^(2b) A_(a-b)
+        for a >= b >= 0, holds (see the module docstring): False where
+        G_0 != 0; at the seeds a <= b + 1 a packed comparison; above them
+        the flags at a - 1 and a - 2 and `_recurrence_holds(a)`.  G is
+        scaled to a + b first, the top index of the Catalan bases that read
+        P(a, b).  Memoized by (a, b) for every table over this h, each
+        missing flag from a = b up made in a loop."""
+        flags = self._catalan_flags
+        got = flags.get((a, b))
+        if got is None:
+            self._scale_to(a + b)
+            for k in range(b, a + 1):
+                if (k, b) in flags:
+                    continue
+                if self._norms[0]:
+                    holds = False
+                elif k <= b + 1:
+                    lucas = self._roots_to(k + b)[0]
+                    right = [(c, p.num, sum(map(abs, p.num))) for c, p in (
+                        (1, lucas[k + b]),
+                        (self.den_pow(2 * b) * (1 if b % 2 else -1), lucas[k - b]))]
+                    holds = self._vanishes(k, b, right, self._cleared_modulus)
+                else:
+                    holds = flags[k - 1, b] and flags[k - 2, b] and self._recurrence_holds(k)
+                flags[k, b] = holds
+            got = flags[a, b]
+        return got
 
     def _catalan_base(self, r: int, delta: int) -> bool:
-        """Whether the Catalan instance E(m, r, delta) at its base
-        m = max(0, -delta, r - delta), the smallest m whose four indices are
-        nonnegative, holds: M' D(m) == sum of sign d^e A_k over
-        `_vajda_terms(m, r, delta)` with D(m) = G_{m+r} G_{m-r+delta} -
-        G_m G_{m+delta}.  Memoized by (r, delta) for every table over this h."""
-        got = self._catalan_flags.get((r, delta))
-        if got is None:
-            m = max(0, -delta, r - delta)
-            right = self._right_side(_vajda_terms(m, r, delta), False)
-            got = self._catalan_flags[r, delta] = right is not None and self._vanishes(
-                m + r, m - r + delta, m, m + delta, right, self._cleared_modulus)
-        return got
+        """Whether the Catalan instance E(m, r, delta) at its base holds:
+        with G_0 = 0 it is +-P(a, b) for {a, b} = {r, |r - delta|} (see the
+        module docstring)."""
+        far = abs(r - delta)
+        return self._product_holds(max(r, far), min(r, far))
 
     def catalan_instances(self, n: int, r: int, pairs, memo: dict) -> bool:
         """Whether the recurrence proves every Catalan instance
         E(n + i, r, j - i) over `pairs`: its prefix reaches n + reach, with
         reach = max(i + max(r, j - i)), and the base of every delta = j - i
-        holds (see the module docstring).  `memo`, kept by the caller per
-        table, holds (reach, whether every base holds) by r.  False proves
-        nothing: the caller then compares per table."""
+        holds, read as `_catalan_base` (see the module docstring).  `memo`,
+        kept by the caller per table, holds (reach, whether every base
+        holds) by r.  False proves nothing: the caller then compares per
+        table."""
         got = memo.get(r)
         if got is None:
             got = memo[r] = (max(i + max(r, j - i) for i, j in pairs), all(
@@ -619,22 +626,27 @@ class FibContext:
 
     def _docagne_base(self, e: int) -> bool:
         """Whether the d'Ocagne instance E'(u, v) at its base
-        (u, v) = (max(e, 0), max(-e, 0)), e = u - v, holds:
-        G_u G_{v+1} - G_{u+1} G_v == sign B_k over `_docagne_terms(e)`.
-        Memoized by e for every table over this h."""
+        (u, v) = (max(e, 0), max(-e, 0)), e = u - v, holds: with G_0 = 0 and
+        G_1 = 1 it is G_|e| == B_|e|, a tuple comparison; False unless both
+        hold.  G is scaled to |e| + 1, the base's top index.  Memoized by e
+        for every table over this h."""
         got = self._docagne_flags.get(e)
         if got is None:
-            u, v = max(e, 0), max(-e, 0)
-            right = self._right_side(_docagne_terms(e), True)
-            got = self._docagne_flags[e] = right is not None and self._vanishes(
-                u, v + 1, u + 1, v, right)
+            k = abs(e)
+            self._scale_to(k + 1)
+            scaled = self._scaled
+            got = not self._norms[0] and scaled[1] == (1,)
+            if got:
+                odd = self._roots_to(k)[1][k]
+                got = odd.den == 1 and odd.num == scaled[k]
+            self._docagne_flags[e] = got
         return got
 
     def docagne_instances(self, r: int, n: int, pairs, memo: dict) -> bool:
         """Whether the recurrence proves every d'Ocagne instance
         E'(r + i, n + j) over `pairs`, read as `catalan_instances` reads
         Catalan, with `memo` by s = r - n: the reach max(s + i, j) + 1 and
-        the bases at e = s + i - j."""
+        the bases `_docagne_base` at e = s + i - j."""
         s = r - n
         got = memo.get(s)
         if got is None:

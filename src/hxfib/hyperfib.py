@@ -18,8 +18,8 @@ identities test is the sequence, its roots and the arithmetic.
 
 Each of them is checked first through scalar instances that name no
 table.  With h = H/d, G_n = d^(n-1) F_n, M' = d^2 (h^2+4) = H^2 + 4d^2
-and the cached root powers alpha^k = a_k + b_k s, the vectors
-A_k = 2 d^k a_k and B_k = 2 d^(k-1) b_k are integer polynomials.  Since
+and the root powers alpha^k = a_k + b_k s, the vectors A_k = 2 d^k a_k
+and B_k = 2 d^(k-1) b_k are integer polynomials.  Since
 (h^2+4) F_u F_v = alpha^(u+v) + beta^(u+v) - X(u, v) with X below, the
 pair (i, j) of each identity is, times a power of d, an instance of
 Vajda's identity:
@@ -44,11 +44,15 @@ Catalan and by r - n for d'Ocagne, and asks the recurrence for its
 largest top index, in one call, `FibContext.catalan_instances` or
 `docagne_instances`.
 
-Every base flag is exact, from a packed comparison, and an A_k or B_k
-that is not integral makes it "non-zero".  Coordinate k of an identity,
-times d^(2n+2dim-2) for Catalan and Cassini or d^(r+n+2dim-3) for
-d'Ocagne, is the sum of c_ijk d^(2dim-2-i-j) times its instances, so
-where they all hold it holds exactly.  Where the recurrence and the
+Every base flag is exact.  With G_0 = 0 each Catalan base is, up to its
+sign, Vajda's product identity M' G_a G_b == A_(a+b) - (-1)^b d^(2b)
+A_(a-b), a >= b, compared packed at a <= b + 1 and proven above by the
+recurrence, and with G_0 = 0 and G_1 = 1 each d'Ocagne base is
+G_|u-v| == B_|u-v| (see the `fibseq` docstring); elsewhere a flag says
+"non-zero".  Coordinate k of an identity, times d^(2n+2dim-2) for
+Catalan and Cassini or d^(r+n+2dim-3) for d'Ocagne, is the sum of
+c_ijk d^(2dim-2-i-j) times its instances, so where they all hold it holds
+exactly.  Where the recurrence and the
 bases do not prove them all, the check compares every coordinate whole in
 Q[x], which gives the verdict and the witness:
 

@@ -28,6 +28,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
@@ -421,6 +422,21 @@ class _ClosedFormCheck(_ContextCheck):
         return check
 
 
+_PRINTED_MATCHES = Verdict(True, "printed right-hand side matches the derived form")
+_PRINTED_DIFFERS = Verdict(False, "printed right-hand side (square exponent) differs "
+                                  "from the derived form (2r exponent)")
+
+
+class _PrintedCheck(_ContextCheck):
+    """`HyperContext.printed_matches(n, r)` as one of two verdicts."""
+
+    __slots__ = ()
+
+    def bind(self, rt: Runtime, p: dict) -> Callable[[int, int], Verdict]:
+        matches = super().bind(rt, p)
+        return lambda n, r: _PRINTED_MATCHES if matches(n, r) else _PRINTED_DIFFERS
+
+
 def _fib_check(method: str, *keys: str) -> _ContextCheck:
     return _ContextCheck(method, keys, False)
 
@@ -515,12 +531,6 @@ def _ck_bilinearity(rt: Runtime, p: dict) -> Verdict:
     return HOLDS
 
 
-def _ck_hyper_catalan_printed(rt: Runtime, p: dict) -> Verdict:
-    if rt.hyper_ctx(p["h"], p["algebra"]).printed_matches(p["n"], p["r"]):
-        return Verdict(True, "printed right-hand side matches the derived form")
-    return Verdict(False, "printed right-hand side (square exponent) differs from the derived form (2r exponent)")
-
-
 def _ck_dim1(rt: Runtime, p: dict) -> Verdict:
     fib = rt.fib_ctx(p["h"])
     hctx = rt.hyper_ctx(p["h"], "scalar")
@@ -555,7 +565,7 @@ CHECKS: dict[str, Callable[[Runtime, dict], Verdict]] = {
     "hyper_binet": _hyper_check("binet_check", "n"),
     "hyper_genfun": _hyper_check("genfun_check", "N"),
     "hyper_catalan": _hyper_check("catalan_check", "n", "r"),
-    "hyper_catalan_printed": _ck_hyper_catalan_printed,
+    "hyper_catalan_printed": _PrintedCheck("printed_matches", ("n", "r"), True),
     "hyper_cassini": _hyper_check("cassini_check", "n"),
     "hyper_docagne": _hyper_check("docagne_check", "n", "r"),
     "dim1_specialization": _ck_dim1,
@@ -801,6 +811,11 @@ def _lane_template(lane: Lane, verdict: str, plain: bool) -> str:
     return shape[0] if shape and shape[1] == lane.keys else ""
 
 
+#: A witness as JSON text, cached: the printed-form flags repeat two
+#: witnesses thousands of times, and failures may each name their own.
+_quote_witness = lru_cache(maxsize=256)(_quote)
+
+
 def write_run(out, corpus: Corpus) -> Counter:
     """`write_report(out, corpus.seed, iter_records(corpus))`, each record
     formatted from its lane's template as soon as its check has run, so
@@ -828,7 +843,7 @@ def write_run(out, corpus: Corpus) -> Counter:
                 if template and witness is None:
                     yield verdict, template % (ms, *args)
                 elif template and type(witness) is str:
-                    yield verdict, template % (ms, *args, _quote(witness))
+                    yield verdict, template % (ms, *args, _quote_witness(witness))
                 else:
                     record = CheckRecord(lanes[i].name, _params_of(lanes[i])(args), verdict,
                                          witness, ms)

@@ -101,6 +101,16 @@ def test_chebyshev_form_example():
         assert FibContext(h).chebyshev_form(3) == h * h + 1
 
 
+def test_chebyshev_steps_match_the_recurrence_over_q_x_i():
+    # U_(m+1) = 2t U_m - U_(m-1) at t = h/(2i), stepped in Q[x][i]
+    for h in (ZERO, ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(5, 6), 0, 0, -2, F(1, 4)])):
+        ctx, two_t = FibContext(h), QuadExt(0, -h, -1)
+        us = [QuadExt.one(-1), two_t]
+        for m in range(16):
+            us.append(us[-1] * two_t - us[-2])
+            assert ctx._chebyshev_u(m) == us[m], (h, m)
+
+
 def test_binet_examples():
     ctx = FibContext(X)
     assert ctx.binet(0) == ZERO
@@ -406,9 +416,8 @@ def test_packed_checks_assert_their_slot_width(monkeypatch, direct_route):
     for key in ((0, 0), (1, -4), (3, 1), (5, 4)):
         with pytest.raises(AssertionError):
             ctx._catalan_base(*key)
-    for e in (-6, 0, 1, 5):
-        with pytest.raises(AssertionError):
-            ctx._docagne_base(e)
+    # the d'Ocagne bases are tuple comparisons, which pack nothing
+    assert all(ctx._docagne_base(e) for e in DOCAGNE_BASES)
     # off the prefix the scalar checks compare in Q[x], which packs nothing
     direct_route()
     assert ctx.catalan_check(12, 5).ok and ctx.index_shift_check(9, 6, 8, 7, 3).ok
@@ -421,6 +430,8 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch):
     for h in packed_test_hs():
         ctx, d = FibContext(h), h.den
         modulus = (h * h + 4) * F(d) ** 2
+        alpha = quad_from_alpha(h)
+        powers = [QuadExt.one(alpha.modulus)]
 
         def scaled(n):
             """G_n = d^(n-1) F_n."""
@@ -431,26 +442,22 @@ def test_packed_bound_covers_every_product_coefficient(monkeypatch):
         def height(p):
             return max(map(abs, p.num), default=0)
 
-        def root_height(k, odd):
-            """The height of A_k = 2 d^k a_k, or of B_k = 2 d^(k-1) b_k,
-            with alpha^k = a_k + b_k s."""
-            power = ctx.alpha_pow(k)
-            return height((power.b if odd else power.a) * 2 * F(d) ** (k - 1 if odd else k))
+        def lucas(k):
+            """A_k = 2 d^k a_k, with alpha^k = a_k + b_k s from repeated
+            products."""
+            while len(powers) <= k:
+                powers.append(powers[-1] * alpha)
+            return powers[k].a * 2 * F(d) ** k
 
-        for r, delta in CATALAN_BASES:
-            ctx._catalan_base(r, delta)
-            m, far = max(0, -delta, r - delta), abs(2 * r - delta)
-            need = (height(modulus * scaled(m + r) * scaled(m - r + delta))
-                    + height(modulus * scaled(m) * scaled(m + delta))
-                    + d ** (2 * min(m, m + delta)) * root_height(abs(delta), False)
-                    + d ** (2 * m + delta - far) * root_height(far, False))
-            assert bounds.pop() >= need, (h, r, delta)
+        # the seeds of P(a, b), in the order the flags compare them
+        for b in range(6):
+            for a in (b, b + 1):
+                ctx._product_holds(a, b)
+                need = (height(modulus * scaled(a) * scaled(b)) + height(lucas(a + b))
+                        + d ** (2 * b) * height(lucas(a - b)))
+                assert bounds.pop() >= need, (h, a, b)
         for e in DOCAGNE_BASES:
-            ctx._docagne_base(e)
-            u, v = max(e, 0), max(-e, 0)
-            need = (height(scaled(u) * scaled(v + 1)) + height(scaled(u + 1) * scaled(v))
-                    + (root_height(abs(e), True) if e else 0))
-            assert bounds.pop() >= need, (h, e)
+            ctx._docagne_base(e)  # a tuple comparison: nothing is packed
         assert not bounds
 
 
@@ -490,9 +497,8 @@ def _outcome(check, *args):
 def pair_route_outcomes(h, fault):
     """Every scalar Catalan, algebra Catalan, Cassini and d'Ocagne and
     index-shift outcome over one context, in one order; then, on the same
-    warm context, every Catalan base E(m, r, delta) with r <= 4 and
-    |delta| <= 3 and every d'Ocagne base at |e| <= 8, each with whether the
-    recurrence reaches its top index."""
+    warm context, every flag P(a, b) with b <= 4 and a <= b + 6, each with
+    whether the recurrence reaches a, and every d'Ocagne base at |e| <= 8."""
     ctx = FibContext(h)
     if callable(fault):
         fault(ctx)
@@ -505,13 +511,10 @@ def pair_route_outcomes(h, fault):
             got.append(_outcome(hyper.cassini_check, n))
         got += [_outcome(hyper.docagne_check, n, r) for r in range(n + 1, 10)]
     got += [_outcome(ctx.index_shift_check, *tup) for tup in _index_shift_tuples(8)]
-    bases = [(ctx._catalan_base, (r, delta), max(0, -delta, r - delta) + max(r, delta))
-             for r in range(5) for delta in range(-3, 4)]
-    bases += [(ctx._docagne_base, (e,), abs(e) + 1) for e in range(-8, 9)]
-    flags = {(read.__name__, args): (_outcome(read, *args),
-                                     _outcome(ctx._recurrence_holds, top) is True)
-             for read, args, top in bases}
-    return got, flags
+    products = {(a, b): (_outcome(ctx._product_holds, a, b),
+                         _outcome(ctx._recurrence_holds, a) is True)
+                for b in range(5) for a in range(b, b + 7)}
+    return got, products, [_outcome(ctx._docagne_base, e) for e in range(-8, 9)]
 
 
 @pytest.mark.parametrize("fault", sorted(PAIR_FAULTS))
@@ -523,18 +526,25 @@ def test_pair_runs_keep_every_direct_verdict(corpus, fault, monkeypatch, direct_
     direct_route()
     direct = [pair_route_outcomes(h, PAIR_FAULTS[fault]) for h in PAIR_CORPORA[corpus]]
     reached = set()
-    for (got, flags), (ref, ref_flags) in zip(fast, direct):
+    for (got, products, docagne), (ref, ref_products, ref_docagne) in zip(fast, direct):
         assert got == ref
-        for key, (flag, reaches) in flags.items():
-            # a base is compared on either route, whether or not the
-            # prefix reaches its top index
-            assert flag == ref_flags[key][0], (key, reaches)
+        assert docagne == ref_docagne  # the d'Ocagne bases read no prefix
+        for (a, b), (flag, reaches) in products.items():
+            if a <= b + 1 or isinstance(flag, tuple):
+                # a seed is compared on either route, and an error raised on both
+                assert flag == ref_products[a, b][0], (a, b)
+            else:
+                # above its seeds the direct route proves nothing, and the
+                # fast one holds where both seeds do and the prefix reaches a
+                assert ref_products[a, b][0] is False
+                seeds = products[b, b][0], products[b + 1, b][0]
+                assert flag == (seeds == (True, True) and reaches), (a, b)
             reached.add(reaches)
     if callable(PAIR_FAULTS[fault]):  # a wrong term stops the prefix part way
         assert reached == {True, False}
     elif fault == "exact":
         assert reached == {True}
-    failed = {got for verdicts, _ in fast for got in verdicts} - {HOLDS}
+    failed = {got for verdicts, *_ in fast for got in verdicts} - {HOLDS}
     assert bool(failed) == (fault != "exact"), failed
 
 

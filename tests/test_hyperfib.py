@@ -502,10 +502,11 @@ def test_packed_algebra_checks_assert_their_slot_width(monkeypatch):
     ctx = HyperContext(h, table)
     checks = [lambda n=n: ctx.cassini_check(n) for n in (1, 4, 9)]
     checks += [lambda n=n, r=r: ctx.catalan_check(n, r) for n, r in ((0, 0), (3, 1), (12, 5))]
-    checks += [lambda n=n, r=r: ctx.docagne_check(n, r) for n, r in ((0, 1), (2, 7), (9, 10))]
     for check in checks:
         with pytest.raises(AssertionError):
             check()
+    # the d'Ocagne bases are tuple comparisons, which pack nothing
+    assert all(ctx.docagne_check(n, r).ok for n, r in ((0, 1), (2, 7), (9, 10)))
 
 
 #: tables with fractional constants, whose right sides have denominators,
@@ -527,7 +528,7 @@ CORPORA = [
 CORPUS_IDS = ["mutation_corpus", "default_corpus", "fractional_tables"]
 QUADRATIC = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
 #: the families that read the recurrence prefix; the algebra ones also
-#: read the packed bases of `FibContext._vanishes`
+#: read the base flags, whose seeds `FibContext._vanishes` compares packed
 PACKED = QUADRATIC | {"catalan_real", "index_shift"}
 
 
@@ -546,9 +547,20 @@ FRACTIONAL_BOTH_CORPUS = replace(FRACTIONAL_TABLE_CORPUS, h_polys=(
     Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(1, 3)]), Poly([F(5, 6), 0, 0, -2, F(1, 4)])), r_max=6)
 
 
+#: F_0 or F_1 raised where it is read, every term above it right: only the
+#: guards G_0 = 0 and G_1 = 1 of the base flags see these (F_0 is raised by
+#: d x, so that G_0 = x stays integral)
+GUARD_FAULTS = {
+    "f0_plus_dx": lambda self, n: _fib(self, n) + (X * self.h.den if n == 0 else 0),
+    "f1_plus_x": lambda self, n: _fib(self, n) + (X if n == 1 else 0),
+}
+
+
 def _inject(fault, monkeypatch):
     if fault in SEEDS:
         monkeypatch.setattr(fibseq, "_INITIAL_TERMS", SEEDS[fault])
+    elif fault in GUARD_FAULTS:
+        monkeypatch.setattr(FibContext, "fib", GUARD_FAULTS[fault])
     elif FAULTS[fault]:
         monkeypatch.setattr(FibContext, *FAULTS[fault])
 
@@ -634,60 +646,53 @@ def test_fault_free_corpora_compare_only_at_the_bases(corpus, monkeypatch):
     seen = _spy_comparisons(monkeypatch)
     report = suite.run_all(corpus, include=PACKED)
     assert report.ok and report.checks
-    compared = [(ctx, _base_of(indices, factor)) for ctx, indices, _, factor, *_ in seen]
-    # both kinds are compared, and each base once per h
-    assert {type(key) for _, key in compared} == {tuple, int}
+    compared = [(ctx, _seed_of(ctx, indices, factor)) for ctx, indices, _, factor, *_ in seen]
+    # both seeds of some b are compared, and each seed once per h
+    assert {a - b for _, (a, b) in compared} == {0, 1}
     assert len(set(compared)) == len(compared)
 
 
-def _base_of(indices, factor):
-    """The key of a packed comparison that is a base: (r, delta) for the
-    Catalan base E(m, r, delta), which reads G_(m+r), G_(m-r+delta), G_m and
-    G_(m+delta) at m = max(0, -delta, r - delta), and e = u - v for the
-    d'Ocagne base E'(u, v), which reads G_u, G_(v+1), G_(u+1) and G_v at
-    min(u, v) = 0.  Any other comparison fails an assertion."""
-    a, b, c, e = indices
-    if factor:
-        m, r, delta = c, a - c, e - c
-        assert m == max(0, -delta, r - delta) and b == m - r + delta, indices
-        return r, delta
-    assert min(a, e) == 0 and (b, c) == (e + 1, a + 1), indices
-    return a - e
+def _seed_of(ctx, indices, factor):
+    """(a, b) of a packed comparison that is a seed of P(a, b),
+    M' G_a G_b == A_(a+b) - (-1)^b d^(2b) A_(a-b) with a <= b + 1.  Any other
+    comparison fails an assertion."""
+    a, b = indices
+    assert b <= a <= b + 1 and factor == ctx._cleared_modulus, indices
+    return a, b
 
 
 @pytest.mark.parametrize("fault", INSTANCE_FAULTS)
 @pytest.mark.parametrize("corpus", CORPORA, ids=CORPUS_IDS)
 def test_every_packed_comparison_is_at_a_base(corpus, fault, monkeypatch):
-    # above a base, and in the scalar checks, the recurrence proves the
-    # identity or the check compares in Q[x]
+    # above its seeds a flag, and in the scalar checks, the recurrence
+    # proves the identity or the check compares in Q[x]
     _inject(fault, monkeypatch)
     seen = _spy_comparisons(monkeypatch)
     report = suite.run_all(corpus, include=PACKED)
     assert bool(report.failures) == (fault != "exact")
-    for _, indices, _, factor, *_ in seen:
-        _base_of(indices, factor)
+    for ctx, indices, _, factor, *_ in seen:
+        _seed_of(ctx, indices, factor)
     assert bool(seen) == (fault != "half_seed")  # there G_1 is not integral
 
 
-def _unsigned(terms):
-    return lambda *key: tuple((1, e, k) for _, e, k in terms(*key))
+def _unsigned(right):
+    return [(abs(c), vec, norm) for c, vec, norm in right]
 
 
-def _undivided(terms):
-    return lambda *key: tuple((sign, 0, k) for sign, _, k in terms(*key))
+def _undivided(right):
+    return [(1 if c > 0 else -1, vec, norm) for c, vec, norm in right]
 
 
 @pytest.mark.parametrize("broken", [_unsigned, _undivided],
                          ids=["without_the_sign", "without_the_d_power"])
-@pytest.mark.parametrize("name", ["_vajda_terms", "_docagne_terms"])
-def test_a_broken_instance_right_side_only_sends_checks_to_the_per_table_route(
-        name, broken, monkeypatch):
-    monkeypatch.setattr(fibseq, name, broken(getattr(fibseq, name)))
+def test_a_broken_seed_right_side_only_sends_checks_per_table(broken, monkeypatch):
+    # the right side of P(a, b) carries the sign (-1)^b and the power d^(2b)
+    real = FibContext._vanishes
+    monkeypatch.setattr(FibContext, "_vanishes", lambda self, u, v, right, factor: real(
+        self, u, v, broken(right), factor))
     fallbacks = _count_fallbacks(monkeypatch)
     report = suite.run_all(CORPORA[1], include=QUADRATIC)
-    # d'Ocagne is compared only at its bases, min(u, v) = 0, where the
-    # power is d^0, so dropping it changes nothing
-    assert bool(fallbacks) == ((name, broken) != ("_docagne_terms", _undivided))
+    assert fallbacks
     assert report.ok and report.checks
 
 
@@ -753,9 +758,12 @@ def test_the_forced_route_reaches_the_per_table_comparison_on_a_warm_context(
 def test_a_long_catalan_chain_is_built_without_recursion(direct_route):
     fib = FibContext(ONE)
     assert fib.catalan_instances(2000, 3, ((0, 1),), {})
-    # the prefix is extended in a loop to 2003, and only the base of
-    # delta = 1 is compared
-    assert fib._recurrence_top == 2003 and list(fib._catalan_flags) == [(3, 1)]
+    # the prefix is extended in a loop to 2003, and the base of delta = 1
+    # is P(3, 2), whose flags are its two seeds
+    assert fib._recurrence_top == 2003 and list(fib._catalan_flags) == [(2, 2), (3, 2)]
+    # the base of delta = -1997 is P(2000, 3), made up from its seeds in a loop
+    assert fib._catalan_base(3, -1997)
+    assert len(fib._catalan_flags) == 2 + 1998
     direct_route()
     assert not FibContext(ONE).catalan_instances(2000, 3, ((0, 1),), {})
     assert HyperContext(ONE, scalar_table()).catalan_check(2000, 3).ok
@@ -803,11 +811,131 @@ def test_an_instance_the_prefix_does_not_reach_is_read(table, raised, check, arg
         assert hyper._pairs == ((0, 0), (1, 1))
 
 
+# -- every base flag against the two-product base comparison -------------------
+
+
+def _vajda_terms(m, r, delta):
+    """The right side of the Catalan instance E(m, r, delta) as two
+    (sign, e, k) terms sign d^e A_k: (-1)^(m+min(0,delta)) d^(2 min(m,
+    m+delta)) A_|delta| and -(-1)^(m+r+min(2r,delta)) d^(2m+delta-|2r-delta|)
+    A_|2r-delta|."""
+    far = abs(2 * r - delta)
+    return ((-1 if (m + min(0, delta)) % 2 else 1, 2 * min(m, m + delta), abs(delta)),
+            (1 if (m + r + min(2 * r, delta)) % 2 else -1, 2 * m + delta - far, far))
+
+
+def _docagne_terms(e):
+    """The right side of the d'Ocagne instance E'(u, v) at its base,
+    min(u, v) = 0 and e = u - v, as (sign, 0, k) terms sign d^0 B_k:
+    sgn(e) B_|e|, and none at e = 0."""
+    return ((1 if e > 0 else -1, 0, abs(e)),) if e else ()
+
+
+def _two_product_base(ctx, indices, terms, odd, factor, powers):
+    """Whether factor (G_u G_v - G_u2 G_v2) == sum sign d^e A_k over
+    `terms`, or B_k with `odd`, in Z[x], with (u, v, u2, v2) = indices,
+    A_k = 2 d^k a_k and B_k = 2 d^(k-1) b_k from the repeated products
+    alpha^k = a_k + b_k s kept in `powers`; False where one is not
+    integral."""
+    d, right = ctx.h.den, ZERO
+    for sign, e, k in terms:
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        vec = powers[k].b * 2 * F(d) ** (k - 1) if odd else powers[k].a * 2 * F(d) ** k
+        if vec.den != 1:
+            return False
+        right += vec * (sign * d ** e)
+    ctx._scale_to(max(indices))
+    u, v, u2, v2 = (Poly(ctx._scaled[k]) for k in indices)
+    return factor * (u * v - u2 * v2) == right
+
+
+def _true_flags_hold_on_two_products(ctx) -> int:
+    """Assert that every flag of `ctx` that holds is a base that the
+    two-product comparison proves: P(a, b) at each (r, delta) whose base
+    E(m, r, delta) reads it, and the d'Ocagne base E'(u, v) at e.  Returns
+    the number of flags that hold."""
+    alpha = ctx.roots()[0]
+    powers = [QuadExt.one(alpha.modulus), alpha]
+    modulus = (ctx.h * ctx.h + 4) * F(ctx.h.den) ** 2
+    held = 0
+    for (a, b), holds in ctx._catalan_flags.items():
+        held += holds
+        for r, delta in ((a, a - b), (a, a + b), (b, b - a), (b, b + a)) if holds else ():
+            m = max(0, -delta, r - delta)
+            assert _two_product_base(ctx, (m + r, m - r + delta, m, m + delta),
+                                     _vajda_terms(m, r, delta), False, modulus, powers), (
+                ctx.h, a, b, r, delta)
+    for e, holds in ctx._docagne_flags.items():
+        held += holds
+        u, v = max(e, 0), max(-e, 0)
+        assert not holds or _two_product_base(ctx, (u, v + 1, u + 1, v), _docagne_terms(e),
+                                              True, ONE, powers), (ctx.h, e)
+    return held
+
+
+def _record_contexts(monkeypatch) -> list:
+    """Every `FibContext` made from now on."""
+    contexts, real_init = [], FibContext.__init__
+    monkeypatch.setattr(FibContext, "__init__",
+                        lambda self, h: contexts.append(self) or real_init(self, h))
+    return contexts
+
+
+#: (corpus id, fault) of the soundness differential: each of `CORPORA`
+#: under each fault, and the seeded default corpora fault-free, with
+#: r_max = 8 so that the forced routes stay cheap (the full seed-42 pass is
+#: read in `test_a_fault_free_seed_42_pass_compares_only_at_the_seeds`)
+SOUNDNESS_CASES = [(corpus, fault) for corpus in CORPUS_IDS
+                   for fault in INSTANCE_FAULTS + sorted(GUARD_FAULTS)]
+SOUNDNESS_CASES += [(f"seed_{seed}", "exact") for seed in (42, 1, 7)]
+
+
+@pytest.mark.parametrize("route", ["instances", "direct", "per_table"])
+@pytest.mark.parametrize("corpus, fault", SOUNDNESS_CASES,
+                         ids=[f"{corpus}-{fault}" for corpus, fault in SOUNDNESS_CASES])
+def test_every_base_flag_that_holds_holds_on_two_products(corpus, fault, route, monkeypatch,
+                                                          direct_route, per_table_route):
+    # a flag that holds sends no check per table, so each must be one that
+    # the two-product comparison of its base also proves: the flags the
+    # battery reads, and then on each warm context those of P(a, b) up to
+    # b = 6 and a = b + 8 and of d'Ocagne up to |e| = 10
+    corpus = (dict(zip(CORPUS_IDS, CORPORA)).get(corpus)
+              or suite.default_corpus(int(corpus[len("seed_"):]), r_max=8))
+    _inject(fault, monkeypatch)
+    {"direct": direct_route, "per_table": per_table_route}.get(route, lambda: None)()
+    contexts = _record_contexts(monkeypatch)
+    report = suite.run_all(corpus, include=QUADRATIC)
+    assert bool(report.failures) == (fault != "exact")
+    held = 0
+    for ctx in contexts:
+        for b in range(7):
+            for a in range(b, b + 9):
+                _outcome(lambda: ctx._product_holds(a, b))
+        for e in range(-10, 11):
+            _outcome(lambda: ctx._docagne_base(e))
+        held += _true_flags_hold_on_two_products(ctx)
+    # G_0 != 0 fails every flag; with G_1 = 1/2, P(0, 0) = 0 still holds
+    assert contexts and bool(held) == (fault != "f0_plus_dx")
+
+
+def test_a_fault_free_seed_42_pass_compares_only_at_the_seeds(monkeypatch):
+    contexts = _record_contexts(monkeypatch)
+    seen = _spy_comparisons(monkeypatch)
+    report = suite.run_all(suite.default_corpus(42))
+    assert report.ok and report.checks
+    assert 0 < len(seen) <= 256
+    for ctx, indices, _, factor, *_ in seen:
+        _seed_of(ctx, indices, factor)
+    # and every flag of the pass that holds holds on two products
+    assert sum(_true_flags_hold_on_two_products(ctx) for ctx in contexts)
+
+
 # -- every packed comparison against a bound oracle ----------------------------
 
 
 def _spy_comparisons(monkeypatch) -> list:
-    """(context, (u, v, u2, v2), right, factor, bound, w) of every packed
+    """(context, (u, v), right, factor, bound, w) of every packed
     comparison from now on, with the bound `_checked_width` was given and
     the slot width w it gave."""
     seen, widths = [], []
@@ -817,9 +945,9 @@ def _spy_comparisons(monkeypatch) -> list:
         widths.append((bound, real_width(bound)))
         return widths[-1][1]
 
-    def vanishes(self, u, v, u2, v2, right=(), factor=None):
-        got = real_vanishes(self, u, v, u2, v2, right, factor)
-        seen.append((self, (u, v, u2, v2), right, factor, *widths[-1]))
+    def vanishes(self, u, v, right, factor):
+        got = real_vanishes(self, u, v, right, factor)
+        seen.append((self, (u, v), right, factor, *widths[-1]))
         return got
 
     monkeypatch.setattr(fibseq, "_checked_width", width)
@@ -844,15 +972,11 @@ def _oracle_heights(ctx, indices, right, factor, products) -> tuple[int, int]:
             products[key] = g[0] * g[1], max(map(height, g)) if g[0] and g[1] else 0
         return products[key]
 
-    heights, diff = [0], ZERO
-    for sign, u, v in ((1, *indices[:2]), (-1, *indices[2:])):
-        got, tall = product(u, v)
-        heights.append(tall)
-        diff += got * sign
-    for vec, norm in [factor] if factor else []:
-        assert norm == sum(map(abs, vec))
-        heights.append(max(map(abs, vec)))
-        diff *= Poly(vec)
+    diff, tall = product(*indices)
+    vec, norm = factor
+    assert norm == sum(map(abs, vec))
+    heights = [tall, max(map(abs, vec))]
+    diff *= Poly(vec)
     for c, vec, norm in right:
         assert norm == sum(map(abs, vec))
         heights.append(max(map(abs, vec)))
@@ -875,22 +999,21 @@ def test_every_packed_comparison_fits_its_slots(corpus, fault, monkeypatch, dire
     _inject(fault, monkeypatch)
     seen = _spy_comparisons(monkeypatch)
     suite.run_all(corpus, include=PACKED)
-    # both kinds of base: Catalan with the factor M', d'Ocagne without
-    assert {factor is None for *_, factor, _, _ in seen} == {True, False}
+    # the seeds are compared whatever the prefix proves
+    assert seen
     _assert_covered(seen)
 
 
 #: comparisons just past a slot boundary 2^(8w-1), with G_n = F_n(-1) =
-#: (-1)^(n-1) F_n(1) and G_n = F_n(x).  2 (G_5 G_5 - G_3 G_4) + 2 * 33 =
-#: 128 = 2^7 has the bound 2 (25 + 6 + 1) + 2 * 33 = 130 and needs 2-byte
-#: slots, but the bound less any one of |c|, the second product, ||factor||
-#: and the right-side norms is below 2^7.  G_0 G_0 - G_1 G_2 + 256 =
-#: 256 - x has the bound 258 and packs to 0 in 1-byte slots, which the
-#: bound less the right-side norms or their |c| would pick, and so would
-#: a width one step below the bound's.
+#: (-1)^(n-1) F_n(1) and G_n = F_n(x).  2 G_5 G_5 + 2 * 39 = 128 = 2^7 has
+#: the bound 2 (25 + 1) + 2 * 39 = 130 and needs 2-byte slots, but the bound
+#: less any one of |c|, ||factor|| and the right-side norms is below 2^7.
+#: G_1 G_2 - 256 = x - 256 has the bound 258 and packs to 0 in 1-byte
+#: slots, which the bound less the right-side norms or their |c| would
+#: pick, and so would a width one step below the bound's.
 SLOT_EDGES = [
-    (Poly([-1]), (5, 5, 3, 4), ((-2, (33,), 33),), ((2,), 2), 2),
-    (X, (0, 0, 1, 2), ((-256, (1,), 1),), None, 2),
+    (Poly([-1]), (5, 5), ((-2, (39,), 39),), ((2,), 2), 2),
+    (X, (1, 2), ((256, (1,), 1),), ((1,), 1), 2),
 ]
 
 
@@ -987,6 +1110,27 @@ def test_a_beta_that_is_not_alpha_conjugate_fails_both_binet_checks(monkeypatch)
 def _roots_off_by_one(self):
     alpha = quad_from_alpha(self.h) + 1
     return alpha, alpha.conjugate()
+
+
+def test_alpha_pow_checks_its_root_and_matches_repeated_products(monkeypatch):
+    # the root vectors step up the recurrence, which holds only for a root
+    # of v^2 - h v - 1
+    for h in (ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(5, 6), 0, 0, -2, F(1, 4)])):
+        with monkeypatch.context() as patched:
+            patched.setattr(FibContext, "roots", _roots_off_by_one)
+            ctx = FibContext(h)
+            for n in (0, 1, 7, 0):
+                with pytest.raises(NonRealResult, match=re.escape("alpha^2 = h alpha + 1")):
+                    ctx.alpha_pow(n)
+        for roots in (FibContext.roots, suite._faulty_roots):
+            with monkeypatch.context() as patched:
+                patched.setattr(FibContext, "roots", roots)
+                ctx = FibContext(h)
+                alpha = ctx.roots()[0]
+                power = QuadExt.one(alpha.modulus)
+                for n in range(25):
+                    assert ctx.alpha_pow(n) == power, (h, roots, n)
+                    power = power * alpha
 
 
 @pytest.mark.parametrize("table", [quaternion_table(), octonion_table(), THREEFOLD],

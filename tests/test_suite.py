@@ -215,11 +215,11 @@ def test_battery_notices_a_broken_kronecker_unpack(monkeypatch):
 
 
 def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
-    # G_n = d^(n-1) F_n turns each Catalan and d'Ocagne base into one with
-    # powers of d on its right side and in A_k and B_k, and the binomial,
-    # halving and differential forms are read as G_n over d^(n-1); dropping
-    # the power is invisible on the integer h of mutation_corpus(), so this
-    # fault is not one of the MUTATIONS
+    # G_n = d^(n-1) F_n turns each Catalan base into P(a, b), with the
+    # power d^(2b) on its right side, and the binomial, halving and
+    # differential forms are read as G_n over d^(n-1); dropping the power is
+    # invisible on the integer h of mutation_corpus(), so this fault is not
+    # one of the MUTATIONS
     h = Poly([Fraction(-1, 2), 1, Fraction(2, 3)])
     catalan, docagne = [(r, delta) for r in range(4) for delta in range(-3, 4)], range(-4, 5)
 
@@ -235,9 +235,10 @@ def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch
     assert run_all(mutation_corpus(), include=forms).ok
     assert {c.name for c in run_all(fractional, include=forms).failures} == forms
     # a base that fails sends its check per table, which compares in Q[x]
-    # and reads no power of d
+    # and reads no power of d; the d'Ocagne bases, G_|e| == B_|e|, read none
+    # either
     flags = bases()
-    assert not all(flags[:len(catalan)]) and not all(flags[len(catalan):])
+    assert not all(flags[:len(catalan)]) and all(flags[len(catalan):])
     quadratic = {"hyper_catalan", "hyper_cassini", "hyper_docagne"}
     assert run_all(replace(fractional, algebras=(quaternion_table(),)), include=quadratic).ok
 
