@@ -41,7 +41,8 @@ for every table over one h (see the `hyperfib` docstring).
 The quadratic identities follow from the recurrence, through the shift
 by one.  With K(u, v) = G_u G_v + d^2 G_{u-1} G_{v-1}, the shift by one
 on (a, b, c, d), a + b = c + d, is K(a, b) == K(c, d).  Times d^(k-1),
-`residual(k)` below is G_k - H G_{k-1} - d^2 G_{k-2}; where it vanishes at
+`residual(k)` below is G_k - H G_{k-1} - d^2 G_{k-2}, which
+`_recurrence_holds` compares as one integer step; where it vanishes at
 p and q + 1, substituting the recurrence there gives
 K(p, q) = K(p - 1, q + 1) (p >= 2, q >= 1).  So if every residual on
 [2, T] vanishes, which `_recurrence_holds(T)` memoizes as the largest such
@@ -67,19 +68,30 @@ the bases prove nothing, a check compares exactly in Q[x] on the memoized
 products `fib_product`: the scalar checks themselves, the algebra checks
 per table.  So a packed comparison is made only at a base.
 
+The residual and partial-sum readers ask `recurrence_proven(T)`, the
+prefix with a `NotDivisible` from scaling read as "not proven", and hold
+where it reaches T; elsewhere they compare `residual(m)` = F_m - h F_(m-1)
+- F_(m-2), `h_partial_sum(j)` or `sum_residual(j)` = rho_j =
+h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 in Q[x].  `genfun_check` at trunc
+reads T = trunc after t^0 and t^1, the `hyperfib` recurrence check at n
+T = n + dim + 1, and its genfun check at trunc T = trunc + dim - 1.  Since
+h F_k = F_(k+1) - F_(k-1), the sum of `sum_identity_check` at n telescopes
+to F_(n+1) + F_n - F_1 - F_0 at T = n + 1, so it holds where also G_0 = 0
+and G_1 = 1; and rho_j - rho_(j-1) = -residual(j + 1), so the `hyperfib`
+partial-sum check at p, rho_(p+k) == rho_k, holds at T = p + dim.
+
 The binomial, halving and differential closed forms are evaluated the
 same way by `FibContext._packed_form`: each is an integer combination of
-h^i (h^2+4)^j over a denominator, which times d^(n-1) is an integer
-polynomial in H and M' = H^2 + 4d^2, evaluated at one packed point from
-cached powers of H(2^(8w)) by Horner in M'(2^(8w)) and unpacked once.
-
-The generating-function and summation checks read the memoized facts
-`residual(m)` = F_m - h F_(m-1) - F_(m-2) and `h_partial_sum(j)`, which
-the recurrence and genfun checks of `hyperfib` share.  Its partial-sum
-check reads `sum_residual(j)` = h (F_1 + ... + F_j) - F_(j+1) - F_j + 1,
-built once per j from `h_partial_sum(j)` for every table over one h.
-The Chebyshev form steps d^m U_m on pairs of integer vectors, the real
-and imaginary parts, and divides by d^m once per read.
+h^i (h^2+4)^j over den, which times d^(n-1) is an integer polynomial G in
+H and M' = H^2 + 4d^2, summed at one packed point from cached powers of
+H(2^(8w)) by Horner in M'(2^(8w)).  `form_test` compares G(2^(8w)) with
+den G_n(2^(8w)) and unpacks nothing: the bound S + den N_n, with S the sum
+of |weight| N_H^i N_M'^j d^(n-1-i-2j), N_H = ||H||_1 and
+N_M' = N_H^2 + 4d^2, covers every coefficient of G - den G_n, G_n and H.
+Where scaling G raises `NotDivisible` it compares in Q[x] the `Poly` that
+the public forms unpack.  The Chebyshev form steps W_m = d^m U_m on
+(real, imaginary) pairs of integer vectors and reads i^m W_m / d^m by
+rotating the pair.
 """
 
 from __future__ import annotations
@@ -96,12 +108,13 @@ from .scalars import (
     NotDivisible,
     Poly,
     QuadExt,
+    _int_mul,
     _kronecker_pack,
     _kronecker_unpack,
-    _schoolbook_mul,
     as_poly,
     binomial,
-    poly_sum,
+    poly_combination,
+    poly_sum,  # unused here; `benchmarks/selftest.py` expects to find it on this module
     quad_from_alpha,
     quad_from_beta,
     root_modulus,
@@ -138,8 +151,17 @@ HOLDS = Verdict(True)
 # fault-injection battery patches this to prove the checks notice.
 _INITIAL_TERMS = (0, 1)
 
-#: 1, i, -1, -i in Q[x][i], the quadratic extension with modulus -1.
-_I_POWERS = tuple(QuadExt(a, b, -1) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+def _rotate(real: list, imag: list, k: int) -> tuple[list, list]:
+    """The (real, imaginary) integer vectors of i^k (real + imag i)."""
+    for _ in range(k % 4):
+        real, imag = [-v for v in imag], real
+    return real, imag
+
+
+#: the term list of each packed closed form, by the form's method name
+_FORM_TERMS = {"explicit_binomial": "binomial_terms", "explicit_halving": "halving_terms",
+               "differential_form": "differential_terms"}
 
 
 def _pack_width(bound: int) -> int:
@@ -160,7 +182,7 @@ def _checked_width(bound: int) -> int:
 
 def _mul_add(h: tuple, x: list, c: int, y: list) -> list:
     """The integer vector h x + c y, for integer vectors h, x and y."""
-    out = _schoolbook_mul(h, x) if h and x else []
+    out = _int_mul(h, x) if h and x else []
     out += [0] * (len(y) - len(out))
     for i, v in enumerate(y):
         out[i] += c * v
@@ -225,12 +247,19 @@ class FibContext:
     # -- the recurrence ------------------------------------------------
 
     def fib(self, n: int) -> Poly:
-        """F_{h,n} by the memoized recurrence."""
+        """F_{h,n} by the memoized recurrence, each step h a + b on the
+        cached a and b as one integer combination over the common
+        denominator of h a = H a.num / (d a.den) and b, reduced once."""
         if n < 0:
             raise IndexConstraintViolated("negative indices are undefined here")
         cache = self._fib
+        h, d = self._cleared_h.num, self.h.den
         while len(cache) <= n:
-            cache.append(self.h * cache[-1] + cache[-2])
+            a, b = cache[-1], cache[-2]
+            den = math.lcm(d * a.den, b.den)
+            m = den // (d * a.den)
+            cache.append(Poly._rational(
+                _mul_add([m * v for v in h] if m > 1 else h, a.num, den // b.den, b.num), den))
         return cache[n]
 
     def residual(self, m: int) -> Poly:
@@ -328,18 +357,32 @@ class FibContext:
         return not lhs
 
     def _recurrence_holds(self, top: int) -> bool:
-        """Whether residual(k) == 0 for every 2 <= k <= top, which proves
-        every shift by one up to index top (see the module docstring).  G
-        is scaled up to top first, as a comparison reading index top scales
-        it.  Memoized as the largest top verified, extended in a loop."""
+        """Whether residual(k) == 0, G_k == H G_(k-1) + d^2 G_(k-2), for
+        every 2 <= k <= top, which proves every shift by one up to index top
+        (see the module docstring).  G is scaled up to top first, as a
+        comparison reading index top scales it.  Memoized as the largest top
+        verified, extended in a loop."""
         if top < len(self._norms) and top <= self._recurrence_top:
             return True  # the memo starts at 1 with nothing scaled
         self._scale_to(top)
+        g, h, d2 = self._scaled, self._cleared_h.num, self.den_pow(2)
         while self._recurrence_top < top:
-            if self.residual(self._recurrence_top + 1):
+            k = self._recurrence_top + 1
+            step = _mul_add(h, g[k - 1], d2, g[k - 2])
+            while step and not step[-1]:
+                step.pop()
+            if tuple(step) != g[k]:
                 return False
-            self._recurrence_top += 1
+            self._recurrence_top = k
         return True
+
+    def recurrence_proven(self, top: int) -> bool:
+        """`_recurrence_holds(top)`, or False, which proves nothing, where
+        scaling G raises `NotDivisible`."""
+        try:
+            return self._recurrence_holds(top)
+        except NotDivisible:
+            return False
 
     # -- characteristic roots -------------------------------------------
 
@@ -403,29 +446,35 @@ class FibContext:
 
     # -- closed forms ----------------------------------------------------
 
-    def _packed_form(self, terms, den: int, n: int) -> Poly:
+    def _packed_form(self, terms_of, n: int, compare: bool = False):
         """F_n from a closed form in h and h^2 + 4, evaluated at one packed
-        point (see the module docstring).
+        point (see the module docstring): a `Poly`, or with `compare`
+        whether it equals F_n, with G scaled to n first; where that raises
+        `NotDivisible`, the `Poly` is compared with F_n in Q[x].
 
-        With h = H/d and M' = H^2 + 4d^2 = d^2 (h^2 + 4), each
-        (weight, i, j) in `terms`, i + 2j <= n - 1, stands for
-        weight H^i M'^j d^(n-1-i-2j), and the form is their sum G over
-        den d^(n-1).  Every coefficient of G is bounded by the sum of
-        |weight| N_H^i N_M'^j d^(n-1-i-2j), with N_H = ||H||_1 and
-        N_M' = N_H^2 + 4d^2, and every coefficient of H by N_H; w is picked
-        from the larger of the two and asserted.
-        H is packed at x = 2^(8w), its powers cached per width, G(2^(8w))
-        is summed by Horner in M'(2^(8w)), so that every product of two
-        large integers has the short M'(2^(8w)) as a factor, and unpacked
-        once."""
+        `terms_of(n)` gives (terms, den): each (weight, i, j), i + 2j <= n - 1,
+        stands for weight H^i M'^j d^(n-1-i-2j), and the form is their sum G
+        over den d^(n-1).  Every coefficient of G is bounded by S, of H by
+        N_H; w is picked from max(N_H, S), plus den N_n when compared, and
+        asserted.  H is packed at x = 2^(8w), its powers cached per width,
+        and G(2^(8w)) is summed by Horner in M'(2^(8w)), so that every
+        product of two large integers has the short M'(2^(8w)) as a
+        factor."""
         if n < 1:
             raise IndexConstraintViolated("closed forms start at n = 1")
+        terms, den = terms_of(n)
         num, d = self.h.num, self.h.den
         terms = [(c * self.den_pow(n - 1 - i - 2 * j), i, j) for c, i, j in terms]
         norm_h = sum(map(abs, num))
         norm_m = norm_h * norm_h + 4 * d * d
-        w = _checked_width(max(norm_h, sum(abs(c) * norm_h ** i * norm_m ** j
-                                           for c, i, j in terms)))
+        bound = sum(abs(c) * norm_h ** i * norm_m ** j for c, i, j in terms)
+        if compare:
+            try:
+                self._scale_to(n)
+            except NotDivisible:
+                return self._packed_form(terms_of, n) == self.fib(n)
+            bound += den * self._norms[n]
+        w = _checked_width(max(norm_h, bound))
         powers = self._form_pows.get(w)
         if powers is None:
             powers = self._form_pows[w] = [1, _kronecker_pack(num, w)]
@@ -438,28 +487,44 @@ class FibContext:
         m, value = powers[1] * powers[1] + 4 * d * d, 0
         for part in reversed(parts):
             value = value * m + part
+        if compare:
+            return value == den * _kronecker_pack(self._scaled[n], w)
         count = max((i + 2 * j for _, i, j in terms), default=0) * max(len(num) - 1, 0) + 1
         return Poly._rational(_kronecker_unpack(value, count, w), den * self.den_pow(n - 1))
 
+    def form_test(self, form: str):
+        """n -> whether the closed form `form`, a method name, equals F_n:
+        compared packed on the term list of a packed form (`binomial_terms`,
+        `halving_terms` or `differential_terms`), else in Q[x]."""
+        terms = _FORM_TERMS.get(form)
+        if terms:
+            terms_of = getattr(self, terms)
+            return lambda n: self._packed_form(terms_of, n, True)
+        method = getattr(self, form)
+        return lambda n: method(n) == self.fib(n)
+
+    def binomial_terms(self, n: int) -> tuple[list, int]:
+        """(terms, den) of the binomial form for `_packed_form`."""
+        return [(binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range((n - 1) // 2 + 1)], 1
+
     def explicit_binomial(self, n: int) -> Poly:
         """Binomial closed form: sum of C(n-k-1, k) h^(n-2k-1)."""
-        return self._packed_form(
-            [(binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range(0, (n - 1) // 2 + 1)],
-            1, n)
+        return self._packed_form(self.binomial_terms, n)
+
+    def halving_terms(self, n: int) -> tuple[list, int]:
+        """(terms, den) of the halving form for `_packed_form`."""
+        ks = range((n - 1) // 2 + 1)
+        return [(binomial(n, 2 * k + 1), n - 2 * k - 1, k) for k in ks], 2 ** (n - 1)
 
     def explicit_halving(self, n: int) -> Poly:
         """Halving closed form:
         2^(1-n) * sum of C(n, 2k+1) h^(n-2k-1) (h^2+4)^k, exact."""
-        return self._packed_form(
-            [(binomial(n, 2 * k + 1), n - 2 * k - 1, k) for k in range(0, (n - 1) // 2 + 1)],
-            2 ** (n - 1), n)
+        return self._packed_form(self.halving_terms, n)
 
-    def _chebyshev_u(self, m: int) -> QuadExt:
-        """U_m(h/(2i)) in Q[x][i].  U_1 = 2t at t = h/(2i) is -i h, and 2t
-        steps U_(m+1) = 2t U_m - U_(m-1), so W_m = d^m U_m steps
-        W_(m+1) = -i H W_m - d^2 W_(m-1) from W_0 = 1 and W_1 = -i H on
-        (real, imaginary) pairs of integer vectors, memoized; W_m is divided
-        by d^m here."""
+    def _chebyshev_u(self, m: int) -> tuple[list, list]:
+        """W_m = d^m U_m(h/(2i)) as (real, imaginary) integer vectors.  U_1 =
+        2t at t = h/(2i) is -i h, and 2t steps U_(m+1) = 2t U_m - U_(m-1), so
+        W_(m+1) = -i H W_m - d^2 W_(m-1) from W_0 = 1 and W_1 = -i H; memoized."""
         ws = self._cheb
         if ws is None:
             ws = self._cheb = [([1], []), ([], [-c for c in self._cleared_h.num])]
@@ -467,19 +532,20 @@ class FibContext:
         while len(ws) <= m:
             (p, q), (p2, q2) = ws[-1], ws[-2]
             ws.append((_mul_add(h, q, -d2, p2), [-v for v in _mul_add(h, p, d2, q2)]))
-        p, q = ws[m]
-        den = self.h.den ** m
-        return QuadExt(Poly._rational(list(p), den), Poly._rational(list(q), den), -1)
+        return ws[m]
 
     def chebyshev_form(self, n: int) -> Poly:
         """i^(n-1) U_{n-1}(h/(2i)) with U the second-kind Chebyshev
-        recurrence U_0 = 1, U_1 = 2t; the imaginary parts must cancel."""
+        recurrence U_0 = 1, U_1 = 2t, as the rotated pair i^(n-1) W_(n-1)
+        over d^(n-1); the imaginary parts must cancel."""
         if n < 1:
             raise IndexConstraintViolated("closed forms start at n = 1")
-        scaled = self._chebyshev_u(n - 1) * _I_POWERS[(n - 1) % 4]
-        if scaled.b:
-            raise NonRealResult(f"imaginary residue {scaled.b!r} in Chebyshev form")
-        return scaled.a
+        real, imag = _rotate(*self._chebyshev_u(n - 1), n - 1)
+        den = self.den_pow(n - 1)
+        if any(imag):
+            raise NonRealResult(
+                f"imaginary residue {Poly._rational(list(imag), den)!r} in Chebyshev form")
+        return Poly._rational(list(real), den)
 
     def binet(self, n: int) -> Poly:
         """(alpha^n - beta^n) / (alpha - beta), via exact division by s;
@@ -494,19 +560,21 @@ class FibContext:
             got = self._binets[n] = quotient.a
         return got
 
-    def differential_form(self, n: int) -> Poly:
-        """sum over k of (1/k!) d^k/dy^k y^(n-k-1), computed literally in
-        the formal ring Q[y] and then evaluated at y = h by `_packed_form`.
-        Each k-th derivative of y^(n-k-1) is one derivative of the memoized
-        (k-1)-th one, from row n - 1."""
-        if n < 1:
-            raise IndexConstraintViolated("closed forms start at n = 1")
+    def differential_terms(self, n: int) -> tuple[list, int]:
+        """(terms, den) for `_packed_form` of the sum over k of
+        (1/k!) d^k/dy^k y^(n-k-1), computed literally in the formal ring
+        Q[y] as one `poly_combination`.  Each k-th derivative of y^(n-k-1) is
+        one derivative of the memoized (k-1)-th one, from row n - 1."""
         rows = self._derivatives
         while len(rows) <= n:
             m = len(rows)
             rows.append([Poly.monomial(m - 1)] + [q.derivative() for q in rows[-1][:(m - 1) // 2]])
-        p = poly_sum(q * Fraction(1, math.factorial(k)) for k, q in enumerate(rows[n]))
-        return self._packed_form([(c, j, 0) for j, c in enumerate(p.num) if c], p.den, n)
+        p = poly_combination([(q, Fraction(1, math.factorial(k))) for k, q in enumerate(rows[n])])
+        return [(c, j, 0) for j, c in enumerate(p.num) if c], p.den
+
+    def differential_form(self, n: int) -> Poly:
+        """The differential form, evaluated at y = h by `_packed_form`."""
+        return self._packed_form(self.differential_terms, n)
 
     # -- identity verifiers ----------------------------------------------
 
@@ -515,22 +583,29 @@ class FibContext:
         multiplying the series by the denominator must leave exactly t.
         Coefficient j of that product is the convolution
         F_j - h F_{j-1} - F_{j-2}, with the terms at negative indices left
-        out, compared for j <= trunc; from j = 2 on it is `residual(j)`."""
+        out, compared for j <= trunc; from j = 2 on it is `residual(j)`,
+        read from the prefix first (see the module docstring)."""
         if trunc < 0:
             raise IndexConstraintViolated("the truncation order starts at 0")
         heads = (self.fib(0), self.fib(1) - self.h * self.fib(0))
         for j in range(trunc + 1):
+            if j == 2 and self.recurrence_proven(trunc):
+                return HOLDS
             got = heads[j] if j < 2 else self.residual(j)
             if got != (ONE if j == 1 else ZERO):
                 return Verdict(False, f"t^{j} coefficient of (1-ht-t^2)*series")
         return HOLDS
 
     def sum_identity_check(self, n: int) -> Verdict:
-        """h * sum(F_1..F_n) == F_{n+1} + F_n - 1 (denominator cleared)."""
+        """h * sum(F_1..F_n) == F_{n+1} + F_n - 1 (denominator cleared),
+        from the prefix with G_0 = 0 and G_1 = 1 (see the module docstring)
+        or else in Q[x]."""
         if not self.h:
             raise ZeroH("the summation identity divides by h")
         if n < 1:
             raise IndexConstraintViolated("partial sums start at n = 1")
+        if self.recurrence_proven(n + 1) and not self._norms[0] and self._scaled[1] == (1,):
+            return HOLDS
         if self.h_partial_sum(n) != self.fib(n + 1) + self.fib(n) - 1:
             return Verdict(False, f"partial sum up to n={n}")
         return HOLDS

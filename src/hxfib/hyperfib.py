@@ -89,9 +89,10 @@ sum c_ijk [X(i+2r, j) - X(i+2, j)] vanishes in every coordinate.
 This holds only for roots with alpha + beta = h and alpha beta = -1.
 `FibContext.require_root_relations` checks both once, and the Catalan,
 Cassini, printed and d'Ocagne comparisons raise if either fails.
-Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`,
-the recurrence and genfun checks read the scalar fact
-`FibContext.residual`, and the partial-sum check `FibContext.sum_residual`.
+Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`.
+The recurrence, genfun and partial-sum checks hold where the prefix
+`FibContext.recurrence_proven` reaches their top index (see the `fibseq`
+docstring), and otherwise read `FibContext.residual` and `sum_residual`.
 """
 
 from __future__ import annotations
@@ -181,9 +182,12 @@ class HyperContext:
     def recurrence_check(self, n: int) -> Verdict:
         """Q_{n+2} == h Q_{n+1} + Q_n, coordinatewise.  Coordinate k is the
         scalar residual F_m - h F_{m-1} - F_{m-2} at m = n + k + 2,
-        `FibContext.residual`, shared by every table."""
+        `FibContext.residual`, shared by every table, read where the prefix
+        misses n + dim + 1."""
         if n < 0:
             raise IndexConstraintViolated("negative indices are undefined here")
+        if self.fib.recurrence_proven(n + self.dim + 1):
+            return HOLDS
         for k in range(self.dim):
             if self.fib.residual(n + k + 2):
                 return Verdict(False, f"coordinate {k} at n={n}")
@@ -194,11 +198,13 @@ class HyperContext:
         Coordinate k is h (S_{p+k} - S_k) == F_{p+k+1} + F_{p+k} - F_{k+1}
         - F_k with S_j = F_1 + ... + F_j, that is rho_{p+k} == rho_k for
         the scalar fact rho_j = h S_j - F_{j+1} - F_j + 1,
-        `FibContext.sum_residual`."""
+        `FibContext.sum_residual`, read where the prefix misses p + dim."""
         if not self.h:
             raise ZeroH("the partial-sum identity divides by h")
         if p < 1:
             raise IndexConstraintViolated("partial sums start at p = 1")
+        if self.fib.recurrence_proven(p + self.dim):
+            return HOLDS
         rho = self.fib.sum_residual
         for k in range(self.dim):
             if rho(p + k) != rho(k):
@@ -233,7 +239,7 @@ class HyperContext:
         Coefficient j of the left side is the convolution
         Q_j - h Q_{j-1} - Q_{j-2}, whose coordinate k for j >= 2 is the
         scalar residual `FibContext.residual(j + k)`, as in
-        `recurrence_check`."""
+        `recurrence_check`, read where the prefix misses trunc + dim - 1."""
         if trunc < 0:
             raise IndexConstraintViolated("the truncation order starts at 0")
         h, dim, fib = self.h, self.dim, self.fib
@@ -242,7 +248,7 @@ class HyperContext:
             got = terms[:dim] if j == 0 else [terms[k + 1] - h * terms[k] for k in range(dim)]
             if tuple(got) != expected.coords:
                 return Verdict(False, f"t^{j} coefficient of the multiplied series")
-        if trunc >= 2:
+        if trunc >= 2 and not fib.recurrence_proven(trunc + dim - 1):
             for m in range(2, trunc + dim):
                 if fib.residual(m):
                     return Verdict(False, f"t^{max(2, m - dim + 1)} coefficient "

@@ -307,17 +307,7 @@ class Poly:
     def _mul_poly(self, other: "Poly") -> "Poly":
         if not self.num or not other.num:
             return _ZERO
-        a, b = self.num, other.num
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            c = a[0]
-            out = [v * c for v in b]
-        elif len(a) >= KRONECKER_MIN_LEN and len(a) - a.count(0) >= KRONECKER_MIN_LEN:
-            out = _kronecker_mul(a, b)
-        else:
-            out = _schoolbook_mul(a, b)
-        return Poly._rational(out, self.den * other.den)
+        return Poly._rational(_int_mul(self.num, other.num), self.den * other.den)
 
     def derivative(self) -> "Poly":
         return Poly._rational([self.num[i] * i for i in range(1, len(self.num))], self.den)
@@ -388,6 +378,20 @@ class Poly:
 #: 50 did not move beyond noise (three alternating rounds, best of 5).  The
 #: battery reaches no product this long; `seq` and `genfun` do, in h F_(n-1).
 KRONECKER_MIN_LEN = 12
+
+
+def _int_mul(a, b) -> list:
+    """Integer coefficient vector of a * b for nonempty a and b: scaling by a
+    constant, the schoolbook loop, or Kronecker substitution from
+    `KRONECKER_MIN_LEN` nonzero coefficients in the shorter operand."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return [v * c for v in b]
+    if len(a) >= KRONECKER_MIN_LEN and len(a) - a.count(0) >= KRONECKER_MIN_LEN:
+        return _kronecker_mul(a, b)
+    return _schoolbook_mul(a, b)
 
 
 def _schoolbook_mul(a, b) -> list:

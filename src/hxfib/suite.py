@@ -403,7 +403,7 @@ class _ContextCheck:
 
 class _ClosedFormCheck(_ContextCheck):
     """The family that compares `FibContext.<method>(n)` with the
-    recurrence's F_n."""
+    recurrence's F_n, by `FibContext.form_test`."""
 
     __slots__ = ()
 
@@ -411,11 +411,11 @@ class _ClosedFormCheck(_ContextCheck):
         super().__init__(method, ("n",), False)
 
     def bind(self, rt: Runtime, p: dict) -> Callable[[int], Verdict]:
-        ctx = rt.fib_ctx(p["h"])
-        method, form = self.method, getattr(ctx, self.method)
+        method = self.method
+        matches = rt.fib_ctx(p["h"]).form_test(method)
 
         def check(n: int) -> Verdict:
-            if form(n) != ctx.fib(n):
+            if not matches(n):
                 return Verdict(False, f"{method} disagrees with the recurrence at n={n}")
             return HOLDS
 
@@ -881,19 +881,15 @@ def corrupt_unit_row(table: AlgebraTable) -> AlgebraTable:
     return AlgebraTable(table.name, constants)
 
 
-def _faulty_binomial_form(self, n):
+def _faulty_binomial_terms(self, n):
     # off by one: the top summand is dropped
-    return self._packed_form(
-        [(fibseq_mod.binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range(0, (n - 1) // 2)],
-        1, n)
+    return [(fibseq_mod.binomial(n - k - 1, k), n - 2 * k - 1, 0) for k in range((n - 1) // 2)], 1
 
 
-def _faulty_halving_form(self, n):
+def _faulty_halving_terms(self, n):
     # the 2^(1-n) factor is dropped
-    return self._packed_form(
-        [(fibseq_mod.binomial(n, 2 * k + 1), n - 2 * k - 1, k)
-         for k in range(0, (n - 1) // 2 + 1)],
-        1, n)
+    return [(fibseq_mod.binomial(n, 2 * k + 1), n - 2 * k - 1, k)
+            for k in range((n - 1) // 2 + 1)], 1
 
 
 def _faulty_roots(self):
@@ -926,10 +922,12 @@ def _faulty_chebyshev_form(self, n):
     us = [QuadExt.one(-1), seed]  # wrong seed: U_1 = t instead of 2t
     while len(us) <= n - 1:
         us.append(us[-1] * step - us[-2])
-    scaled = us[n - 1] * fibseq_mod._I_POWERS[(n - 1) % 4]
-    if scaled.b:
+    real, imag = us[n - 1].a, us[n - 1].b
+    for _ in range((n - 1) % 4):  # times i^(n-1)
+        real, imag = -imag, real
+    if imag:
         raise NonRealResult("imaginary residue in Chebyshev form")
-    return scaled.a
+    return real
 
 
 def _patched(owner, attr: str, value):
@@ -963,8 +961,8 @@ def _table_mutation(transform):
 MUTATIONS: dict[str, Callable] = {
     "wrong_initial_value": _patched(fibseq_mod, "_INITIAL_TERMS", (0, 2)),
     "table_entry_sign": _table_mutation(lambda t: corrupt_table_entry(t, 1, 2, -1)),
-    "binomial_bound_off_by_one": _patched(FibContext, "explicit_binomial", _faulty_binomial_form),
-    "halving_scale_dropped": _patched(FibContext, "explicit_halving", _faulty_halving_form),
+    "binomial_bound_off_by_one": _patched(FibContext, "binomial_terms", _faulty_binomial_terms),
+    "halving_scale_dropped": _patched(FibContext, "halving_terms", _faulty_halving_terms),
     "roots_swapped": _patched(FibContext, "roots", _faulty_roots),
     "catalan_sign_exponent": _patched(FibContext, "catalan_check", _faulty_catalan_check),
     "sum_clearing_dropped": _patched(FibContext, "sum_identity_check", _faulty_sum_identity_check),

@@ -260,3 +260,23 @@ def test_spec_rejects_bad_documents():
         table_from_spec(
             {"name": "x", "dim": 2, "table": [[[1, 0], [1, 0]], [[0, 1], [0, 0]]]}
         )
+
+
+def _no_products(self, u, v):
+    raise AssertionError("a product was taken")
+
+
+def test_spec_load_checks_the_unit_law_alone(monkeypatch):
+    # one O(dim^2) pass over the unit row and column: the associativity
+    # sweep of `validate` takes dim^3 products, which loading does not
+    monkeypatch.setattr(AlgebraTable, "_mul_coords", _no_products)
+    for factory in ALL_BUILTINS:
+        table = factory()
+        assert table_from_spec(table_to_spec(table)).constants == table.constants
+    bad = {"name": "x", "dim": 2, "table": [[[1, 0], [1, 0]], [[0, 1], [0, 0]]]}
+    with pytest.raises(NotUnital, match=r"^x: e0\*e1 is not e1$"):
+        table_from_spec(bad)
+    doc = table_to_spec(quaternion_table())
+    doc["table"][2][0] = [0, 0, 0, 1]
+    with pytest.raises(NotUnital, match=r"^quaternion: e2\*e0 is not e2$"):
+        table_from_spec(doc)

@@ -4,6 +4,7 @@ closed forms, and the exact identity verifiers."""
 import ast
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from hxfib.fibseq import (
     ZeroH,
 )
 from hxfib.hyperfib import HyperContext
+from hxfib.polytext import parse_poly
 from hxfib.scalars import (
     ONE,
     X,
@@ -79,12 +81,14 @@ def test_closed_forms_at_one():
 def test_chebyshev_form_rejects_an_imaginary_residue(monkeypatch):
     from hxfib.scalars import NonRealResult
 
-    one = fibseq._I_POWERS[0]
-    monkeypatch.setattr(fibseq, "_I_POWERS", (one,) * 4)  # i^1 replaced by 1
+    # i^(n-1) replaced by 1: the rotation leaves the pair as it is
+    monkeypatch.setattr(fibseq, "_rotate", lambda real, imag, k: (real, imag))
     ctx = FibContext(X)
     assert ctx.chebyshev_form(1) == ONE
-    for n in (2, 4):  # U_{n-1}(h/(2i)) is purely imaginary for even n
-        with pytest.raises(NonRealResult):
+    # U_{n-1}(h/(2i)) is purely imaginary for even n, with imaginary part +-F_n
+    for n, residue in ((2, Poly([0, -1])), (4, Poly([0, 2, 0, 1]))):
+        with pytest.raises(NonRealResult, match=re.escape(
+                f"imaginary residue {residue!r} in Chebyshev form")):
             ctx.chebyshev_form(n)
 
 
@@ -102,13 +106,15 @@ def test_chebyshev_form_example():
 
 
 def test_chebyshev_steps_match_the_recurrence_over_q_x_i():
-    # U_(m+1) = 2t U_m - U_(m-1) at t = h/(2i), stepped in Q[x][i]
+    # U_(m+1) = 2t U_m - U_(m-1) at t = h/(2i), stepped in Q[x][i]; the
+    # context steps the integer pair W_m = d^m U_m
     for h in (ZERO, ONE, X, Poly([F(-1, 2), 0, F(3, 2)]), Poly([F(5, 6), 0, 0, -2, F(1, 4)])):
         ctx, two_t = FibContext(h), QuadExt(0, -h, -1)
         us = [QuadExt.one(-1), two_t]
         for m in range(16):
             us.append(us[-1] * two_t - us[-2])
-            assert ctx._chebyshev_u(m) == us[m], (h, m)
+            real, imag = ctx._chebyshev_u(m)
+            assert QuadExt(Poly(real), Poly(imag), -1) == us[m] * h.den ** m, (h, m)
 
 
 def test_binet_examples():
@@ -215,6 +221,85 @@ def test_packed_closed_forms_assert_their_slot_width(monkeypatch):
     for family in ("closed_form_binomial", "closed_form_halving", "closed_form_differential"):
         with pytest.raises(AssertionError):
             run_all(corpus, include={family})
+
+
+#: the closed-form families of the battery, by the method each compares
+FORM_FAMILIES = {"closed_form_binomial": "explicit_binomial",
+                 "closed_form_halving": "explicit_halving",
+                 "closed_form_chebyshev": "chebyshev_form", "closed_form_binet": "binet",
+                 "closed_form_differential": "differential_form"}
+
+
+def random_form_hs(seed, count):
+    """h of degree 0-6 with coefficient denominators up to 7, about a third
+    of them with a zero constant term."""
+    rng, hs = random.Random(seed), []
+    while len(hs) < count:
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.35:
+            coeffs[0] = 0
+        if any(coeffs):
+            hs.append(Poly(coeffs))
+    return hs
+
+
+#: a cached term raised by a term, (index, raise), the later terms
+#: following it; F_0 + x makes G_0 = x/d, not integral where d > 1
+CACHED_FAULTS = {"exact": None, "f0_plus_x": (0, X), "f5_plus_1": (5, ONE),
+                 "f7_plus_half_x": (7, X * F(1, 2))}
+
+
+@pytest.mark.parametrize("fault", sorted(CACHED_FAULTS))
+def test_closed_forms_match_a_direct_comparison(fault, monkeypatch):
+    real_init = FibContext.__init__
+
+    def init(self, h):
+        real_init(self, h)
+        if CACHED_FAULTS[fault]:
+            k, raised = CACHED_FAULTS[fault]
+            self.fib(k)
+            self._fib[k] = self._fib[k] + raised
+
+    monkeypatch.setattr(FibContext, "__init__", init)
+    hs = random_form_hs(2803, 5) + random_form_hs(2811, 5) + [X, Poly([0, F(1, 6)])]
+    assert any(h.den > 1 for h in hs) and any(not h.coeffs[0] for h in hs)
+    report = run_all(Corpus(seed=0, h_polys=tuple(hs), algebras=(), n_max=30),
+                     include=set(FORM_FAMILIES))
+    assert len(report.checks) == len(hs) * 30 * 5
+    refs = {}
+    for record in report.checks:
+        h, n = record.params["h"], record.params["n"]
+        ref = refs.setdefault(h, FibContext(parse_poly(h)))
+        method = FORM_FAMILIES[record.name]
+        try:
+            same = getattr(ref, method)(n) == ref.fib(n)
+            want = ("pass", None) if same else (
+                "fail", f"{method} disagrees with the recurrence at n={n}")
+        except NonRealResult as exc:
+            want = ("fail", f"NonRealResult: {exc}")
+        assert (record.verdict, record.witness) == want, (h, n, method)
+    # a term below n that breaks the scaling of G leaves F_1 right
+    first = {r.verdict for r in report.checks if r.params["n"] == 1}
+    assert first == {"pass"} and bool(report.failures) == (fault != "exact")
+
+
+def test_a_raised_term_alone_widens_the_packed_comparison(monkeypatch):
+    # F_5 + 2^200 over h = x: the terms of each form fit one-byte slots, so
+    # only den N_5 in the bound gives G_5 the slot its coefficient needs
+    bounds = []
+    real = fibseq._pack_width
+    monkeypatch.setattr(fibseq, "_pack_width", lambda bound: bounds.append(bound) or real(bound))
+    ctx = FibContext(X)
+    ctx.fib(8)
+    ctx._fib[5] = ctx._fib[5] + 2 ** 200
+    for form in PACKED_FORMS:
+        test = ctx.form_test(form)
+        assert [test(n) for n in (4, 5, 6)] == [True, False, True]
+        compared = bounds[1]
+        assert getattr(ctx, form)(5) != ctx.fib(5)  # unpacked, from the terms alone
+        own = bounds[-1]
+        assert own < 2 ** 200 < compared and real(own) < real(compared) == 32
+        bounds.clear()
 
 
 def test_degree_bookkeeping():

@@ -1218,3 +1218,73 @@ def test_dim1_reduces_to_the_scalar_sequence():
             assert ctx.docagne_check(n, r).ok
     assert ctx.genfun_check(12).ok
     assert ctx.partial_sum_check(9).ok
+
+
+# -- the residual and partial-sum readers against the Q[x] route ----------------------
+
+#: the families that read residuals or partial sums, which hold without
+#: reading one where the recurrence prefix reaches their top index
+RESIDUAL_READERS = {"genfun_real", "sum_identity", "hyper_recurrence", "hyper_partial_sum",
+                    "hyper_genfun"}
+
+
+def _f7_plus_half_x(self, n):
+    # G_7 = d^6 (F_7 + x/2) is not integral where d is odd, so that scaling
+    # G to 7 raises NotDivisible
+    return _fib(self, n) + (X * F(1, 2) if n == 7 else 0)
+
+
+#: CORPORA and three small seeded corpora, which read up to index 9
+READER_CORPORA = {**dict(zip(CORPUS_IDS, CORPORA)), **{
+    f"seed_{seed}": suite.default_corpus(seed, random_count=2, n_max=8, r_max=4, p_max=8,
+                                         trunc_n=9) for seed in (42, 1, 7)}}
+READER_FAULTS = INSTANCE_FAULTS + sorted(GUARD_FAULTS) + ["f7_plus_half_x"]
+
+
+@pytest.mark.parametrize("fault", READER_FAULTS)
+@pytest.mark.parametrize("corpus", sorted(READER_CORPORA))
+def test_prefix_readers_match_the_q_x_route(corpus, fault, monkeypatch, direct_route):
+    if fault == "f7_plus_half_x":
+        monkeypatch.setattr(FibContext, "fib", _f7_plus_half_x)
+    else:
+        _inject(fault, monkeypatch)
+    corpus = READER_CORPORA[corpus]
+    prefix = suite.run_all(corpus, include=RESIDUAL_READERS)
+    direct_route()
+    assert prefix.comparable() == suite.run_all(corpus, include=RESIDUAL_READERS).comparable()
+    # these families read no root
+    assert bool(prefix.failures) == (fault not in ("exact", "roots_swapped"))
+
+
+def test_a_non_integral_term_keeps_the_q_x_witnesses(monkeypatch):
+    # where scaling G raises NotDivisible the prefix proves nothing, and
+    # each family fails as it does in Q[x], with a plain verdict
+    monkeypatch.setattr(FibContext, "fib", _f7_plus_half_x)
+    report = suite.run_all(READER_CORPORA["seed_1"], include=RESIDUAL_READERS)
+    assert {c.name for c in report.failures} == RESIDUAL_READERS
+    assert {suite._failure_kind(c.witness) for c in report.failures} == {"verdict"}
+    assert {c.witness for c in report.failures if c.name == "genfun_real"} == {
+        "t^7 coefficient of (1-ht-t^2)*series"}
+    assert {c.witness for c in report.failures if c.name == "sum_identity"} == {
+        f"partial sum up to n={n}" for n in range(6, 9)}
+
+
+def _count_reads(monkeypatch) -> dict:
+    """The calls of the memoized residuals and partial sums from now on."""
+    counts = {}
+    for name in ("residual", "h_partial_sum", "sum_residual"):
+        real = getattr(FibContext, name)
+        monkeypatch.setattr(FibContext, name, lambda self, j, name=name, real=real: (
+            counts.__setitem__(name, counts.get(name, 0) + 1) or real(self, j)))
+    return counts
+
+
+@pytest.mark.parametrize("corpus", sorted(READER_CORPORA) + ["fractional_h_and_tables"])
+def test_fault_free_corpora_read_no_residual(corpus, monkeypatch):
+    # the prefix compares G_k with H G_(k-1) + d^2 G_(k-2) on the integer
+    # vectors, also over fractional h
+    corpus = READER_CORPORA.get(corpus, FRACTIONAL_BOTH_CORPUS)
+    counts = _count_reads(monkeypatch)
+    report = suite.run_all(corpus, include=RESIDUAL_READERS)
+    assert report.ok and report.checks
+    assert counts == {}
