@@ -14,12 +14,13 @@ times each call alone, and maps verdicts and expected errors to records.
 `iter_records` builds a `CheckRecord` from each row, for `run_all`,
 `shrink` and the tests; `write_run`, which `verify` uses, formats each
 row from its lane's templates, with the name and constant params (h,
-algebra) quoted in once per block.
+algebra) quoted in once per block.  It is the one writer of report text
+other than `json.dumps`, which `Report.to_json` calls, and writes the same
+text, up to the `ms` fields.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
@@ -161,119 +162,6 @@ class CheckRecord:
         return doc
 
 
-def _record_shape(name, verdict, plain: bool, keys: tuple, const: dict | None = None
-                  ) -> tuple | None:
-    """The `%`-format template of an indent=2 record, four spaces deep, of
-    one shape, and the param keys in the order of its slots; None unless
-    the name, verdict and keys are `str`.  The slots are the `ms`, the
-    params by sorted key and, unless `plain`, the witness.  The params of
-    `const`, the same on every record of the shape, are quoted into the
-    template instead of taking a slot; None also when one of their values
-    is not a `str`, an `int` or a finite `float`."""
-    const = const or {}
-    names = (*keys, *const)
-    if type(name) is not str or type(verdict) is not str or any(type(k) is not str for k in names):
-        return None
-    order = tuple(sorted(keys))
-
-    def quote(text: str) -> str:
-        return _quote(text).replace("%", "%%")
-
-    texts = {}
-    for key, value in const.items():
-        kind = type(value)
-        if kind is str:
-            texts[key] = quote(value)
-        elif kind is int or kind is float and isfinite(value):
-            texts[key] = repr(value)
-        else:
-            return None
-    slots = [f"{quote(k)}: {texts.get(k, '%s')}" for k in sorted(names)]
-    params = "{\n        " + ",\n        ".join(slots) + "\n      }" if slots else "{}"
-    tail = "\n    }" if plain else ',\n      "witness": %s\n    }'
-    return (f'{{\n      "ms": %r,\n      "name": {quote(name)},\n      "params": {params},\n'
-            f'      "verdict": {quote(verdict)}{tail}', order)
-
-
-def _template_record(c: CheckRecord, shapes: dict | None = None,
-                     quoted: dict | None = None) -> str | None:
-    """One record of an indent=2 report, four spaces deep, without the
-    indented stdlib encoder, which is pure Python; None outside the shape
-    covered: a finite float `ms`, `str` name, verdict and witness (or none),
-    and flat params with `str` keys and `str`, `int` or finite `float` values.
-
-    `shapes` caches the template of each (name, verdict, witness present,
-    param keys) and `quoted` each `str` param value as JSON; `write_report`
-    keeps both for one report.  Every value's type is checked on every
-    record, since records of one shape may hold values of other types."""
-    if shapes is None:
-        shapes, quoted = {}, {}
-    ms, params, witness = c.ms, c.params, c.witness
-    if (type(params) is not dict or type(ms) is not float or not isfinite(ms)
-            or witness is not None and type(witness) is not str):
-        return None
-    key = (c.name, c.verdict, witness is None, tuple(params))
-    try:
-        shape = shapes[key]
-    except KeyError:
-        shape = shapes[key] = _record_shape(*key)
-    except TypeError:  # an unhashable name or verdict
-        return None
-    if shape is None:
-        return None
-    template, order = shape
-    values = [ms]
-    for value in map(params.__getitem__, order):
-        kind = type(value)
-        if kind is str:
-            text = quoted.get(value)
-            if text is None:
-                text = quoted[value] = _quote(value)
-            value = text
-        elif kind is not int and not (kind is float and isfinite(value)):
-            return None
-        values.append(value)
-    if witness is not None:
-        values.append(_quote(witness))
-    # %r of an exact float and %s of an exact int or float are their
-    # __repr__, as in the encoder
-    return template % tuple(values)
-
-
-def _record_text(c: CheckRecord, shapes: dict, quoted: dict) -> str:
-    """One record of an indent=2 report, four spaces deep: from its
-    template, or with `json.dumps` on its own outside the shape covered."""
-    return (_template_record(c, shapes, quoted)
-            or json.dumps(c.to_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
-
-
-def _write_document(out, seed, texts: Iterable[tuple[str, str]]) -> Counter:
-    """Write the report of `seed` around the (verdict, record text) pairs
-    of `texts` to the text stream `out`, each record as soon as it is
-    made, and return the count of each verdict."""
-    counts: dict = {}
-    out.write('{\n  "checks": [')
-    for verdict, text in texts:
-        out.write((",\n    " if counts else "\n    ") + text)
-        counts[verdict] = counts.get(verdict, 0) + 1
-    seed_text = (repr(seed) if type(seed) is int
-                 else json.dumps(seed, indent=2, sort_keys=True).replace("\n", "\n  "))
-    out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed_text}\n}}')
-    return Counter(counts)
-
-
-def write_report(out, seed: int, records: Iterable[CheckRecord]) -> Counter:
-    """Write `json.dumps({"seed": seed, "checks": [r.to_dict() for r in
-    records]}, indent=2, sort_keys=True)` to the text stream `out`, each
-    record as soon as it is made, and return the count of each verdict.
-    A run that stops early leaves a prefix that is not valid JSON.  The
-    templates of `_template_record` are cached for this call only."""
-    shapes: dict = {}
-    quoted: dict[str, str] = {}
-    return _write_document(out, seed, ((c.verdict, _record_text(c, shapes, quoted))
-                                       for c in records))
-
-
 def summary_line(counts: Counter) -> str:
     """The summary of a run from its count of each verdict."""
     n, failed, flagged = sum(counts.values()), counts["fail"], counts["flag"]
@@ -301,12 +189,9 @@ class Report:
         return {"seed": self.seed, "checks": [c.to_dict() for c in self.checks]}
 
     def to_json(self, indent: int | None = None) -> str:
-        """`json.dumps(self.to_dict(), indent=indent, sort_keys=True)`."""
-        if indent != 2:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-        out = io.StringIO()
-        write_report(out, self.seed, self.checks)
-        return out.getvalue()
+        """The report as JSON text, keys sorted; at `indent=2` the text
+        `write_run` writes of the same run, up to the `ms` fields."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def comparable(self) -> dict:
         """The report without its timing fields, for determinism tests."""
@@ -804,11 +689,32 @@ def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
 
 
 def _lane_template(lane: Lane, verdict: str, plain: bool) -> str:
-    """The `_record_shape` template of a lane's records of one verdict, with
-    the name and constant params quoted in, its slots the `ms`, the row's
-    arguments and, unless `plain`, the witness; "" outside the shape."""
-    shape = _record_shape(lane.name, verdict, plain, lane.keys, lane.const)
-    return shape[0] if shape and shape[1] == lane.keys else ""
+    """The `%`-format template of a lane's records of one verdict, as in an
+    indent=2 report, four spaces deep, with the name and constant params
+    (h, algebra) quoted in.  Its slots are the `ms`, the row's arguments
+    and, unless `plain`, the witness.  "" when a constant param is not a
+    `str`, an `int` or a finite `float`, or when the lane's keys are not
+    sorted, since the arguments fill the slots in the order of the keys."""
+    if list(lane.keys) != sorted(lane.keys):
+        return ""
+
+    def quote(text: str) -> str:
+        return _quote(text).replace("%", "%%")
+
+    texts = dict.fromkeys(lane.keys, "%s")
+    for key, value in lane.const.items():
+        kind = type(value)
+        if kind is str:
+            texts[key] = quote(value)
+        elif kind is int or kind is float and isfinite(value):
+            texts[key] = repr(value)
+        else:
+            return ""
+    slots = [f"{quote(k)}: {texts[k]}" for k in sorted(texts)]
+    params = "{\n        " + ",\n        ".join(slots) + "\n      }" if slots else "{}"
+    tail = "\n    }" if plain else ',\n      "witness": %s\n    }'
+    return (f'{{\n      "ms": %r,\n      "name": {quote(lane.name)},\n      "params": {params},\n'
+            f'      "verdict": "{verdict}"{tail}')
 
 
 #: A witness as JSON text, cached: the printed-form flags repeat two
@@ -817,39 +723,43 @@ _quote_witness = lru_cache(maxsize=256)(_quote)
 
 
 def write_run(out, corpus: Corpus) -> Counter:
-    """`write_report(out, corpus.seed, iter_records(corpus))`, each record
-    formatted from its lane's template as soon as its check has run, so
-    that a record costs one `%` format of its `ms`, arguments and witness.
-    A record outside the templates (a witness that is not a `str`, or a
-    constant param that is not a `str`, `int` or finite `float`) is
-    written as `write_report` writes it."""
+    """Write `json.dumps(run_all(corpus).to_dict(), indent=2,
+    sort_keys=True)`, up to the `ms` fields, to the text stream `out`, and
+    return the count of each verdict.  Each record is written as soon as
+    its check has run, formatted from its lane's template at the cost of
+    one `%` format of its `ms`, arguments and witness; a record outside the
+    templates (a witness that is not a `str`, or a constant param that is
+    not a `str`, `int` or finite `float`) goes through `json.dumps` on its
+    own.  A run that stops early leaves a prefix that is not valid JSON."""
     runtime = Runtime(_tables_by_name(corpus.algebras))
-    shapes: dict = {}
-    quoted: dict[str, str] = {}
-
-    def texts() -> Iterator[tuple[str, str]]:
-        for block in _schedule(corpus):
-            lanes = block.lanes
-            passes = [_lane_template(lane, "pass", True) for lane in lanes]
-            others: dict[tuple, str] = {}  # by (lane index, verdict, witness is None)
-            for i, args, verdict, witness, ms in _run_block(runtime, block):
-                if verdict == "pass" and passes[i]:
-                    yield verdict, passes[i] % (ms, *args)
-                    continue
+    counts: dict = {}
+    out.write('{\n  "checks": [')
+    for block in _schedule(corpus):
+        lanes = block.lanes
+        passes = [_lane_template(lane, "pass", True) for lane in lanes]
+        others: dict[tuple, str] = {}  # by (lane index, verdict, witness is None)
+        for i, args, verdict, witness, ms in _run_block(runtime, block):
+            if verdict == "pass" and passes[i]:
+                text = passes[i] % (ms, *args)
+            else:
                 key = (i, verdict, witness is None)
                 template = others.get(key)
                 if template is None:
                     template = others[key] = _lane_template(lanes[i], verdict, witness is None)
                 if template and witness is None:
-                    yield verdict, template % (ms, *args)
+                    text = template % (ms, *args)
                 elif template and type(witness) is str:
-                    yield verdict, template % (ms, *args, _quote_witness(witness))
+                    text = template % (ms, *args, _quote_witness(witness))
                 else:
                     record = CheckRecord(lanes[i].name, _params_of(lanes[i])(args), verdict,
                                          witness, ms)
-                    yield verdict, _record_text(record, shapes, quoted)
-
-    return _write_document(out, corpus.seed, texts())
+                    text = json.dumps(record.to_dict(), indent=2,
+                                      sort_keys=True).replace("\n", "\n    ")
+            out.write((",\n    " if counts else "\n    ") + text)
+            counts[verdict] = counts.get(verdict, 0) + 1
+    seed = json.dumps(corpus.seed, indent=2, sort_keys=True).replace("\n", "\n  ")
+    out.write(("\n  ]" if counts else "]") + f',\n  "seed": {seed}\n}}')
+    return Counter(counts)
 
 
 # ---------------------------------------------------------------------------

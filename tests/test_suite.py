@@ -28,7 +28,6 @@ from hxfib.suite import (
     Corpus,
     Report,
     Runtime,
-    _template_record,
     corrupt_table_entry,
     corrupt_unit_row,
     default_corpus,
@@ -37,8 +36,6 @@ from hxfib.suite import (
     run_all,
     run_with_mutation,
     shrink,
-    summary_line,
-    write_report,
 )
 
 
@@ -211,6 +208,20 @@ def test_battery_notices_a_broken_kronecker_pack(monkeypatch):
     assert calls
     assert {c.name for c in report.failures} == forms
     assert all(c.params["n"] >= 2 for c in report.failures)
+
+
+def test_scalar_families_read_the_same_through_the_kronecker_product(monkeypatch):
+    # a dense h of KRONECKER_MIN_LEN terms sends the recurrence's h * F_(n-1)
+    # through Kronecker substitution from F_2 on; schoolbook products are
+    # the oracle
+    h = Poly([Fraction((-1) ** k * (k + 1), 1 + k % 3) for k in range(scalars.KRONECKER_MIN_LEN)])
+    corpus = Corpus(seed=0, h_polys=(h,), algebras=(), n_max=8, r_max=8, p_max=8, trunc_n=8)
+    real, calls = scalars._kronecker_mul, []
+    monkeypatch.setattr(scalars, "_kronecker_mul", lambda a, b: calls.append(len(a)) or real(a, b))
+    kronecker = run_all(corpus)
+    assert calls and kronecker.checks
+    monkeypatch.setattr(scalars, "_kronecker_mul", scalars._schoolbook_mul)
+    assert run_all(corpus).comparable() == kronecker.comparable()
 
 
 def test_battery_notices_packed_checks_without_the_denominator_power(monkeypatch):
@@ -455,11 +466,7 @@ def test_report_summary_counts():
     assert "1 failed" in report.summary() and "1 flagged" in report.summary()
 
 
-# -- the report writer against the stdlib encoder ----------------------------------
-
-def _stdlib_text(report, indent=2):
-    return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
-
+# -- Report.to_json ---------------------------------------------------------------
 
 def _assert_same_text(got, expected):
     # a bare == would have pytest diff two megabyte strings on a failure
@@ -480,30 +487,9 @@ HAND_BUILT = [
     CheckRecord("floats", {"y": -0.0, "z": 1e300, "w": 5e-324}, "fail", "w", -0.0),
 ]
 
-
-@pytest.fixture(scope="module")
-def battery_reports():
-    small = run_all(default_corpus(42, n_max=6, r_max=6, p_max=6, trunc_n=6))
-    mutated = run_with_mutation("catalan_sign_exponent")
-    assert mutated.failures and all(c.witness for c in mutated.failures)
-    return small, mutated
-
-
-def test_report_writer_matches_the_stdlib_encoder_on_battery_reports(battery_reports):
-    for report in battery_reports:
-        _assert_same_text(report.to_json(indent=2), _stdlib_text(report))
-
-
-@pytest.mark.parametrize("records", [HAND_BUILT, HAND_BUILT[:1], HAND_BUILT[2:3], []],
-                         ids=["all", "one", "empty_params", "no_checks"])
-def test_report_writer_matches_the_stdlib_encoder_on_hand_built_records(records):
-    assert all(_template_record(c) is not None for c in records)
-    for seed in (0, -3, 42, 2.5, {"nested": [1, "s"]}):
-        report = Report(seed, list(records))
-        assert report.to_json(indent=2) == _stdlib_text(report)
-
-
-@pytest.mark.parametrize("record", [
+#: Records no lane template could write: non-finite or int `ms`, nested,
+#: `bool`, `None` and int-keyed params, a witness or a name that is not a `str`.
+UNTEMPLATED = [
     CheckRecord("nested", {"h": "1", "inner": {"n": 1}}, "pass", None, 0.5),
     CheckRecord("listed", {"h": "1", "ns": [1, 2]}, "pass", None, 0.5),
     CheckRecord("flag_param", {"h": "1", "exact": True}, "pass", None, 0.5),
@@ -514,142 +500,26 @@ def test_report_writer_matches_the_stdlib_encoder_on_hand_built_records(records)
     CheckRecord("int_ms", {"h": "1"}, "pass", None, 2),
     CheckRecord("int_key", {1: "one"}, "pass", None, 0.5),
     CheckRecord("int_witness", {"h": "1"}, "fail", 3, 0.5),
-], ids=lambda r: r.name)
-def test_records_outside_the_template_fall_back_to_the_stdlib_encoder(record):
-    report = Report(1, HAND_BUILT + [record])
-    assert _template_record(record) is None
-    assert report.to_json(indent=2) == _stdlib_text(report)
+    CheckRecord(["listed", "name"], {"h": "x"}, "pass", None, 0.5),
+]
 
 
-def test_a_fallback_record_between_two_ordinary_ones_streams_like_json_dumps():
-    odd = CheckRecord("odd", {"h": "1", "inner": {"n": [1, 2], "x0": 2.0}}, "pass", None,
-                      float("nan"))
-    records = [HAND_BUILT[0], odd, HAND_BUILT[1]]
-    assert [_template_record(c) is None for c in records] == [False, True, False]
-    out = io.StringIO()
-    counts = write_report(out, 5, iter(records))
-    expected = json.dumps({"seed": 5, "checks": [c.to_dict() for c in records]},
-                          indent=2, sort_keys=True)
-    _assert_same_text(out.getvalue(), expected)
-    assert counts == Counter({"pass": 2, "fail": 1})
-    assert summary_line(counts) == Report(5, records).summary() == (
-        "3 checks: 2 passed, 1 failed, 0 flagged")
+@pytest.fixture(scope="module")
+def battery_reports():
+    small = run_all(default_corpus(42, n_max=6, r_max=6, p_max=6, trunc_n=6))
+    mutated = run_with_mutation("catalan_sign_exponent")
+    assert mutated.failures and all(c.witness for c in mutated.failures)
+    return small, mutated
 
 
-@pytest.mark.parametrize("indent", [None, 0, 4])
-def test_other_indents_go_through_the_stdlib_encoder(indent, monkeypatch):
-    report = Report(1, list(HAND_BUILT))
-    expected = _stdlib_text(report, indent)
-    monkeypatch.setattr(suite, "write_report", lambda *args: pytest.fail("template used"))
-    assert report.to_json(indent=indent) == expected
-
-
-def test_report_writer_takes_the_template_on_an_ordinary_report(battery_reports, monkeypatch):
-    expected = [_stdlib_text(report) for report in battery_reports]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the report went through json.dumps")
-
-    monkeypatch.setattr(json, "dumps", refuse)
-    for report, text in zip(battery_reports, expected):
-        _assert_same_text(report.to_json(indent=2), text)
-
-
-# -- the per-shape templates of one report -------------------------------------
-
-
-def _assert_written_like_json_dumps(records, seed=3):
-    out = io.StringIO()
-    counts = write_report(out, seed, iter(records))
-    expected = json.dumps({"seed": seed, "checks": [c.to_dict() for c in records]},
-                          indent=2, sort_keys=True)
-    _assert_same_text(out.getvalue(), expected)
-    assert counts == Counter(c.verdict for c in records)
-
-
-def test_one_name_with_two_key_sets_takes_a_template_each():
-    records = [
-        CheckRecord("same", {"h": "x", "n": 1}, "pass", None, 0.5),
-        CheckRecord("same", {"h": "x", "n": 2, "r": 1}, "pass", None, 0.25),
-        CheckRecord("same", {"h": "x+1", "n": 3}, "fail", "n=3", 1.5),
-        CheckRecord("same", {"h": "x", "r": 4, "n": 4}, "pass", None, 2.0),
-        CheckRecord("same", {}, "pass", None, 3.0),
-    ]
-    shapes, quoted = {}, {}
-    assert all(_template_record(c, shapes, quoted) is not None for c in records)
-    assert len(shapes) == len(records)  # witness present and key order are shapes too
-    _assert_written_like_json_dumps(records)
-
-
-def test_a_key_whose_value_type_changes_is_checked_on_every_record():
-    values = [7, "7", 2.5, True, -(10 ** 30), "x", float("inf"), None, 8]
-    records = [CheckRecord("typed", {"h": "x", "v": v}, "pass", None, 0.5) for v in values]
-    shapes, quoted = {}, {}
-    fallbacks = [_template_record(c, shapes, quoted) is None for c in records]
-    assert fallbacks == [False, False, False, True, False, False, True, True, False]
-    assert len(shapes) == 1
-    _assert_written_like_json_dumps(records)
-
-
-SPECIAL = 'a % b %s %% {c} {{d}} "e" café → \U0001d49c'
-
-
-def test_format_and_quote_characters_in_every_field_are_written_as_json():
-    records = [
-        CheckRecord(SPECIAL, {"h": "x"}, "pass", None, 0.5),
-        CheckRecord("keys", {SPECIAL: 1, "%d": 2, "{0}": "%s"}, "pass", None, 0.5),
-        CheckRecord("values", {"h": SPECIAL, "n": 3}, "fail", SPECIAL, 0.5),
-        CheckRecord("values", {"h": SPECIAL, "n": 4}, "fail", "%(ms)r {}", 0.5),
-        CheckRecord("verdict", {"h": "x"}, SPECIAL, "w", 0.5),
-    ]
-    shapes, quoted = {}, {}
-    assert all(_template_record(c, shapes, quoted) is not None for c in records)
-    assert quoted == {"x": '"x"', "%s": '"%s"', SPECIAL: json.dumps(SPECIAL)}
-    _assert_written_like_json_dumps(records)
-
-
-def test_params_inserted_out_of_sorted_order_are_written_sorted():
-    records = [
-        CheckRecord("order", {"r": 2, "n": 5, "h": "x", "algebra": "quaternion"},
-                    "pass", None, 0.5),
-        CheckRecord("order", {"n": 6, "algebra": "octonion", "r": 1, "h": "1"},
-                    "pass", None, 0.75),
-        CheckRecord("order", {"r": 3, "n": 7, "h": "x", "algebra": "quaternion"},
-                    "fail", "coordinate 2 at n=7, r=3", 0.5),
-    ]
-    assert _template_record(records[0]).index('"algebra"') < _template_record(
-        records[0]).index('"r"')
-    _assert_written_like_json_dumps(records)
-
-
-def test_an_unhashable_name_or_verdict_falls_back_to_the_stdlib_encoder():
-    records = [
-        CheckRecord(["listed", "name"], {"h": "x"}, "pass", None, 0.5),
-        CheckRecord("plain", {"h": "x"}, "pass", None, 0.5),
-    ]
-    assert _template_record(records[0]) is None
-    out = io.StringIO()
-    write_report(out, 3, iter(records))
-    expected = json.dumps({"seed": 3, "checks": [c.to_dict() for c in records]},
-                          indent=2, sort_keys=True)
-    _assert_same_text(out.getvalue(), expected)
-
-
-def test_the_writer_keeps_no_template_across_reports(monkeypatch):
-    seen = []
-    real = suite._template_record
-
-    def recording(c, shapes, quoted):
-        seen.append((shapes, quoted))
-        return real(c, shapes, quoted)
-
-    monkeypatch.setattr(suite, "_template_record", recording)
-    record = CheckRecord("plain", {"h": "x+1", "n": 3}, "pass", None, 0.125)
-    for _ in range(2):
-        write_report(io.StringIO(), 1, [record, record])
-    first, second = seen[0], seen[2]
-    assert seen[1][0] is first[0] and seen[3][0] is second[0]
-    assert first[0] is not second[0] and first[1] is not second[1]
+@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+def test_to_json_is_json_dumps_of_the_report(indent, battery_reports):
+    reports = [Report(seed, HAND_BUILT + UNTEMPLATED)
+               for seed in (0, -3, 2.5, {"nested": [1, "s"]})]
+    reports += [Report(1, []), *battery_reports]
+    for report in reports:
+        _assert_same_text(report.to_json(indent),
+                          json.dumps(report.to_dict(), indent=indent, sort_keys=True))
 
 
 def test_check_records_have_slots():
@@ -720,17 +590,25 @@ def test_the_fused_writer_writes_the_text_of_run_all(case):
         assert ("algebra_validate", "NotUnital") in kinds
 
 
-def test_verify_writes_the_text_of_run_all_over_a_json_algebra(tmp_path, capsys):
+#: An algebra name, quoted into the lane templates as a constant param, with
+#: format and quote characters, a control character, a line separator and
+#: non-ASCII text.
+QUOTED_NAME = 'a % b %s %% "q" back\\slash \x01 \u2028 caf\u00e9 \U0001d49c'
+
+
+@pytest.mark.parametrize("spec_doc", [FRACTIONAL_SPEC, {**FRACTIONAL_SPEC, "name": QUOTED_NAME}],
+                         ids=["thirds", "quoted_name"])
+def test_verify_writes_the_text_of_run_all_over_a_json_algebra(spec_doc, tmp_path, capsys):
     from hxfib import cli
     from hxfib.algebra import table_from_spec
 
-    spec = tmp_path / "thirds.json"
-    spec.write_text(json.dumps(FRACTIONAL_SPEC))
+    spec = tmp_path / "table.json"
+    spec.write_text(json.dumps(spec_doc))
     path = tmp_path / "report.json"
     assert cli.main(["verify", "--seed", "3", "--nmax", "3", "--algebra", str(spec),
                      "--algebra", "octonion", "--report", str(path)]) in (0, 1)
     corpus = replace(default_corpus(3, n_max=3, r_max=3, p_max=3, trunc_n=3),
-                     algebras=(table_from_spec(FRACTIONAL_SPEC), suite.octonion_table()))
+                     algebras=(table_from_spec(spec_doc), suite.octonion_table()))
     expected = json.dumps(run_all(corpus).to_dict(), indent=2, sort_keys=True) + "\n"
     _assert_same_text(_without_ms(path.read_text()), _without_ms(expected))
     assert capsys.readouterr().out.strip() == run_all(corpus).summary()
@@ -744,14 +622,17 @@ def test_a_constant_param_outside_the_templates_is_written_as_json(seed):
 
 
 def test_verdicts_of_a_replaced_check_outside_the_templates_are_written_as_json(monkeypatch):
+    # a tuple witness reads differently as str and as JSON
     for name, verdict in (("unit_law", fibseq.Verdict(False, 3)),
+                          ("bilinearity", fibseq.Verdict(False, ("n", 3))),
                           ("hyper_catalan_printed", fibseq.Verdict(True, None)),
                           ("catalan_real", fibseq.Verdict(False, None)),
                           ("index_shift", fibseq.Verdict(False, 'a "quoted" % witness'))):
         monkeypatch.setitem(CHECKS, name, lambda rt, p, verdict=verdict: verdict)
     report = _assert_fused_text_matches_run_all(replace(mutation_corpus(), n_max=3, r_max=2))
     witnesses = {(c.name, c.verdict, c.witness) for c in report.checks if c.verdict != "pass"}
-    assert {("unit_law", "fail", 3), ("hyper_catalan_printed", "flag", None),
+    assert {("unit_law", "fail", 3), ("bilinearity", "fail", ("n", 3)),
+            ("hyper_catalan_printed", "flag", None),
             ("catalan_real", "fail", "mismatch"),
             ("index_shift", "fail", 'a "quoted" % witness')} <= witnesses
 
