@@ -512,14 +512,28 @@ def battery_reports():
     return small, mutated
 
 
+#: Every record at each seed, each out-of-template record between ordinary
+#: ones, an empty report, and the two battery reports by index.
+TO_JSON_REPORTS = [
+    *(pytest.param(Report(seed, HAND_BUILT + UNTEMPLATED), id=f"all_records-seed_{name}")
+      for name, seed in (("0", 0), ("minus3", -3), ("2.5", 2.5),
+                         ("nested", {"nested": [1, "s"]}))),
+    *(pytest.param(Report(1, HAND_BUILT[:3] + [c] + HAND_BUILT[3:]),
+                   id="untemplated-" + (c.name if isinstance(c.name, str) else "_".join(c.name)))
+      for c in UNTEMPLATED),
+    pytest.param(Report(1, []), id="no_checks"),
+    pytest.param(0, id="battery"),
+    pytest.param(1, id="mutated"),
+]
+
+
+@pytest.mark.parametrize("report", TO_JSON_REPORTS)
 @pytest.mark.parametrize("indent", [None, 0, 2, 4])
-def test_to_json_is_json_dumps_of_the_report(indent, battery_reports):
-    reports = [Report(seed, HAND_BUILT + UNTEMPLATED)
-               for seed in (0, -3, 2.5, {"nested": [1, "s"]})]
-    reports += [Report(1, []), *battery_reports]
-    for report in reports:
-        _assert_same_text(report.to_json(indent),
-                          json.dumps(report.to_dict(), indent=indent, sort_keys=True))
+def test_to_json_is_json_dumps_of_the_report(indent, report, request):
+    if isinstance(report, int):
+        report = request.getfixturevalue("battery_reports")[report]
+    _assert_same_text(report.to_json(indent),
+                      json.dumps(report.to_dict(), indent=indent, sort_keys=True))
 
 
 def test_check_records_have_slots():
