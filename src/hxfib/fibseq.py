@@ -13,8 +13,10 @@ checks of `hyperfib` read at their bases come down to integer vectors.
 With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have integer
 coefficients (the cache's denominators are checked to divide d^(n-1)),
 and with alpha^k = a_k + b_k s so do A_k = 2 d^k a_k and
-B_k = 2 d^(k-1) b_k, which step by X_k = H X_(k-1) + d^2 X_(k-2) from
-`roots()` once alpha^2 = h alpha + 1 is checked (`alpha_pow` reads them).
+B_k = 2 d^(k-1) b_k, the root vectors, kept as integer tuples.  Each
+steps by X_k = H X_(k-1) + d^2 X_(k-2) from `roots()`, once
+alpha^2 = h alpha + 1 is checked, and only as far as it is read;
+`alpha_pow` reads both, the Binet form only B.
 At its base, the smallest m whose indices are nonnegative, a Catalan
 instance E(m, r, delta) has an index 0.  So where G_0 = 0 its other
 product is G_a G_b, {a, b} = {r, |r - delta|}, a >= b, and it is, up to
@@ -89,16 +91,27 @@ den G_n(2^(8w)) and unpacks nothing: the bound S + den N_n, with S the sum
 of |weight| N_H^i N_M'^j d^(n-1-i-2j), N_H = ||H||_1 and
 N_M' = N_H^2 + 4d^2, covers every coefficient of G - den G_n, G_n and H.
 Where scaling G raises `NotDivisible` it compares in Q[x] the `Poly` that
-the public forms unpack.  The Chebyshev form steps W_m = d^m U_m on
-(real, imaginary) pairs of integer vectors and reads i^m W_m / d^m by
-rotating the pair.
+the public forms unpack.  G_n is packed once per slot width, in the memo
+that `_vanishes` keeps.  The differential form's terms come from integer
+monomials: row n holds (c, e) for the k-th derivative c y^e of y^(n-k-1),
+each one power-rule step c y^e -> c e y^(e-1) from row n - 1, summed as
+c / k! over one common denominator.  The Chebyshev form steps
+W_m = d^m U_m on (real, imaginary) pairs of integer vectors and reads
+i^m W_m / d^m by rotating the pair.
+
+Since `beta_pow` is the conjugate of `alpha_pow`, binet(n) =
+(alpha^n - beta^n) / s = 2 b_n = B_n / d^(n-1), so binet(n) == F_n
+exactly where B_n == G_n, a tuple comparison.  `binet_matches` reads it
+after comparing the seeds binet(0) == F_0 and binet(1) == F_1 through
+`binet` once per context, so that faulty roots, or root powers wrong at
+n <= 1, are still seen; where the seeds fail, B_n != G_n, or scaling G
+raises `NotDivisible`, it compares binet(n) == F_n in Q[x].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .scalars import (
@@ -113,7 +126,6 @@ from .scalars import (
     _kronecker_unpack,
     as_poly,
     binomial,
-    poly_combination,
     poly_sum,  # unused here; `benchmarks/selftest.py` expects to find it on this module
     quad_from_alpha,
     quad_from_beta,
@@ -181,11 +193,14 @@ def _checked_width(bound: int) -> int:
 
 
 def _mul_add(h: tuple, x: list, c: int, y: list) -> list:
-    """The integer vector h x + c y, for integer vectors h, x and y."""
+    """The integer vector h x + c y, for integer vectors h, x and y, with
+    no trailing zero."""
     out = _int_mul(h, x) if h and x else []
     out += [0] * (len(y) - len(out))
     for i, v in enumerate(y):
         out[i] += c * v
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -217,6 +232,7 @@ class FibContext:
         self._h_partial_sums = [ZERO]
         self._sum_residuals: list[Poly] = []
         self._binets: dict[int, Poly] = {}
+        self._binet_seeds: bool | None = None  # binet(0) == F_0 and binet(1) == F_1
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
         # slot width w the integer vectors packed at 2^(8w), by vector
         self._scaled: list[tuple] = []
@@ -224,13 +240,14 @@ class FibContext:
         self._den_pows = [1]
         self._packed: dict[int, dict[tuple, int]] = {}
         # per slot width w, the powers of H(2^(8w)) that the packed closed
-        # forms read, and the k-th derivatives of y^(n-k-1) at row n
+        # forms read, and the k-th derivatives c y^e of y^(n-k-1) at row n
+        # as (c, e)
         self._form_pows: dict[int, list[int]] = {}
-        self._derivatives: list[list[Poly]] = [[]]
+        self._derivatives: list[list[tuple[int, int]]] = [[]]
         # H = d h as an integer polynomial, M' = d^2 (h^2+4) as an integer
-        # vector with its 1-norm; the root vectors ([A_k], [B_k], modulus of
-        # s), or () once alpha^2 = h alpha + 1 fails; the powers of alpha;
-        # and the base flags: P(a, b) by (a, b), d'Ocagne by e = u - v
+        # vector with its 1-norm; the root vectors ([A_k], [B_k]) as integer
+        # tuples, or () once alpha^2 = h alpha + 1 fails; the powers of
+        # alpha; and the base flags: P(a, b) by (a, b), d'Ocagne by e = u - v
         self._cleared_h = self.h * self.h.den
         modulus = (self.modulus * self.h.den ** 2).num
         self._cleared_modulus = modulus, sum(map(abs, modulus))
@@ -343,18 +360,19 @@ class FibContext:
         for c, _, norm in right:
             bound += abs(c) * norm
         w = _checked_width(bound)
-        packed = self._packed.setdefault(w, {})
-
-        def pack(vec: tuple) -> int:
-            got = packed.get(vec)
-            if got is None:
-                got = packed[vec] = _kronecker_pack(vec, w)
-            return got
-
-        lhs = pack(self._scaled[u]) * pack(self._scaled[v]) * pack(factor[0])
+        pack = self._pack
+        lhs = pack(self._scaled[u], w) * pack(self._scaled[v], w) * pack(factor[0], w)
         for c, vec, _ in right:
-            lhs -= c * pack(vec)
+            lhs -= c * pack(vec, w)
         return not lhs
+
+    def _pack(self, vec: tuple, w: int) -> int:
+        """The integer vector `vec` packed at 2^(8w), memoized per width."""
+        packed = self._packed.setdefault(w, {})
+        got = packed.get(vec)
+        if got is None:
+            got = packed[vec] = _kronecker_pack(vec, w)
+        return got
 
     def _recurrence_holds(self, top: int) -> bool:
         """Whether residual(k) == 0, G_k == H G_(k-1) + d^2 G_(k-2), for
@@ -368,10 +386,7 @@ class FibContext:
         g, h, d2 = self._scaled, self._cleared_h.num, self.den_pow(2)
         while self._recurrence_top < top:
             k = self._recurrence_top + 1
-            step = _mul_add(h, g[k - 1], d2, g[k - 2])
-            while step and not step[-1]:
-                step.pop()
-            if tuple(step) != g[k]:
+            if tuple(_mul_add(h, g[k - 1], d2, g[k - 2])) != g[k]:
                 return False
             self._recurrence_top = k
         return True
@@ -390,37 +405,39 @@ class FibContext:
         """The two roots of v^2 - h v - 1 = 0 in Q[x][s]/(s^2 - (h^2+4))."""
         return quad_from_alpha(self.h), quad_from_beta(self.h)
 
-    def _roots_to(self, k: int) -> tuple[list[Poly], list[Poly]]:
-        """The root vectors [A_0 .. A_k] and [B_0 .. B_k] (see the module
-        docstring), stepped up in a loop; `NonRealResult` unless
-        alpha^2 = h alpha + 1, checked once per context.  Then A_1 = 2 d a_1
-        is integral (a_1 = h/2, or d a_1 in Q[x] is a root of
-        t^2 - H t - d^2), and so is every A_k; B_k may not be."""
+    def _roots_to(self, k: int, part: int) -> list[tuple]:
+        """The root vector [X_0 .. X_k], X = A at part 0 and B at part 1 (see
+        the module docstring), as integer tuples, each part stepped up in a
+        loop only as far as it is read; `NonRealResult` unless alpha is a
+        root of v^2 - h v - 1 in Q[x][s]/(s^2 - (h^2+4)), checked once per
+        context.  Then A_1 = 2 d a_1 is integral (a_1 = h/2, or d a_1 in
+        Q[x] is a root of t^2 - H t - d^2), and B_1 = 2 b_1 is -1, 0 or 1,
+        since 2 a_1 b_1 = h b_1 forces b_1 = 0 or a_1 = h/2 and
+        b_1^2 = 1/4; so every A_k and B_k is integral."""
         vectors = self._root_vectors
         if vectors is None:
             alpha = self.roots()[0]
             vectors = self._root_vectors = (
-                ([Poly((2,)), alpha.a * (2 * self.h.den)], [ZERO, alpha.b * 2], alpha.modulus)
-                if alpha * (alpha - self.h) == 1 else ())
+                ([(2,), (alpha.a * (2 * self.h.den)).num], [(), (alpha.b * 2).num])
+                if alpha.modulus == self.modulus and alpha * (alpha - self.h) == 1 else ())
         if not vectors:
             raise NonRealResult("the roots break alpha^2 = h alpha + 1")
-        lucas, odd, _ = vectors
-        h, d2 = self._cleared_h, self.h.den ** 2
-        while len(lucas) <= k:
-            lucas.append(h * lucas[-1] + lucas[-2] * d2)
-            odd.append(h * odd[-1] + odd[-2] * d2)
-        return lucas, odd
+        xs = vectors[part]
+        h, d2 = self._cleared_h.num, self.h.den ** 2
+        while len(xs) <= k:
+            xs.append(tuple(_mul_add(h, xs[-1], d2, xs[-2])))
+        return xs
 
     def alpha_pow(self, n: int) -> QuadExt:
-        """alpha^n = A_n / (2 d^n) + B_n / (2 d^(n-1)) s from the root
-        vectors, with no product in Q[x][s]; memoized."""
+        """alpha^n = A_n / (2 d^n) + B_n / (2 d^(n-1)) s from the integer
+        root vectors, each part one `Poly._rational` on its tuple, with no
+        product in Q[x][s]; memoized."""
         pows = self._alpha_pows
         if len(pows) <= n:
-            lucas, odd = self._roots_to(n)
-            modulus, d = self._root_vectors[2], self.h.den
+            lucas, odd, d = self._roots_to(n, 0), self._roots_to(n, 1), self.h.den
             for k in range(len(pows), n + 1):
-                b = odd[k] * Fraction(1, 2 * d ** (k - 1)) if k else ZERO
-                pows.append(QuadExt(lucas[k] * Fraction(1, 2 * d ** k), b, modulus))
+                b = Poly._rational(list(odd[k]), 2 * d ** (k - 1)) if k else ZERO
+                pows.append(QuadExt(Poly._rational(list(lucas[k]), 2 * d ** k), b, self.modulus))
         return pows[n]
 
     def beta_pow(self, n: int) -> QuadExt:
@@ -488,18 +505,21 @@ class FibContext:
         for part in reversed(parts):
             value = value * m + part
         if compare:
-            return value == den * _kronecker_pack(self._scaled[n], w)
+            return value == den * self._pack(self._scaled[n], w)
         count = max((i + 2 * j for _, i, j in terms), default=0) * max(len(num) - 1, 0) + 1
         return Poly._rational(_kronecker_unpack(value, count, w), den * self.den_pow(n - 1))
 
     def form_test(self, form: str):
         """n -> whether the closed form `form`, a method name, equals F_n:
         compared packed on the term list of a packed form (`binomial_terms`,
-        `halving_terms` or `differential_terms`), else in Q[x]."""
+        `halving_terms` or `differential_terms`), by `binet_matches` for
+        `binet`, else in Q[x]."""
         terms = _FORM_TERMS.get(form)
         if terms:
             terms_of = getattr(self, terms)
             return lambda n: self._packed_form(terms_of, n, True)
+        if form == "binet":
+            return self.binet_matches
         method = getattr(self, form)
         return lambda n: method(n) == self.fib(n)
 
@@ -549,7 +569,8 @@ class FibContext:
 
     def binet(self, n: int) -> Poly:
         """(alpha^n - beta^n) / (alpha - beta), via exact division by s;
-        memoized, since the hyper-Binet check of every table reads it."""
+        memoized.  It is B_n / d^(n-1), which `binet_matches` reads instead
+        past the seeds (see the module docstring)."""
         got = self._binets.get(n)
         if got is None:
             if n < 0:
@@ -560,17 +581,41 @@ class FibContext:
             got = self._binets[n] = quotient.a
         return got
 
+    def binet_matches(self, n: int) -> bool:
+        """Whether binet(n) == F_n, for the closed-form and hyper-Binet
+        checks: B_n == G_n once the seeds hold, else binet(n) == F_n (see
+        the module docstring)."""
+        if self._binet_seeds is None:
+            try:
+                self._binet_seeds = self.binet(0) == self.fib(0) and self.binet(1) == self.fib(1)
+            except (NotDivisible, NonRealResult):
+                self._binet_seeds = False
+        if self._binet_seeds and n >= 0:
+            try:
+                self._scale_to(n)
+            except NotDivisible:
+                pass
+            else:
+                if self._roots_to(n, 1)[n] == self._scaled[n]:
+                    return True
+        return self.binet(n) == self.fib(n)
+
     def differential_terms(self, n: int) -> tuple[list, int]:
         """(terms, den) for `_packed_form` of the sum over k of
-        (1/k!) d^k/dy^k y^(n-k-1), computed literally in the formal ring
-        Q[y] as one `poly_combination`.  Each k-th derivative of y^(n-k-1) is
-        one derivative of the memoized (k-1)-th one, from row n - 1."""
+        (1/k!) d^k/dy^k y^(n-k-1), computed literally on integer monomials:
+        the k-th derivative c y^e of y^(n-k-1) is one power-rule step
+        c y^e -> c e y^(e-1) on the memoized (k-1)-th one, from row n - 1,
+        and the terms c / k! are summed over one common denominator,
+        reduced, in ascending powers of y."""
         rows = self._derivatives
         while len(rows) <= n:
             m = len(rows)
-            rows.append([Poly.monomial(m - 1)] + [q.derivative() for q in rows[-1][:(m - 1) // 2]])
-        p = poly_combination([(q, Fraction(1, math.factorial(k))) for k, q in enumerate(rows[n])])
-        return [(c, j, 0) for j, c in enumerate(p.num) if c], p.den
+            rows.append([(1, m - 1)] + [(c * e, e - 1) for c, e in rows[-1][:(m - 1) // 2]])
+        row = rows[n]
+        den = math.factorial(max(len(row) - 1, 0))
+        nums = [(c * (den // math.factorial(k)), e) for k, (c, e) in enumerate(row)]
+        g = math.gcd(den, *(c for c, _ in nums))
+        return [(c // g, e, 0) for c, e in reversed(nums)], den // g
 
     def differential_form(self, n: int) -> Poly:
         """The differential form, evaluated at y = h by `_packed_form`."""
@@ -667,8 +712,8 @@ class FibContext:
                 if self._norms[0]:
                     holds = False
                 elif k <= b + 1:
-                    lucas = self._roots_to(k + b)[0]
-                    right = [(c, p.num, sum(map(abs, p.num))) for c, p in (
+                    lucas = self._roots_to(k + b, 0)
+                    right = [(c, v, sum(map(abs, v))) for c, v in (
                         (1, lucas[k + b]),
                         (self.den_pow(2 * b) * (1 if b % 2 else -1), lucas[k - b]))]
                     holds = self._vanishes(k, b, right, self._cleared_modulus)
@@ -712,8 +757,7 @@ class FibContext:
             scaled = self._scaled
             got = not self._norms[0] and scaled[1] == (1,)
             if got:
-                odd = self._roots_to(k)[1][k]
-                got = odd.den == 1 and odd.num == scaled[k]
+                got = self._roots_to(k, 1)[k] == scaled[k]
             self._docagne_flags[e] = got
         return got
 

@@ -89,7 +89,8 @@ sum c_ijk [X(i+2r, j) - X(i+2, j)] vanishes in every coordinate.
 This holds only for roots with alpha + beta = h and alpha beta = -1.
 `FibContext.require_root_relations` checks both once, and the Catalan,
 Cassini, printed and d'Ocagne comparisons raise if either fails.
-Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`.
+Hyper-Binet coordinate k is the scalar closed form `FibContext.binet(n+k)`,
+compared with F_(n+k) by `FibContext.binet_matches`.
 The recurrence, genfun and partial-sum checks hold where the prefix
 `FibContext.recurrence_proven` reaches their top index (see the `fibseq`
 docstring), and otherwise read `FibContext.residual` and `sum_residual`.
@@ -214,10 +215,11 @@ class HyperContext:
     def binet_check(self, n: int) -> Verdict:
         """(alpha* alpha^n - beta* beta^n) / (alpha - beta) == Q_n.
         Coordinate k of the numerator is alpha^(n+k) - beta^(n+k), so the
-        quotient is the scalar closed form `FibContext.binet(n + k)`."""
+        quotient is the scalar closed form `FibContext.binet(n + k)`, read
+        by `FibContext.binet_matches`."""
         fib = self.fib
         for k in range(self.dim):
-            if fib.binet(n + k) != fib.fib(n + k):
+            if not fib.binet_matches(n + k):
                 return Verdict(False, f"coordinate {k} at n={n}")
         return HOLDS
 

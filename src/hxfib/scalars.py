@@ -309,9 +309,6 @@ class Poly:
             return _ZERO
         return Poly._rational(_int_mul(self.num, other.num), self.den * other.den)
 
-    def derivative(self) -> "Poly":
-        return Poly._rational([self.num[i] * i for i in range(1, len(self.num))], self.den)
-
     def divexact(self, divisor: "Poly") -> "Poly":
         """Exact quotient self / divisor.
 

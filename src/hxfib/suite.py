@@ -691,13 +691,10 @@ def run_all(corpus: Corpus, include: set[str] | None = None) -> Report:
 def _lane_template(lane: Lane, verdict: str, plain: bool) -> str:
     """The `%`-format template of a lane's records of one verdict, as in an
     indent=2 report, four spaces deep, with the name and constant params
-    (h, algebra) quoted in.  Its slots are the `ms`, the row's arguments
-    and, unless `plain`, the witness.  "" when a constant param is not a
-    `str`, an `int` or a finite `float`, or when the lane's keys are not
-    sorted, since the arguments fill the slots in the order of the keys."""
-    if list(lane.keys) != sorted(lane.keys):
-        return ""
-
+    (h, algebra) quoted in.  Its slots are the `ms`, the row's arguments,
+    in the order of the lane's sorted keys, and, unless `plain`, the
+    witness.  "" when a constant param is not a `str`, an `int` or a finite
+    `float`."""
     def quote(text: str) -> str:
         return _quote(text).replace("%", "%%")
 

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hxfib import fibseq
-from hxfib.algebra import quaternion_table, scalar_table
+from hxfib import fibseq, suite
+from hxfib.algebra import octonion_table, quaternion_table, scalar_table
 from hxfib.fibseq import (
     HOLDS,
     DomainError,
@@ -153,6 +153,11 @@ def test_closed_forms_reject_zero_index():
 PACKED_FORMS = ("explicit_binomial", "explicit_halving", "differential_form")
 
 
+def derivative(p):
+    """d/dy of a `Poly` in y, by the power rule on its coefficients."""
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
 def poly_route(h, n_max):
     """The binomial, halving and differential forms for n = 1..n_max on
     `Poly` products: powers of h and of h^2 + 4 by repeated products, and
@@ -170,7 +175,7 @@ def poly_route(h, n_max):
         for k in ks:
             mono = Poly.monomial(n - k - 1)
             for _ in range(k):
-                mono = mono.derivative()
+                mono = derivative(mono)
             terms.append(mono * F(1, math.factorial(k)))
         differential = ZERO  # the sum in Q[y] composed with h, by Horner
         for c in reversed(poly_sum(terms).coeffs):
@@ -249,8 +254,8 @@ CACHED_FAULTS = {"exact": None, "f0_plus_x": (0, X), "f5_plus_1": (5, ONE),
                  "f7_plus_half_x": (7, X * F(1, 2))}
 
 
-@pytest.mark.parametrize("fault", sorted(CACHED_FAULTS))
-def test_closed_forms_match_a_direct_comparison(fault, monkeypatch):
+def _raise_cached_term(fault, monkeypatch):
+    """Make every new context cache the term of `CACHED_FAULTS[fault]` raised."""
     real_init = FibContext.__init__
 
     def init(self, h):
@@ -261,6 +266,11 @@ def test_closed_forms_match_a_direct_comparison(fault, monkeypatch):
             self._fib[k] = self._fib[k] + raised
 
     monkeypatch.setattr(FibContext, "__init__", init)
+
+
+@pytest.mark.parametrize("fault", sorted(CACHED_FAULTS))
+def test_closed_forms_match_a_direct_comparison(fault, monkeypatch):
+    _raise_cached_term(fault, monkeypatch)
     hs = random_form_hs(2803, 5) + random_form_hs(2811, 5) + [X, Poly([0, F(1, 6)])]
     assert any(h.den > 1 for h in hs) and any(not h.coeffs[0] for h in hs)
     report = run_all(Corpus(seed=0, h_polys=tuple(hs), algebras=(), n_max=30),
@@ -300,6 +310,57 @@ def test_a_raised_term_alone_widens_the_packed_comparison(monkeypatch):
         own = bounds[-1]
         assert own < 2 ** 200 < compared and real(own) < real(compared) == 32
         bounds.clear()
+
+
+BINET_FAMILIES = {"closed_form_binet", "hyper_binet"}
+#: faults of the Binet route differential: the swapped roots of the
+#: battery, a doubled F_1, and cached terms raised as in the closed-form
+#: differential (F_7 + x/2 makes scaling G to 7 raise where d is odd)
+BINET_FAULTS = ["exact", "roots_swapped", "wrong_initial_value", "f5_plus_1", "f7_plus_half_x"]
+
+
+@pytest.mark.parametrize("fault", BINET_FAULTS)
+def test_binet_checks_match_the_direct_comparison(fault, monkeypatch):
+    # both Binet families read `binet_matches`, here against binet(n) == F_n
+    if fault == "roots_swapped":
+        monkeypatch.setattr(FibContext, "roots", suite._faulty_roots)
+    elif fault == "wrong_initial_value":
+        monkeypatch.setattr(fibseq, "_INITIAL_TERMS", (0, 2))
+    elif fault != "exact":
+        _raise_cached_term(fault, monkeypatch)
+    hs = random_form_hs(2803, 5) + random_form_hs(2811, 5) + [ZERO]
+    assert any(h.den > 1 for h in hs) and any(h.den % 2 for h in hs)
+    corpus = Corpus(seed=0, h_polys=tuple(hs), algebras=(quaternion_table(), octonion_table()),
+                    n_max=30)
+    fast = run_all(corpus, include=BINET_FAMILIES)
+    assert {c.name for c in fast.checks} == BINET_FAMILIES
+    monkeypatch.setattr(FibContext, "binet_matches", lambda self, n: self.binet(n) == self.fib(n))
+    assert fast.comparable() == run_all(corpus, include=BINET_FAMILIES).comparable()
+    assert bool(fast.failures) == (fault != "exact")
+
+
+def test_fault_free_binet_checks_read_only_the_seeds_through_binet(monkeypatch):
+    reads = []
+    real = FibContext.binet
+    monkeypatch.setattr(FibContext, "binet", lambda self, n: reads.append(n) or real(self, n))
+    hs = random_form_hs(2803, 5) + [ZERO, X]
+    corpus = Corpus(seed=0, h_polys=tuple(hs), algebras=(quaternion_table(),), n_max=30)
+    assert not run_all(corpus, include=BINET_FAMILIES).failures
+    assert reads == [0, 1] * len(hs)
+
+
+def test_root_vectors_and_differential_terms_build_no_poly(monkeypatch):
+    ctx = FibContext(Poly([F(-5, 6), 0, F(1, 2)]))
+    ctx._roots_to(1, 0)  # the root check, once per context, works in Q[x][s]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Poly was built")
+
+    for name in ("_rational", "_raw", "__init__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    assert len(ctx._roots_to(30, 0)) == len(ctx._roots_to(30, 1)) == 31
+    assert [ctx.differential_terms(n) for n in (1, 2, 7)] == [
+        ([(1, 0, 0)], 1), ([(1, 1, 0)], 1), ([(1, 0, 0), (6, 2, 0), (5, 4, 0), (1, 6, 0)], 1)]
 
 
 def test_degree_bookkeeping():

@@ -1243,14 +1243,16 @@ READER_FAULTS = INSTANCE_FAULTS + sorted(GUARD_FAULTS) + ["f7_plus_half_x"]
 
 @pytest.mark.parametrize("fault", READER_FAULTS)
 @pytest.mark.parametrize("corpus", sorted(READER_CORPORA))
-def test_prefix_readers_match_the_q_x_route(corpus, fault, monkeypatch, direct_route):
+def test_prefix_readers_match_the_q_x_route(corpus, fault, monkeypatch):
     if fault == "f7_plus_half_x":
         monkeypatch.setattr(FibContext, "fib", _f7_plus_half_x)
     else:
         _inject(fault, monkeypatch)
     corpus = READER_CORPORA[corpus]
     prefix = suite.run_all(corpus, include=RESIDUAL_READERS)
-    direct_route()
+    # the direct route scales nothing, so a NotDivisible that a reader lets
+    # through on the prefix route shows as a difference
+    monkeypatch.setattr(FibContext, "recurrence_proven", lambda self, top: False)
     assert prefix.comparable() == suite.run_all(corpus, include=RESIDUAL_READERS).comparable()
     # these families read no root
     assert bool(prefix.failures) == (fault not in ("exact", "roots_swapped"))

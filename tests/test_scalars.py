@@ -121,12 +121,6 @@ def test_poly_eval():
     assert horner(Poly([0, 2, 0, 1]), F(1, 2)) == F(9, 8)
 
 
-def test_poly_derivative():
-    assert Poly([0, 0, 0, 1]).derivative() == Poly([0, 0, 3])
-    assert Poly([7]).derivative() == ZERO
-    assert Poly([0, 0, 2, 0, 1]).derivative() == Poly([0, 4, 0, 4])
-
-
 def test_poly_compose():
     # Horner evaluation at a polynomial is composition
     assert horner(Poly([1, 0, 1]), Poly([1, 1])) == Poly([2, 2, 1])

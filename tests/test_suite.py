@@ -628,6 +628,22 @@ def test_verify_writes_the_text_of_run_all_over_a_json_algebra(spec_doc, tmp_pat
     assert capsys.readouterr().out.strip() == run_all(corpus).summary()
 
 
+def _json_algebra_corpus():
+    from hxfib.algebra import table_from_spec
+
+    return replace(mutation_corpus(), algebras=(table_from_spec(FRACTIONAL_SPEC),))
+
+
+@pytest.mark.parametrize("corpus", [lambda: default_corpus(42), lambda: default_corpus(1),
+                                    mutation_corpus, _json_algebra_corpus],
+                         ids=["default_42", "default_1", "mutation", "json_algebra"])
+def test_every_scheduled_lane_has_sorted_keys(corpus):
+    # a lane template fills the row's arguments in the order of its keys
+    lanes = [lane for block in suite._schedule(corpus()) for lane in block.lanes]
+    assert {len(lane.keys) for lane in lanes} == {0, 1, 2, 5}
+    assert all(list(lane.keys) == sorted(lane.keys) for lane in lanes)
+
+
 @pytest.mark.parametrize("seed", [True, 2.5, "text", None], ids=repr)
 def test_a_constant_param_outside_the_templates_is_written_as_json(seed):
     # the seed is a constant param of the table oracles
