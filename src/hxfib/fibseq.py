@@ -14,9 +14,11 @@ With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have integer
 coefficients (the cache's denominators are checked to divide d^(n-1)),
 and with alpha^k = a_k + b_k s so do A_k = 2 d^k a_k and
 B_k = 2 d^(k-1) b_k, the root vectors, kept as integer tuples.  Each
-steps by X_k = H X_(k-1) + d^2 X_(k-2) from `roots()`, once
-alpha^2 = h alpha + 1 is checked, and only as far as it is read;
-`alpha_pow` reads both, the Binet form only B.
+obeys X_k = H X_(k-1) + d^2 X_(k-2) from `roots()`, once
+alpha^2 = h alpha + 1 is checked, and is built only as far as it is read:
+B by that step, A by it only where B_1 = 0, and else, since then
+a_1 = h/2 and 2 a_k = F_(k+1) + F_(k-1), as A_k = B_1 (B_(k+1) + d^2 B_(k-1)).
+`alpha_pow` reads both.
 At its base, the smallest m whose indices are nonnegative, a Catalan
 instance E(m, r, delta) has an index 0.  So where G_0 = 0 its other
 product is G_a G_b, {a, b} = {r, |r - delta|}, a >= b, and it is, up to
@@ -99,13 +101,11 @@ c / k! over one common denominator.  The Chebyshev form steps
 W_m = d^m U_m on (real, imaginary) pairs of integer vectors and reads
 i^m W_m / d^m by rotating the pair.
 
-Since `beta_pow` is the conjugate of `alpha_pow`, binet(n) =
-(alpha^n - beta^n) / s = 2 b_n = B_n / d^(n-1), so binet(n) == F_n
-exactly where B_n == G_n, a tuple comparison.  `binet_matches` reads it
-after comparing the seeds binet(0) == F_0 and binet(1) == F_1 through
-`binet` once per context, so that faulty roots, or root powers wrong at
-n <= 1, are still seen; where the seeds fail, B_n != G_n, or scaling G
-raises `NotDivisible`, it compares binet(n) == F_n in Q[x].
+With D = alpha^n - beta^n = a + b s, `binet` is D / s = b + (a / (h^2+4)) s,
+so binet(n) == F_n exactly where a == 0 and b == F_n.  `binet_matches`
+compares these two parts of D, read from `alpha_pow` and `beta_pow` at
+every n, once per n, with no division by s; where they differ it compares
+binet(n) == F_n, so a failure keeps the witness of the division.
 """
 
 from __future__ import annotations
@@ -226,13 +226,14 @@ class FibContext:
         self._fib = [as_poly(f0), as_poly(f1)]
         self._products: dict[tuple[int, int], Poly] = {}
         # F_m - h F_(m-1) - F_(m-2) at m - 2, h (F_1 + ... + F_j) and
-        # h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 at j, and the closed form
-        # by index, shared by every table over this h
+        # h (F_1 + ... + F_j) - F_(j+1) - F_j + 1 at j, the closed form by
+        # index, and by index whether alpha^n - beta^n == F_n s, shared by
+        # every table over this h
         self._residuals: list[Poly] = []
         self._h_partial_sums = [ZERO]
         self._sum_residuals: list[Poly] = []
         self._binets: dict[int, Poly] = {}
-        self._binet_seeds: bool | None = None  # binet(0) == F_0 and binet(1) == F_1
+        self._binet_flags: dict[int, bool] = {}
         # G_n = d^(n-1) F_n as integer vectors, their 1-norms, and per
         # slot width w the integer vectors packed at 2^(8w), by vector
         self._scaled: list[tuple] = []
@@ -407,13 +408,14 @@ class FibContext:
 
     def _roots_to(self, k: int, part: int) -> list[tuple]:
         """The root vector [X_0 .. X_k], X = A at part 0 and B at part 1 (see
-        the module docstring), as integer tuples, each part stepped up in a
+        the module docstring), as integer tuples, each part extended in a
         loop only as far as it is read; `NonRealResult` unless alpha is a
         root of v^2 - h v - 1 in Q[x][s]/(s^2 - (h^2+4)), checked once per
         context.  Then A_1 = 2 d a_1 is integral (a_1 = h/2, or d a_1 in
         Q[x] is a root of t^2 - H t - d^2), and B_1 = 2 b_1 is -1, 0 or 1,
         since 2 a_1 b_1 = h b_1 forces b_1 = 0 or a_1 = h/2 and
-        b_1^2 = 1/4; so every A_k and B_k is integral."""
+        b_1^2 = 1/4; so every A_k and B_k is integral, and where B_1 != 0,
+        A_k = B_1 (B_(k+1) + d^2 B_(k-1)) needs no product by H."""
         vectors = self._root_vectors
         if vectors is None:
             alpha = self.roots()[0]
@@ -424,6 +426,11 @@ class FibContext:
             raise NonRealResult("the roots break alpha^2 = h alpha + 1")
         xs = vectors[part]
         h, d2 = self._cleared_h.num, self.h.den ** 2
+        if part == 0 and vectors[1][1]:
+            odd, b1 = self._roots_to(k + 1, 1), vectors[1][1]
+            while len(xs) <= k:
+                j = len(xs)
+                xs.append(tuple(_mul_add(b1, odd[j + 1], b1[0] * d2, odd[j - 1])))
         while len(xs) <= k:
             xs.append(tuple(_mul_add(h, xs[-1], d2, xs[-2])))
         return xs
@@ -569,8 +576,7 @@ class FibContext:
 
     def binet(self, n: int) -> Poly:
         """(alpha^n - beta^n) / (alpha - beta), via exact division by s;
-        memoized.  It is B_n / d^(n-1), which `binet_matches` reads instead
-        past the seeds (see the module docstring)."""
+        memoized."""
         got = self._binets.get(n)
         if got is None:
             if n < 0:
@@ -583,22 +589,17 @@ class FibContext:
 
     def binet_matches(self, n: int) -> bool:
         """Whether binet(n) == F_n, for the closed-form and hyper-Binet
-        checks: B_n == G_n once the seeds hold, else binet(n) == F_n (see
-        the module docstring)."""
-        if self._binet_seeds is None:
-            try:
-                self._binet_seeds = self.binet(0) == self.fib(0) and self.binet(1) == self.fib(1)
-            except (NotDivisible, NonRealResult):
-                self._binet_seeds = False
-        if self._binet_seeds and n >= 0:
-            try:
-                self._scale_to(n)
-            except NotDivisible:
-                pass
-            else:
-                if self._roots_to(n, 1)[n] == self._scaled[n]:
-                    return True
-        return self.binet(n) == self.fib(n)
+        checks: alpha^n - beta^n == F_n s, memoized, else binet(n) == F_n
+        (see the module docstring)."""
+        holds = self._binet_flags.get(n)
+        if holds is None:
+            holds = False
+            if n >= 0:
+                alpha, beta = self.alpha_pow(n), self.beta_pow(n)
+                holds = (alpha.modulus == beta.modulus and alpha.a == beta.a
+                         and alpha.b - beta.b == self.fib(n))
+            self._binet_flags[n] = holds
+        return holds or self.binet(n) == self.fib(n)
 
     def differential_terms(self, n: int) -> tuple[list, int]:
         """(terms, den) for `_packed_form` of the sum over k of

@@ -313,10 +313,27 @@ def test_a_raised_term_alone_widens_the_packed_comparison(monkeypatch):
 
 
 BINET_FAMILIES = {"closed_form_binet", "hyper_binet"}
+#: a root power, its name and how it is made wrong at every n >= 2, where
+#: the recurrence of the root vectors is silent
+ROOT_POWER_FAULTS = {
+    "alpha_pow_b": ("alpha_pow", lambda p: QuadExt(p.a, p.b + X, p.modulus)),
+    "beta_pow_b": ("beta_pow", lambda p: QuadExt(p.a, p.b + X, p.modulus)),
+    "beta_pow_a": ("beta_pow", lambda p: QuadExt(p.a + X, p.b, p.modulus)),
+    "beta_pow_modulus": ("beta_pow", lambda p: QuadExt(p.a, p.b, p.modulus + 1)),
+}
 #: faults of the Binet route differential: the swapped roots of the
-#: battery, a doubled F_1, and cached terms raised as in the closed-form
-#: differential (F_7 + x/2 makes scaling G to 7 raise where d is odd)
-BINET_FAULTS = ["exact", "roots_swapped", "wrong_initial_value", "f5_plus_1", "f7_plus_half_x"]
+#: battery, a doubled F_1, cached terms raised as in the closed-form
+#: differential (F_7 + x/2 makes scaling G to 7 raise where d is odd), and
+#: the root power faults
+BINET_FAULTS = ["exact", "roots_swapped", "wrong_initial_value", "f5_plus_1", "f7_plus_half_x",
+                *ROOT_POWER_FAULTS]
+
+
+def _break_root_power(fault, monkeypatch):
+    name, wrong = ROOT_POWER_FAULTS[fault]
+    real = getattr(FibContext, name)
+    monkeypatch.setattr(FibContext, name,
+                        lambda self, n: wrong(real(self, n)) if n >= 2 else real(self, n))
 
 
 @pytest.mark.parametrize("fault", BINET_FAULTS)
@@ -326,6 +343,8 @@ def test_binet_checks_match_the_direct_comparison(fault, monkeypatch):
         monkeypatch.setattr(FibContext, "roots", suite._faulty_roots)
     elif fault == "wrong_initial_value":
         monkeypatch.setattr(fibseq, "_INITIAL_TERMS", (0, 2))
+    elif fault in ROOT_POWER_FAULTS:
+        _break_root_power(fault, monkeypatch)
     elif fault != "exact":
         _raise_cached_term(fault, monkeypatch)
     hs = random_form_hs(2803, 5) + random_form_hs(2811, 5) + [ZERO]
@@ -336,17 +355,28 @@ def test_binet_checks_match_the_direct_comparison(fault, monkeypatch):
     assert {c.name for c in fast.checks} == BINET_FAMILIES
     monkeypatch.setattr(FibContext, "binet_matches", lambda self, n: self.binet(n) == self.fib(n))
     assert fast.comparable() == run_all(corpus, include=BINET_FAMILIES).comparable()
-    assert bool(fast.failures) == (fault != "exact")
+    assert {c.name for c in fast.failures} == (set() if fault == "exact" else BINET_FAMILIES)
 
 
-def test_fault_free_binet_checks_read_only_the_seeds_through_binet(monkeypatch):
+@pytest.mark.parametrize("fault", ["alpha_pow_b", "beta_pow_b"])
+def test_root_powers_wrong_above_n_1_fail_every_binet_family(fault, monkeypatch):
+    # the quadratic identities read the root vectors, so only the families
+    # that compare the closed form see a root power that is wrong past the
+    # seeds; alpha^n - beta^n stays divisible by s, so each fails on its verdict
+    _break_root_power(fault, monkeypatch)
+    report = run_all(suite.mutation_corpus())
+    assert {c.name for c in report.failures} == BINET_FAMILIES | {"dim1_specialization"}
+    assert {suite._failure_kind(c.witness) for c in report.failures} == {"verdict"}
+
+
+def test_fault_free_binet_checks_never_divide_by_s(monkeypatch):
     reads = []
     real = FibContext.binet
     monkeypatch.setattr(FibContext, "binet", lambda self, n: reads.append(n) or real(self, n))
     hs = random_form_hs(2803, 5) + [ZERO, X]
     corpus = Corpus(seed=0, h_polys=tuple(hs), algebras=(quaternion_table(),), n_max=30)
     assert not run_all(corpus, include=BINET_FAMILIES).failures
-    assert reads == [0, 1] * len(hs)
+    assert reads == []
 
 
 def test_root_vectors_and_differential_terms_build_no_poly(monkeypatch):
@@ -358,7 +388,7 @@ def test_root_vectors_and_differential_terms_build_no_poly(monkeypatch):
 
     for name in ("_rational", "_raw", "__init__"):
         monkeypatch.setattr(Poly, name, refuse)
-    assert len(ctx._roots_to(30, 0)) == len(ctx._roots_to(30, 1)) == 31
+    assert len(ctx._roots_to(30, 0)) == 31 and len(ctx._roots_to(30, 1)) == 32
     assert [ctx.differential_terms(n) for n in (1, 2, 7)] == [
         ([(1, 0, 0)], 1), ([(1, 1, 0)], 1), ([(1, 0, 0), (6, 2, 0), (5, 4, 0), (1, 6, 0)], 1)]
 

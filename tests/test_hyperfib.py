@@ -1131,6 +1131,16 @@ def test_alpha_pow_checks_its_root_and_matches_repeated_products(monkeypatch):
                 for n in range(25):
                     assert ctx.alpha_pow(n) == power, (h, roots, n)
                     power = power * alpha
+    # where h^2 + 4 is a square a root may lie in Q[x]: then B_1 = 0, and A
+    # steps by the recurrence instead of the Lucas combination of B
+    for h, root in ((ZERO, 1), (ZERO, -1), (Poly([F(3, 2)]), 2), (Poly([F(3, 2)]), F(-1, 2))):
+        with monkeypatch.context() as patched:
+            patched.setattr(FibContext, "roots",
+                            lambda self, r=root: (QuadExt(r, 0, self.modulus),) * 2)
+            ctx = FibContext(h)
+            for n in range(12):
+                assert ctx.alpha_pow(n) == QuadExt(F(root) ** n, 0, ctx.modulus), (h, root, n)
+            assert not any(ctx._roots_to(11, 1))
 
 
 @pytest.mark.parametrize("table", [quaternion_table(), octonion_table(), THREEFOLD],
