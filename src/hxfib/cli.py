@@ -264,6 +264,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse drops the `--` of `--opt=--` and leaves [], also in verify --algebra's list
+        for name, value in vars(args).items():
+            if value == [] or isinstance(value, list) and [] in value:
+                raise UsageError(f"argument --{name}: expected one value, not '--'")
         return args.func(args)
     except UsageError as exc:
         print(f"hxfib: error: {exc}", file=sys.stderr)

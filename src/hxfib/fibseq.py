@@ -11,7 +11,7 @@ floating-point computation in the package.
 The scalar instances that the algebra Catalan, Cassini and d'Ocagne
 checks of `hyperfib` read at their bases come down to integer vectors.
 With h = H/d and H over Z, the terms G_n = d^(n-1) F_n have integer
-coefficients (the cache's denominators are checked to divide d^(n-1)),
+coefficients (num(F_n) times one exact quotient, else tested one by one),
 and with alpha^k = a_k + b_k s so do A_k = 2 d^k a_k and
 B_k = 2 d^(k-1) b_k, the root vectors, kept as integer tuples.  Each
 obeys X_k = H X_(k-1) + d^2 X_(k-2) from `roots()`, once
@@ -324,19 +324,24 @@ class FibContext:
     # -- packed fraction-free terms ----------------------------------------
 
     def _scale_to(self, n: int) -> None:
-        """Extend G_k = d^(k-1) F_k and N_k = ||G_k||_1 up to k = n, from the
-        cached terms; a term whose denominator does not divide d^(k-1)
-        raises `NotDivisible`."""
+        """Extend G_k = d^(k-1) F_k = num(F_k) d^k / (den(F_k) d), which
+        covers G_0 = F_0 / d, and N_k = ||G_k||_1 up to k = n.  G_k is
+        q num(F_k) where q = d^k / (den(F_k) d) is an integer; elsewhere (at
+        k = 0, and at k >= 1 only before a raise where F_k is canonical) each
+        coefficient is tested, and a non-integral G_k raises `NotDivisible`."""
         d = self.h.den
         scaled, norms = self._scaled, self._norms
         for k in range(len(scaled), n + 1):
             f = self.fib(k)
-            # G_k = num(F_k) d^k / (den(F_k) d), which covers G_0 = F_0 / d
             top, div = d ** k, f.den * d
-            g = [v * top for v in f.num]
-            if any(v % div for v in g):
-                raise NotDivisible(f"d^{k - 1} F_{k} has a non-integer coefficient")
-            g = tuple(v // div for v in g)
+            q, rem = divmod(top, div)
+            if not rem:  # q = 1 shares the vector, whose products would each be a copy
+                g = f.num if q == 1 else tuple(q * v for v in f.num)
+            else:
+                g = [v * top for v in f.num]
+                if any(v % div for v in g):
+                    raise NotDivisible(f"d^{k - 1} F_{k} has a non-integer coefficient")
+                g = tuple(v // div for v in g)
             scaled.append(g)
             norms.append(sum(map(abs, g)))
 

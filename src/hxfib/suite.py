@@ -496,9 +496,9 @@ class Block(NamedTuple):
 
 def _params_of(lane: Lane) -> Callable[[tuple], dict]:
     """The params of a lane's row from its arguments, the constant ones
-    first.  A dict display costs about half of `update(zip(...))`, which
-    `run_all` would pay on every record, so the arities of the schedule's
-    lanes (one, two and five keys) each get one."""
+    first, by a dict display for one and two keys (half the cost of
+    `update(zip(...))`); five keys, which outgrow a display's first table,
+    copy a base presized with every key and set all five in one assignment."""
     const, keys = lane.const, lane.keys
     if len(keys) == 1:
         (a,) = keys
@@ -508,7 +508,13 @@ def _params_of(lane: Lane) -> Callable[[tuple], dict]:
         return lambda x: {**const, a: x[0], b: x[1]}
     if len(keys) == 5:
         a, b, c, d, e = keys
-        return lambda x: {**const, a: x[0], b: x[1], c: x[2], d: x[3], e: x[4]}
+        base = {**const, **dict.fromkeys(keys)}
+
+        def params(x):
+            p = base.copy()
+            p[a], p[b], p[c], p[d], p[e] = x
+            return p
+        return params
     return lambda args: {**const, **dict(zip(keys, args))}
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: the polynomial grammar, the four subcommands,
 their exit codes, and JSON/CSV emitter agreement."""
 
+import argparse
 import csv
 import errno
 import io
@@ -617,6 +618,50 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["seq", "--n", "3"])  # --h is required
     assert info.value.code == 2
+
+
+#: The smallest valid arguments of each subcommand that takes an option.
+MINIMAL_ARGV = {
+    "seq": {"--h": "x", "--n": "2"},
+    "genfun": {"--h": "x", "--N": "2"},
+    "verify": {"--nmax": "1"},
+}
+
+
+def _subcommand_options():
+    """(subcommand, option) for every option of every subcommand but -h,
+    read from the parser, so that an option added later is covered."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield command, max(action.option_strings, key=len)
+
+
+def test_the_minimal_arguments_cover_every_subcommand():
+    options = list(_subcommand_options())
+    # the algebra subcommand takes one positional argument and no option
+    assert {command for command, _ in options} == set(MINIMAL_ARGV)
+    assert len(options) == 11
+
+
+def _dash_dash_argv():
+    for command, option in _subcommand_options():
+        given = {**MINIMAL_ARGV[command], option: "--"}
+        yield [command] + [f"{k}={v}" if v == "--" else f"{k} {v}" for k, v in given.items()]
+    # inside the list that `verify --algebra` appends to
+    yield ["verify", "--nmax=1", "--algebra=quaternion", "--algebra=--"]
+
+
+@pytest.mark.parametrize("argv", [" ".join(a) for a in _dash_dash_argv()])
+def test_an_option_written_with_a_dash_dash_value_exits_two(capsys, argv):
+    # argparse gives `--opt=--` the empty list, calling no `type`: seq
+    # --h=-- raised in parse_poly, and verify --seed=-- ran on the seed []
+    code, out, err = run_cli(capsys, *argv.split())
+    option = next(w for w in argv.split() if w.endswith("=--")).split("=")[0]
+    assert code == 2 and not out
+    assert err == f"hxfib: error: argument {option}: expected one value, not '--'\n"
 
 
 # -- verify -----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from hxfib.scalars import (
     ONE,
     X,
     ZERO,
+    NotDivisible,
     Poly,
     QuadExt,
     poly_sum,
@@ -310,6 +311,74 @@ def test_a_raised_term_alone_widens_the_packed_comparison(monkeypatch):
         own = bounds[-1]
         assert own < 2 ** 200 < compared and real(own) < real(compared) == 32
         bounds.clear()
+
+
+def per_coefficient_scaling(ctx, top):
+    """G_k = d^(k-1) F_k and N_k = ||G_k||_1 for k <= top, each coefficient
+    of d^k num(F_k) tested and divided by den(F_k) d on its own: (terms,
+    norms, the `NotDivisible` text that stops them or None)."""
+    d, terms, norms = ctx.h.den, [], []
+    for k in range(top + 1):
+        f = ctx.fib(k)
+        g = [v * d ** k for v in f.num]
+        if any(v % (f.den * d) for v in g):
+            return terms, norms, f"d^{k - 1} F_{k} has a non-integer coefficient"
+        terms.append(tuple(v // (f.den * d) for v in g))
+        norms.append(sum(map(abs, terms[-1])))
+    return terms, norms, None
+
+
+def _unreduced(f, c):
+    """F with c times its numerator over c times its denominator."""
+    return Poly._raw(tuple(c * v for v in f.num), c * f.den)
+
+
+#: a cached term replaced, (index, the term from F_k and d), the later terms
+#: following it
+SCALED_TERM_FAULTS = {
+    "exact": None,
+    "f5_non_integral": (5, lambda f, d: f + X * F(1, 2 * d ** 5)),
+    "f0_d_x": (0, lambda f, d: X * d),
+    "f0_half": (0, lambda f, d: Poly([F(1, 2)])),
+    "f3_zero": (3, lambda f, d: ZERO),
+    "f4_content": (4, lambda f, d: f * 6),
+    "f4_unreduced": (4, lambda f, d: _unreduced(f, 3 * d ** 4)),
+    "f6_unreduced_non_integral": (6, lambda f, d: _unreduced(f + X * F(1, d ** 6), 2)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCALED_TERM_FAULTS))
+def test_scaling_by_one_quotient_matches_the_per_coefficient_route(fault):
+    hs = random_form_hs(3301, 12) + [X, Poly([F(-7, 3)]), Poly([0, F(1, 6)])]
+    assert max(h.degree for h in hs) == 6 and sum(h.den > 1 for h in hs) > 10
+    routes = set()  # (whether den(F_k) d divides d^k, k) of each term scaled
+    for h in hs:
+        ctx, ref = FibContext(h), FibContext(h)
+        if SCALED_TERM_FAULTS[fault]:
+            k, term = SCALED_TERM_FAULTS[fault]
+            for c in (ctx, ref):
+                c.fib(k + 1)
+                c._fib[k] = term(c._fib[k], h.den)
+                del c._fib[max(k + 1, 2):]  # the later terms follow it
+        want = per_coefficient_scaling(ref, 14)
+        raised = None
+        for top in (0, 3, 14):  # a cold context, then extended twice
+            try:
+                ctx._scale_to(top)
+            except NotDivisible as exc:
+                raised = str(exc)
+                break
+        assert (ctx._scaled, ctx._norms, raised) == want, h
+        routes |= {(h.den ** k % (ctx.fib(k).den * h.den) == 0, k)
+                   for k in range(len(ctx._scaled) + bool(raised))}
+    # a canonical term takes the per-coefficient route at k = 0 alone, and
+    # the other terms at their own index too; G_0 = 1/(2d) raises at once
+    slow = {k for quotient, k in routes if not quotient}
+    assert any(quotient for quotient, _ in routes) == (fault != "f0_half")
+    if fault in ("f5_non_integral", "f4_unreduced", "f6_unreduced_non_integral"):
+        assert slow == {0, SCALED_TERM_FAULTS[fault][0]}
+    else:
+        assert slow == {0}
 
 
 BINET_FAMILIES = {"closed_form_binet", "hyper_binet"}

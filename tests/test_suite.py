@@ -644,6 +644,32 @@ def test_every_scheduled_lane_has_sorted_keys(corpus):
     assert all(list(lane.keys) == sorted(lane.keys) for lane in lanes)
 
 
+@pytest.mark.parametrize("corpus", [lambda: default_corpus(3), mutation_corpus],
+                         ids=["default_3", "mutation"])
+def test_params_of_each_row_are_its_constants_then_its_arguments(corpus):
+    arities = Counter()
+    for block in suite._schedule(corpus()):
+        lanes = block.lanes
+        params = [suite._params_of(lane) for lane in lanes]
+        rows = {}
+        for i, args in block.rows:
+            lane = lanes[i]
+            want = {**lane.const, **dict(zip(lane.keys, args))}
+            got = params[i](args)
+            assert got == want and list(got) == list(want), (lane, args)
+            rows.setdefault(i, []).append((args, got))
+        for i, made in rows.items():
+            arities[len(lanes[i].keys)] += 1
+            (first, got), *rest = made
+            # each row gets its own dict: changing one changes no later row
+            # and not what the lane gives next
+            got.clear()
+            got["spoiled"] = True
+            for args, later in rest[:1] + [(first, params[i](first))]:
+                assert later == {**lanes[i].const, **dict(zip(lanes[i].keys, args))}
+    assert set(arities) == {0, 1, 2, 5}
+
+
 @pytest.mark.parametrize("seed", [True, 2.5, "text", None], ids=repr)
 def test_a_constant_param_outside_the_templates_is_written_as_json(seed):
     # the seed is a constant param of the table oracles
